@@ -77,17 +77,41 @@ class ReadingSpeed:
 DeadlinePolicy = Union[TtftTbt, EndToEnd, ReadingSpeed]
 
 
-@dataclass(frozen=True)
 class DeadlineSeries:
-    """Deadlines in seconds from arrival, one per output token."""
+    """Deadlines in seconds from arrival, one per output token.
 
-    deadlines: tuple[float, ...]
+    Backed by a read-only float array, which scoring reads through
+    ``as_array()`` without building Python floats; ``deadlines`` is a tuple
+    view built on access.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, deadlines):
+        array = np.array(deadlines, dtype=float)
+        array.flags.writeable = False
+        self._array = array
+
+    @property
+    def deadlines(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.deadlines, dtype=float)
+        return self._array
 
     def __len__(self) -> int:
-        return len(self.deadlines)
+        return len(self._array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeadlineSeries):
+            return NotImplemented
+        return bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        return hash(self.deadlines)
+
+    def __repr__(self) -> str:
+        return f"DeadlineSeries(deadlines={self.deadlines!r})"
 
 
 def deadlines_for(policy: DeadlinePolicy, timeline: TokenTimeline) -> DeadlineSeries:
@@ -110,7 +134,7 @@ def deadlines_for(policy: DeadlinePolicy, timeline: TokenTimeline) -> DeadlineSe
         d[1:] = rel[:-1] + policy.tbt_budget
     else:
         raise TypeError(f"unknown deadline policy: {policy!r}")
-    return DeadlineSeries(tuple(float(x) for x in d))
+    return DeadlineSeries(d)
 
 
 def meets_slo(timeline: TokenTimeline, policy: DeadlinePolicy) -> bool:

@@ -25,12 +25,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .deadlines import DeadlinePolicy, deadlines_for, meets_slo
+from .deadlines import DeadlinePolicy, deadlines_for
 from .traces import RequestTrace, TokenTimeline
 
 
@@ -66,27 +66,8 @@ def e2e_latency(timeline: TokenTimeline) -> float:
     return timeline.token_times[-1] - timeline.arrival
 
 
-def peak_lateness(timeline: TokenTimeline, policy: DeadlinePolicy) -> float:
-    """Signed worst lateness: max over tokens of (relative time - deadline).
-
-    Negative values mean every token beat its deadline with that much slack.
-    """
-    series = deadlines_for(policy, timeline)
-    rel = np.asarray(timeline.token_times) - timeline.arrival
-    return float(np.max(rel - series.as_array()))
-
-
-def user_idle_latency(timeline: TokenTimeline, policy: DeadlinePolicy) -> float:
-    """Worst lateness clamped below at zero.
-
-    Zero exactly when the request meets the SLO; a user who always had tokens
-    in hand never waited, no matter how much slack there was.
-    """
-    return max(0.0, peak_lateness(timeline, policy))
-
-
 # ---------------------------------------------------------------------------
-# Benefit.
+# Benefit and per-request scoring.
 
 
 @dataclass(frozen=True)
@@ -149,13 +130,6 @@ class BenefitParams:
             raise ValueError("alpha must be non-negative")
 
 
-def benefit(timeline: TokenTimeline, policy: DeadlinePolicy,
-            params: BenefitParams) -> float:
-    """tokens - alpha * penalty(idle latency).  May be negative; no floor."""
-    idle = user_idle_latency(timeline, policy)
-    return timeline.num_tokens - params.alpha * params.penalty(idle)
-
-
 def penalty_from_config(obj: dict) -> PenaltyFn:
     kind = obj.get("type")
     if kind == "linear_seconds":
@@ -178,6 +152,78 @@ def penalty_to_config(penalty: PenaltyFn) -> dict:
         return {"type": "indicator", "threshold_s": penalty.threshold,
                 "penalty_value": penalty.penalty_value}
     raise TypeError(f"unknown penalty: {penalty!r}")
+
+
+@dataclass(frozen=True)
+class RequestMetrics:
+    """One request's scores; defaults are those of a request with no tokens."""
+
+    request_id: str
+    arrival: float
+    n_tokens: int
+    complete: bool
+    ttft: float | None = None
+    tpot: float | None = None
+    e2e: float | None = None
+    max_tbt: float | None = None
+    idle_latency: float = 0.0
+    peak_lateness: float | None = None
+    benefit: float = 0.0
+    met_slo: bool = False
+
+
+_UNWEIGHTED = BenefitParams()
+
+
+def _score(timeline: TokenTimeline, policy: DeadlinePolicy,
+           params: BenefitParams = _UNWEIGHTED,
+           ) -> tuple[RequestMetrics, np.ndarray]:
+    """One request's record and token gaps, from one deadline series.
+
+    Every deadline metric goes through here; an empty timeline raises.
+    ``lateness <= 0`` is exactly "every token at or before its deadline"
+    for finite doubles; only a fully delivered request attains its SLO.
+    """
+    n = timeline.num_tokens
+    times = timeline.token_times
+    array = np.asarray(times)
+    lateness = float(np.max(array - timeline.arrival
+                            - deadlines_for(policy, timeline).as_array()))
+    idle = max(0.0, lateness)
+    gaps = np.diff(array)
+    return RequestMetrics(
+        timeline.request_id, timeline.arrival, n, timeline.complete,
+        ttft=times[0] - timeline.arrival,
+        tpot=(times[-1] - times[0]) / (n - 1) if n >= 2 else None,
+        e2e=times[-1] - timeline.arrival,
+        max_tbt=float(gaps.max()) if n >= 2 else None,
+        idle_latency=idle,
+        peak_lateness=lateness,
+        benefit=n - params.alpha * params.penalty(idle),
+        met_slo=timeline.complete and lateness <= 0.0), gaps
+
+
+def peak_lateness(timeline: TokenTimeline, policy: DeadlinePolicy) -> float:
+    """Signed worst lateness: max over tokens of (relative time - deadline).
+
+    Negative values mean every token beat its deadline with that much slack.
+    """
+    return _score(timeline, policy)[0].peak_lateness
+
+
+def user_idle_latency(timeline: TokenTimeline, policy: DeadlinePolicy) -> float:
+    """Worst lateness clamped below at zero.
+
+    Zero exactly when the request meets the SLO; a user who always had tokens
+    in hand never waited, no matter how much slack there was.
+    """
+    return _score(timeline, policy)[0].idle_latency
+
+
+def benefit(timeline: TokenTimeline, policy: DeadlinePolicy,
+            params: BenefitParams) -> float:
+    """tokens - alpha * penalty(idle latency).  May be negative; no floor."""
+    return _score(timeline, policy, params)[0].benefit
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +267,6 @@ def window_from_traces(records: Sequence[RequestTrace], start: float, end: float
     return EvalWindow(start, end, tuple(picked))
 
 
-def _meets(tl: TokenTimeline, policy: DeadlinePolicy) -> bool:
-    # Only a fully delivered request can attain its SLO; clipped or empty
-    # timelines count as misses.
-    return tl.complete and tl.num_tokens > 0 and meets_slo(tl, policy)
-
-
 def goodput(window: EvalWindow, policy: DeadlinePolicy,
             per_request: bool = False) -> float:
     """SLO-meeting completed output per second over the window.
@@ -234,11 +274,11 @@ def goodput(window: EvalWindow, policy: DeadlinePolicy,
     Token-denominated by default; ``per_request=True`` counts SLO-meeting
     requests per second instead.
     """
-    total = 0.0
-    for tl in window.requests:
-        if _meets(tl, policy):
-            total += 1 if per_request else tl.num_tokens
-    return total / window.length
+    if not window.requests:
+        return 0.0
+    report = build_report(window, policy, _UNWEIGHTED)
+    return (report.goodput_requests_per_s if per_request
+            else report.goodput_tokens_per_s)
 
 
 def throughput(window: EvalWindow) -> float:
@@ -249,20 +289,20 @@ def throughput(window: EvalWindow) -> float:
 def smooth_goodput(window: EvalWindow, policy: DeadlinePolicy,
                    params: BenefitParams) -> float:
     """Total benefit over all requests (SLO violators included) per second."""
-    total = 0.0
-    for tl in window.requests:
-        if tl.num_tokens == 0:
-            continue
-        total += benefit(tl, policy, params)
-    return total / window.length
+    if not window.requests:
+        return 0.0
+    return build_report(window, policy, params).smooth_goodput_per_s
 
 
 def slo_attainment(window: EvalWindow, policy: DeadlinePolicy) -> float:
     """Fraction of window requests whose every token met its deadline."""
     if not window.requests:
         raise ValueError("attainment undefined for an empty window")
-    met = sum(1 for tl in window.requests if _meets(tl, policy))
-    return met / len(window.requests)
+    return build_report(window, policy, _UNWEIGHTED).slo_attainment
+
+
+def _nearest_rank(ordered, q: float):
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -275,29 +315,17 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty list")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(values), q)
 
 
 # ---------------------------------------------------------------------------
 # Reports.
 
 
-@dataclass(frozen=True)
-class RequestMetrics:
-    request_id: str
-    arrival: float
-    n_tokens: int
-    complete: bool
-    ttft: float | None
-    tpot: float | None
-    e2e: float | None
-    max_tbt: float | None
-    idle_latency: float
-    peak_lateness: float | None
-    benefit: float
-    met_slo: bool
+# report.json names every RequestMetrics field, times with an "_s" suffix.
+_UNITLESS = {"request_id", "n_tokens", "complete", "benefit", "met_slo"}
+_REQUEST_KEYS = [(f.name, f.name if f.name in _UNITLESS else f"{f.name}_s")
+                 for f in fields(RequestMetrics)]
 
 
 @dataclass(frozen=True)
@@ -329,87 +357,64 @@ class MetricsReport:
                 "mean_ttft_s": self.mean_ttft,
                 "mean_idle_latency_s": self.mean_idle_latency,
             },
-            "requests": [
-                {
-                    "request_id": r.request_id,
-                    "arrival_s": r.arrival,
-                    "n_tokens": r.n_tokens,
-                    "complete": r.complete,
-                    "ttft_s": r.ttft,
-                    "tpot_s": r.tpot,
-                    "e2e_s": r.e2e,
-                    "max_tbt_s": r.max_tbt,
-                    "idle_latency_s": r.idle_latency,
-                    "peak_lateness_s": r.peak_lateness,
-                    "benefit": r.benefit,
-                    "met_slo": r.met_slo,
-                }
-                for r in self.per_request
-            ],
+            "requests": [{key: getattr(r, name) for name, key in _REQUEST_KEYS}
+                         for r in self.per_request],
         }
 
 
 PERCENTILE_LABELS = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
 
 
+def _percentiles(pool) -> dict[str, float]:
+    ordered = np.sort(pool)
+    return {label: float(_nearest_rank(ordered, q))
+            for label, q in PERCENTILE_LABELS} if len(ordered) else {}
+
+
 def build_report(window: EvalWindow, policy: DeadlinePolicy,
                  params: BenefitParams) -> MetricsReport:
-    """Populate every per-request record and aggregate for a window."""
+    """Score every request once, in window order, then aggregate the records.
+
+    Each non-empty request gets one deadline series.  Throughput, both
+    goodputs, smooth goodput and attainment are read off the records, and
+    the public aggregate functions read them off this report.  Each
+    percentile pool is sorted once, the TBT pool as one float array.
+    """
     if not window.requests:
         raise ValueError("cannot report on an empty window")
-
-    records = []
-    tbt_pool: list[float] = []
+    records, gaps = [], []
+    total_benefit = 0.0
     for tl in window.requests:
-        n = tl.num_tokens
-        if n == 0:
-            records.append(RequestMetrics(
-                tl.request_id, tl.arrival, 0, tl.complete,
-                ttft=None, tpot=None, e2e=None, max_tbt=None,
-                idle_latency=0.0, peak_lateness=None, benefit=0.0,
-                met_slo=False))
+        if not tl.num_tokens:
+            records.append(RequestMetrics(tl.request_id, tl.arrival, 0,
+                                          tl.complete))
             continue
-        gaps = tbt_series(tl)
-        tbt_pool.extend(gaps)
-        lateness = peak_lateness(tl, policy)
-        idle = max(0.0, lateness)
-        records.append(RequestMetrics(
-            tl.request_id, tl.arrival, n, tl.complete,
-            ttft=ttft(tl),
-            tpot=tpot(tl) if n >= 2 else None,
-            e2e=e2e_latency(tl),
-            max_tbt=max(gaps) if gaps else None,
-            idle_latency=idle,
-            peak_lateness=lateness,
-            benefit=n - params.alpha * params.penalty(idle),
-            met_slo=_meets(tl, policy)))
-
+        record, request_gaps = _score(tl, policy, params)
+        records.append(record)
+        gaps.append(request_gaps)
+        total_benefit += record.benefit
+    met = [r.n_tokens for r in records if r.met_slo]
     ttfts = [r.ttft for r in records if r.ttft is not None]
-    ttft_pcts = {label: percentile(ttfts, q) for label, q in PERCENTILE_LABELS} \
-        if ttfts else {}
-    tbt_pcts = {label: percentile(tbt_pool, q) for label, q in PERCENTILE_LABELS} \
-        if tbt_pool else {}
-
+    length = window.length
     return MetricsReport(
         window_start=window.start,
         window_end=window.end,
         per_request=tuple(records),
-        throughput_tokens_per_s=throughput(window),
-        goodput_tokens_per_s=goodput(window, policy),
-        goodput_requests_per_s=goodput(window, policy, per_request=True),
-        smooth_goodput_per_s=smooth_goodput(window, policy, params),
-        slo_attainment=slo_attainment(window, policy),
-        ttft_percentiles=ttft_pcts,
-        tbt_percentiles=tbt_pcts,
+        throughput_tokens_per_s=sum(r.n_tokens for r in records) / length,
+        goodput_tokens_per_s=sum(met) / length,
+        goodput_requests_per_s=len(met) / length,
+        smooth_goodput_per_s=total_benefit / length,
+        slo_attainment=len(met) / len(records),
+        ttft_percentiles=_percentiles(ttfts),
+        tbt_percentiles=_percentiles(np.concatenate(gaps) if gaps else []),
         mean_ttft=float(np.mean(ttfts)) if ttfts else float("nan"),
         mean_idle_latency=float(np.mean([r.idle_latency for r in records])),
     )
 
 
-REPORT_CSV_HEADER = [
-    "request_id", "arrival_s", "n_tokens", "complete", "ttft_s", "tpot_s",
-    "e2e_s", "max_tbt_s", "idle_latency_s", "benefit", "met_slo",
-]
+# report.csv has every report.json request column but peak lateness.
+_CSV_FIELDS = [name for name, _ in _REQUEST_KEYS if name != "peak_lateness"]
+REPORT_CSV_HEADER = [key for name, key in _REQUEST_KEYS if name in _CSV_FIELDS]
 
 
 def _cell(value) -> str:
@@ -417,8 +422,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -428,16 +431,11 @@ def write_report_csv(path, report: MetricsReport) -> None:
         writer = csv.writer(f)
         writer.writerow(REPORT_CSV_HEADER)
         for r in report.per_request:
-            writer.writerow([
-                r.request_id, _cell(r.arrival), r.n_tokens, _cell(r.complete),
-                _cell(r.ttft), _cell(r.tpot), _cell(r.e2e), _cell(r.max_tbt),
-                _cell(r.idle_latency), _cell(r.benefit), _cell(r.met_slo),
-            ])
+            writer.writerow([_cell(getattr(r, name)) for name in _CSV_FIELDS])
         agg = report.to_json_dict()["aggregates"]
-        for name in ("throughput_tokens_per_s", "goodput_tokens_per_s",
-                     "goodput_requests_per_s", "smooth_goodput_per_s",
-                     "slo_attainment", "mean_ttft_s", "mean_idle_latency_s"):
-            writer.writerow(["#agg", name, _cell(agg[name])])
+        for name, value in agg.items():
+            if not isinstance(value, dict):
+                writer.writerow(["#agg", name, _cell(value)])
         for scope in ("ttft", "tbt"):
             for label, value in agg[f"{scope}_percentiles_s"].items():
                 writer.writerow(["#agg", f"{scope}_{label}_s", _cell(value)])

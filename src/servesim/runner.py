@@ -29,7 +29,7 @@ from .deadlines import (
     policy_to_config,
 )
 from .delivery import DelayConfig, delay_from_config, delay_to_config, delay_trace
-from .engine import engine_from_config, engine_to_config
+from .engine import EngineConfig, engine_from_config, engine_to_config
 from .metrics import (
     BenefitParams,
     LinearSeconds,
@@ -289,17 +289,23 @@ def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
                 writer.writerow([label, repr(g), repr(i / n)])
 
 
-def _write_token_timeline(path, rec: RequestTrace,
-                          policy: DeadlinePolicy) -> None:
-    """Token-by-token table for one request: generation, delivery, deadline."""
-    deadlines = deadlines_for(policy, rec.generation_timeline()).deadlines
-    delivery = rec.delivery_timeline().token_times
+def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
+                          use_delivery: bool) -> None:
+    """Token-by-token table for one request: generation, delivery, deadline.
+
+    Deadlines chain on the timeline the report scored, so a TTFT/TBT
+    deadline follows the delivery instants when delivery was scored.
+    """
+    delivery = rec.delivery_timeline()
+    scored = delivery if use_delivery else rec.generation_timeline()
+    deadlines = deadlines_for(policy, scored).deadlines
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["token_index", "generated_s", "delivered_s",
                          "deadline_s", "arrival_s"])
-        for i, (g, d, dl) in enumerate(zip(rec.token_times, delivery,
-                                           deadlines), start=1):
+        for i, (g, d, dl) in enumerate(zip(rec.token_times,
+                                           delivery.token_times, deadlines),
+                                       start=1):
             writer.writerow([i, repr(g), repr(d), repr(rec.arrival + dl),
                              repr(rec.arrival)])
 
@@ -382,7 +388,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                     rec = next(r for r in records if r.request_id == worst)
                     _write_token_timeline(track(os.path.join(
                         out_dir, "plots", f"timeline_{stem}_{worst}.csv")),
-                        rec, config.policy)
+                        rec, config.policy, config.use_delivery)
             cells.append(cell)
 
     if out_dir:

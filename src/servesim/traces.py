@@ -18,6 +18,7 @@ load/save cycle is byte-stable and value-lossless at full double precision.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass
@@ -61,10 +62,16 @@ class TokenTimeline:
         return len(self.token_times)
 
     def clipped(self, end: float) -> "TokenTimeline":
-        """Timeline restricted to tokens at or before ``end``."""
-        kept = tuple(t for t in self.token_times if t <= end)
-        complete = self.complete and len(kept) == len(self.token_times)
-        return TokenTimeline(self.request_id, self.arrival, kept, complete)
+        """Timeline restricted to tokens at or before ``end``.
+
+        Token times are non-decreasing, so the kept tokens are a prefix;
+        a timeline with nothing past ``end`` is returned as it is.
+        """
+        kept = bisect.bisect_right(self.token_times, end)
+        if kept == len(self.token_times):
+            return self
+        return TokenTimeline(self.request_id, self.arrival,
+                             self.token_times[:kept], False)
 
 
 @dataclass(frozen=True)
@@ -171,11 +178,11 @@ def read_trace(path) -> list[RequestTrace]:
                 rec = RequestTrace(
                     request_id=str(obj["request_id"]),
                     arrival=float(obj["arrival_s"]),
-                    token_times=tuple(float(t) for t in obj["token_times_s"]),
+                    token_times=tuple(map(float, obj["token_times_s"])),
                     prompt_len=int(obj["prompt_len"]),
                     completed=bool(obj["completed"]),
                     delivery_times=None if delivery is None
-                    else tuple(float(t) for t in delivery),
+                    else tuple(map(float, delivery)),
                 )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt
+import servesim.metrics
+from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt, deadlines_for
 from servesim.metrics import (
     BenefitParams,
     EvalWindow,
@@ -299,6 +300,35 @@ def test_report_consistent_with_per_request_records(fixture_records):
     for r in report.per_request:
         if r.met_slo:
             assert r.idle_latency == 0.0 and r.benefit == r.n_tokens
+
+
+def test_report_derives_one_deadline_series_per_request(fixture_records,
+                                                       monkeypatch):
+    called = []
+
+    def counted(policy, tl):
+        called.append(tl.request_id)
+        return deadlines_for(policy, tl)
+
+    monkeypatch.setattr(servesim.metrics, "deadlines_for", counted)
+    late = timeline(1.9, [0.5], rid="spill").clipped(2.0)
+    window = window_from_traces(fixture_records, 0.0, 2.0)
+    window = EvalWindow(0.0, 2.0, window.requests + (late,))
+    assert late.num_tokens == 0
+    build_report(window, TtftTbt(0.5, 0.1), BenefitParams())
+    assert called == [tl.request_id for tl in window.requests if tl.num_tokens]
+
+
+def test_deadline_series_is_a_read_only_array():
+    tl = timeline(2.0, [0.1, 0.4, 0.45])
+    series = deadlines_for(TtftTbt(1.0, 0.2), tl)
+    values = series.as_array()
+    assert values.dtype == float and not values.flags.writeable
+    assert series.deadlines == tuple(values.tolist())
+    assert all(type(d) is float for d in series.deadlines)
+    assert series == deadlines_for(TtftTbt(1.0, 0.2), tl)
+    assert series != deadlines_for(TtftTbt(1.0, 0.3), tl)
+    assert hash(series) == hash(deadlines_for(TtftTbt(1.0, 0.2), tl))
 
 
 def test_report_single_request_window():

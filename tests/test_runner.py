@@ -1,9 +1,11 @@
+import csv
 import json
 import os
+import typing
 
 import pytest
 
-from servesim.deadlines import ReadingSpeed
+from servesim.deadlines import ReadingSpeed, deadlines_for
 from servesim.engine import EngineConfig
 from servesim.metrics import BenefitParams, TokensEquivalent
 from servesim.runner import (
@@ -15,6 +17,7 @@ from servesim.runner import (
     experiment_to_config,
     load_experiment,
     run_experiment,
+    _write_token_timeline,
 )
 from servesim.schedulers import VllmLike
 from servesim.traces import read_trace
@@ -66,6 +69,11 @@ def test_config_validation_errors(fixtures_dir):
     bad_rate["rates"] = [0.0, 1.0]
     with pytest.raises(ConfigError):
         experiment_from_config(bad_rate)
+
+
+def test_experiment_config_type_hints_resolve():
+    hints = typing.get_type_hints(ExperimentConfig)
+    assert hints["engine"] is EngineConfig
 
 
 def test_seed_override(fixtures_dir):
@@ -149,6 +157,49 @@ def test_failed_cell_becomes_error_row(tmp_path):
     assert errors["chunked"] is None
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert any("cannot fit" in line for line in summary)
+
+
+def test_timeline_plot_deadlines_follow_the_scored_timeline(fixtures_dir,
+                                                           tmp_path):
+    # TTFT/TBT deadlines chain on actual token times, so with a delivery
+    # variant the plotted deadlines must chain on delivery, as scored.
+    with open(os.path.join(fixtures_dir, "experiment.json")) as f:
+        obj = json.load(f)
+    obj["deadline_policy"] = {"type": "ttft_tbt", "ttft_s": 1.0, "tbt_s": 0.03}
+    obj["variants"] = [{"name": "held", "scheduler": {"type": "vllm_like"},
+                        "delivery": {"mode": "tbt_cap", "tbt_target_s": 0.05}}]
+    obj["rates"] = [3.0]
+    config = experiment_from_config(obj)
+    assert config.use_delivery
+    out = tmp_path / "out"
+    run_experiment(config, out_dir=str(out))
+    cell = out / "cells" / "held_rate3"
+    records = {r.request_id: r for r in read_trace(cell / "trace.jsonl")}
+    report = json.loads((cell / "report.json").read_text())
+
+    def plotted(path):
+        with open(path, newline="") as f:
+            return list(csv.DictReader(f))
+
+    [plot] = (out / "plots").glob("timeline_held_rate3_*.csv")
+    rec = records[plot.stem[len("timeline_held_rate3_"):]]
+    chained = {
+        timeline: [repr(rec.arrival + d)
+                   for d in deadlines_for(config.policy, tl).deadlines]
+        for timeline, tl in (("delivery", rec.delivery_timeline()),
+                             ("generation", rec.generation_timeline()))}
+    assert chained["delivery"] != chained["generation"]
+    assert [row["deadline_s"] for row in plotted(plot)] == chained["delivery"]
+
+    complete = [r for r in report["requests"] if r["complete"]]
+    assert complete
+    for r in complete:
+        path = tmp_path / f"{r['request_id']}.csv"
+        _write_token_timeline(str(path), records[r["request_id"]],
+                              config.policy, config.use_delivery)
+        worst = max(float(row["delivered_s"]) - float(row["deadline_s"])
+                    for row in plotted(path))
+        assert worst == pytest.approx(r["peak_lateness_s"], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
