@@ -20,6 +20,8 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import engine as engine_mod
 from .deadlines import (
     DeadlinePolicy,
@@ -35,6 +37,7 @@ from .metrics import (
     LinearSeconds,
     MetricsReport,
     TokensEquivalent,
+    _nearest_rank,
     build_report,
     penalty_from_config,
     penalty_to_config,
@@ -272,21 +275,31 @@ class SweepResult:
 # Plot-ready data tables.
 
 
+TBT_CDF_GRID = 1000
+
+
 def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
-    """Empirical CDF of every token gap, generation and delivery side."""
+    """TBT CDF on a fixed quantile grid, generation and delivery side.
+
+    Each timeline with at least one token gap gets TBT_CDF_GRID + 1 rows:
+    the nearest-rank quantile of every gap (``metrics.percentile``'s rule)
+    at q = k/TBT_CDF_GRID, so the file size does not grow with the tokens.
+    """
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["timeline", "tbt_s", "cdf"])
         for label, pick in (("generation", lambda r: r.token_times),
-                            ("delivery", lambda r: r.delivery_timeline().token_times)):
-            gaps = []
-            for rec in records:
-                ts = pick(rec)
-                gaps.extend(float(b - a) for a, b in zip(ts, ts[1:]))
+                            ("delivery", lambda r: r.token_times
+                             if r.delivery_times is None
+                             else r.delivery_times)):
+            gaps = np.concatenate([np.diff(pick(rec)) for rec in records])
+            if not gaps.size:
+                continue
             gaps.sort()
-            n = len(gaps)
-            for i, g in enumerate(gaps, start=1):
-                writer.writerow([label, repr(g), repr(i / n)])
+            for k in range(TBT_CDF_GRID + 1):
+                q = k / TBT_CDF_GRID
+                writer.writerow([label, repr(float(_nearest_rank(gaps, q))),
+                                 repr(q)])
 
 
 def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,18 +45,23 @@ class TokenTimeline:
     complete: bool = True
 
     def __post_init__(self):
-        if self.arrival < 0.0:
-            raise ValueError(f"{self.request_id}: negative arrival time")
+        # Written as not(>=) so that NaN fails the check.
+        if not (self.arrival >= 0.0):
+            raise ValueError(f"{self.request_id}: negative or NaN arrival time")
         if self.complete and not self.token_times:
             raise ValueError(f"{self.request_id}: complete timeline with no tokens")
         prev = self.arrival
         for t in self.token_times:
-            if t < prev:
+            if not (t >= prev):
                 raise ValueError(
-                    f"{self.request_id}: token times must be non-decreasing "
-                    f"and not precede arrival"
+                    f"{self.request_id}: token times must be non-decreasing, "
+                    f"not NaN, and not precede arrival"
                 )
             prev = t
+        # Every time lies in [arrival, prev], prev being the last token (or
+        # the arrival), so one check keeps them all finite.
+        if not math.isfinite(prev):
+            raise ValueError(f"{self.request_id}: times must be finite")
 
     @property
     def num_tokens(self) -> int:
@@ -92,7 +98,7 @@ class RequestTrace:
                     f"{self.request_id}: delivery/generation length mismatch"
                 )
             for g, d in zip(self.token_times, self.delivery_times):
-                if d < g:
+                if not (d >= g):
                     raise ValueError(
                         f"{self.request_id}: delivery precedes generation"
                     )
@@ -166,6 +172,15 @@ def write_trace(path, records: Iterable[RequestTrace]) -> None:
             f.write("\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+# Trace times must be finite, so NaN and +-Infinity are rejected.  One
+# shared decoder: json.loads with arguments builds a new one for every line.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def read_trace(path) -> list[RequestTrace]:
     records = []
     with open(path, "r", encoding="utf-8") as f:
@@ -173,7 +188,7 @@ def read_trace(path) -> list[RequestTrace]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
                 delivery = obj.get("delivery_times_s")
                 rec = RequestTrace(
                     request_id=str(obj["request_id"]),

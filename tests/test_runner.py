@@ -236,6 +236,26 @@ def test_capacity_bisects_inside_bracket():
     assert len(probes) >= 7
 
 
+@pytest.mark.parametrize("threshold", [0.5, 0.9, 0.99])
+def test_capacity_bisection_keeps_passing_probes_below_failing(threshold):
+    # Attainment need not fall monotonically with rate, so the probe log's
+    # attainments may rise again; what bisection guarantees is that every
+    # passing probe lies below every failing one, and the capacity is the
+    # highest passing rate, within the resolution of the lowest failing one.
+    config = small_config(rates=(1.0,), count=60, max_running_seqs=4,
+                          decode_per_seq_s=0.01)
+    bracket, resolution = (0.2, 8.0), 0.1
+    capacity, probes = capacity_search(config, threshold, bracket,
+                                       resolution=resolution)
+    passing = [rate for rate, att in probes if att >= threshold]
+    failing = [rate for rate, att in probes if att < threshold]
+    assert capacity == max(passing)
+    if capacity == bracket[1]:
+        assert not failing
+    else:
+        assert capacity < min(failing) <= capacity + resolution
+
+
 def test_capacity_infeasible_bracket():
     config = small_config(rates=(1.0,), count=120)
     with pytest.raises(RuntimeError, match="infeasible bracket"):

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -41,6 +42,24 @@ def test_clipped_marks_incomplete():
     assert tl.clipped(3.0).complete
 
 
+@pytest.mark.parametrize("arrival,times", [
+    (0.0, (0.1, math.nan, 0.05)),  # the NaN must not hide the decrease
+    (0.0, (math.nan,)),
+    (math.nan, (0.1, 0.2)),
+    (0.0, (0.1, math.inf)),
+    (math.inf, ()),
+])
+def test_timeline_rejects_nan_and_infinite_times(arrival, times):
+    with pytest.raises(ValueError):
+        TokenTimeline("a", arrival, times, complete=bool(times))
+
+
+def test_delivery_rejects_nan():
+    with pytest.raises(ValueError, match="delivery precedes generation"):
+        RequestTrace("x", 0.0, (1.0, 2.0), 8, True,
+                     delivery_times=(1.0, math.nan))
+
+
 def test_delivery_never_precedes_generation():
     with pytest.raises(ValueError):
         RequestTrace("x", 0.0, (1.0, 2.0), 8, True, delivery_times=(1.0, 1.9))
@@ -73,4 +92,15 @@ def test_malformed_trace_reports_line(tmp_path):
     p.write_text('{"request_id": "a", "arrival_s": 0.0, "token_times_s": [1.0],'
                  ' "prompt_len": 4, "completed": true}\n{"nope": 1}\n')
     with pytest.raises(TraceFormatError, match="line 2"):
+        read_trace(p)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_trace_number_reports_line(tmp_path, literal):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"request_id": "a", "arrival_s": 0.0, "token_times_s": [1.0],'
+                 ' "prompt_len": 4, "completed": true}\n'
+                 '{"request_id": "b", "arrival_s": 0.0, "token_times_s": '
+                 f'[0.5, {literal}], "prompt_len": 4, "completed": true}}\n')
+    with pytest.raises(TraceFormatError, match=f"line 2: .*{literal}"):
         read_trace(p)
