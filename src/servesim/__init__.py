@@ -20,7 +20,7 @@ from .deadlines import (
     meets_slo,
 )
 from .delivery import DelayConfig, apply_output_delay, delay_trace
-from .engine import EngineConfig, available_backends, default_backend, iteration_time, run
+from .engine import EngineConfig, iteration_time, run
 from .metrics import (
     BenefitParams,
     EvalWindow,

@@ -60,14 +60,14 @@ def cmd_simulate(args) -> int:
         trim_start_frac=config.trim_start_frac,
         trim_end_frac=config.trim_end_frac,
         use_delivery=config.use_delivery)
-    result = run_experiment(config, out_dir=args.out, backend=args.backend)
+    result = run_experiment(config, out_dir=args.out)
     _print_summary(result)
     return 1 if any(c.error for c in result.cells) else 0
 
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    result = run_experiment(config, out_dir=args.out, backend=args.backend)
+    result = run_experiment(config, out_dir=args.out)
     _print_summary(result)
     return 1 if any(c.error for c in result.cells) else 0
 
@@ -98,7 +98,7 @@ def cmd_capacity(args) -> int:
         variant = matches[0]
     capacity, probes = capacity_search(
         config, args.threshold, (args.bracket_lo, args.bracket_hi),
-        resolution=args.resolution, variant=variant, backend=args.backend)
+        resolution=args.resolution, variant=variant)
     payload = {
         "capacity_req_per_s": capacity,
         "attainment_threshold": args.threshold,
@@ -137,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="experiment config JSON")
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
-            p.add_argument("--backend", choices=("python", "compiled"),
-                           default=None, help="engine backend override")
 
     p = sub.add_parser("simulate", help="single-rate run of every variant")
     common(p)

@@ -1,94 +1,23 @@
 """Iteration-level continuous-batching engine.
 
-Two interchangeable backends implement the same event loop: a pure-Python
-reference (``pyloop``) and a compiled kernel (``_kernel``, built from Cython
-at install time).  The compiled backend is selected by default when present;
-set ``SERVESIM_BACKEND=python`` (or ``compiled``) to force a choice, or pass
-``backend=`` to :func:`run`.  Both backends produce bit-identical traces;
-``benchmarks/bench_backends.py`` compares their speed.
+:func:`run` simulates a workload under a batching policy and returns the
+per-request traces and the iteration log; the loop lives in ``pyloop`` and the
+affine cost model in ``config``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Sequence
-
-from ..schedulers import (
-    BatchPlan,
-    ChunkedPrefill,
-    DecodePrepone,
-    QueueState,
-    SchedulerPolicy,
-    VllmLike,
-)
-from ..traces import SimTrace
-from ..workload import RequestSpec
 from .config import EngineConfig, engine_from_config, engine_to_config, iteration_time
-from .pyloop import run_python, validate_workload
-
-try:
-    from . import _kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernel = None
+from .pyloop import run
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("python", "compiled") if _kernel is not None else ("python",)
-
-
+# Kept for perfbench/run.py, which labels its result sets with it.
 def default_backend() -> str:
-    forced = os.environ.get("SERVESIM_BACKEND")
-    if forced:
-        if forced not in ("python", "compiled"):
-            raise ValueError(f"SERVESIM_BACKEND must be python or compiled, "
-                             f"got {forced!r}")
-        if forced == "compiled" and _kernel is None:
-            raise RuntimeError("compiled engine backend is not available")
-        return forced
-    return "compiled" if _kernel is not None else "python"
-
-
-def run(workload: Sequence[RequestSpec], engine: EngineConfig,
-        scheduler: SchedulerPolicy | Callable[[QueueState], BatchPlan],
-        backend: str | None = None) -> SimTrace:
-    """Simulate a workload to completion under a batching policy.
-
-    Custom callable schedulers always run on the Python backend; the built-in
-    policies run on whichever backend is selected.
-    """
-    builtin = isinstance(scheduler, (VllmLike, ChunkedPrefill, DecodePrepone))
-    choice = backend if backend is not None else default_backend()
-    if choice not in ("python", "compiled"):
-        raise ValueError(f"unknown backend {choice!r}")
-    if not builtin:
-        if choice == "compiled" and backend is not None:
-            raise ValueError("custom schedulers require the python backend")
-        choice = "python"
-    if choice == "compiled" and _kernel is None:
-        raise RuntimeError("compiled engine backend is not available")
-
-    if choice == "python":
-        return run_python(workload, engine, scheduler)
-
-    validate_workload(workload, engine, scheduler)
-    if isinstance(scheduler, VllmLike):
-        kind, chunk, overhead, pn, delay, auto = 0, 0, 0.0, 0, 0.0, False
-    elif isinstance(scheduler, ChunkedPrefill):
-        kind, chunk, overhead = 1, scheduler.chunk_tokens, scheduler.chunk_overhead_s
-        pn, delay, auto = 0, 0.0, False
-    else:
-        kind, chunk, overhead = 2, 0, 0.0
-        pn = scheduler.n
-        auto = scheduler.t_delay is None
-        delay = 0.0 if auto else scheduler.t_delay
-    return _kernel.run_kernel(list(workload), engine, kind, chunk, overhead,
-                              pn, delay, auto)
+    return "python"
 
 
 __all__ = [
     "EngineConfig",
-    "available_backends",
-    "default_backend",
     "engine_from_config",
     "engine_to_config",
     "iteration_time",

@@ -1,8 +1,4 @@
-"""Pure-Python engine backend.
-
-This is the reference implementation of the iteration loop; the compiled
-kernel in ``_kernel.pyx`` mirrors it operation for operation and must produce
-bit-identical traces.  Keep the two in lockstep when changing semantics.
+"""The engine's iteration loop.
 
 The loop alternates: admit arrivals up to the clock, ask the scheduler for the
 next batch, advance the clock by the batch's cost-model duration, then emit
@@ -39,7 +35,7 @@ def validate_workload(workload: Sequence[RequestSpec], engine: EngineConfig,
         raise ValueError("empty workload")
     seen = set()
     prev = (-1.0, "")
-    full_prompt = not _is_chunked(scheduler)
+    full_prompt = not isinstance(scheduler, ChunkedPrefill)
     for spec in workload:
         key = (spec.arrival, spec.request_id)
         if key < prev:
@@ -57,17 +53,12 @@ def validate_workload(workload: Sequence[RequestSpec], engine: EngineConfig,
                 f"scheduler (needs chunked prefill)")
 
 
-def _is_chunked(scheduler) -> bool:
-    return isinstance(scheduler, ChunkedPrefill)
-
-
 def _validate_plan(plan: BatchPlan, state: QueueState,
                    by_id: dict[str, RequestState]) -> None:
     eng = state.engine
     seen: set[str] = set()
     admitted = 0
     kv_needed = 0
-    arrived = {r.spec.request_id for r in state.waiting}
     for item in plan.prefill_items:
         if item.request_id in seen:
             raise SchedulerViolation(f"{item.request_id}: appears twice in batch")
@@ -75,7 +66,9 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
         req = by_id.get(item.request_id)
         if req is None or req.phase in (Phase.DECODING, Phase.FINISHED):
             raise SchedulerViolation(f"{item.request_id}: not prefillable")
-        if req.phase == Phase.WAITING and item.request_id not in arrived:
+        # The loop admits every arrival up to the clock before it asks the
+        # scheduler, so a waiting request past the clock is not queued yet.
+        if req.phase == Phase.WAITING and req.spec.arrival > state.clock:
             raise SchedulerViolation(
                 f"{item.request_id}: scheduled before arrival")
         if item.start != req.prefill_done or not (
@@ -103,14 +96,14 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
         raise SchedulerViolation("batch exceeds kv_capacity_tokens")
 
 
-def run_python(workload: Sequence[RequestSpec], engine: EngineConfig,
-               scheduler: SchedulerPolicy | Callable[[QueueState], BatchPlan],
-               ) -> SimTrace:
+def run(workload: Sequence[RequestSpec], engine: EngineConfig,
+        scheduler: SchedulerPolicy | Callable[[QueueState], BatchPlan],
+        ) -> SimTrace:
     """Simulate ``workload`` to completion and return the full trace.
 
     ``scheduler`` may be one of the built-in policy records or any callable
-    mapping a :class:`QueueState` to a :class:`BatchPlan` (custom policies run
-    on this backend only).
+    mapping a :class:`QueueState` to a :class:`BatchPlan`.  Every plan is
+    checked against the queue and the engine limits before it runs.
     """
     validate_workload(workload, engine, scheduler)
     states = [RequestState(spec) for spec in workload]

@@ -51,7 +51,7 @@ from .schedulers import (
     scheduler_tag,
     scheduler_to_config,
 )
-from .traces import RequestTrace, write_iterations_csv, write_trace
+from .traces import RequestTrace, SimTrace, write_iterations_csv, write_trace
 from .workload import WorkloadConfig, generate, save_workload, workload_from_config
 
 
@@ -336,11 +336,9 @@ def _worst_idle_request(report: MetricsReport) -> str | None:
 
 
 def run_cell(workload_specs, config: ExperimentConfig, variant: Variant,
-             backend: str | None = None,
-             ) -> tuple[list[RequestTrace], MetricsReport, "engine_mod.SimTrace"]:
+             ) -> tuple[list[RequestTrace], MetricsReport, SimTrace]:
     """Simulate one (variant, workload) cell and evaluate it."""
-    trace = engine_mod.run(workload_specs, config.engine, variant.scheduler,
-                           backend=backend)
+    trace = engine_mod.run(workload_specs, config.engine, variant.scheduler)
     records = trace.requests
     if variant.delivery is not None:
         records = delay_trace(records, variant.delivery)
@@ -350,8 +348,8 @@ def run_cell(workload_specs, config: ExperimentConfig, variant: Variant,
     return records, report, trace
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
-                   backend: str | None = None) -> SweepResult:
+def run_experiment(config: ExperimentConfig,
+                   out_dir: str | None = None) -> SweepResult:
     """Run every (variant, rate) cell; write artifacts when ``out_dir`` set."""
     cells: list[CellResult] = []
     artifacts: list[str] = []
@@ -374,8 +372,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         for variant in config.variants:
             cell = CellResult(variant=variant.name, rate=rate)
             try:
-                records, report, trace = run_cell(specs, config, variant,
-                                                  backend=backend)
+                records, report, trace = run_cell(specs, config, variant)
                 cell.report = report
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 cell.error = f"{type(exc).__name__}: {exc}"
@@ -424,7 +421,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
             track(path)
         manifest = {
             "config": experiment_to_config(config),
-            "engine_backend": backend or engine_mod.default_backend(),
             "artifacts": sorted(artifacts),
         }
         with open(os.path.join(out_dir, "manifest.json"), "w",
@@ -442,7 +438,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
 def capacity_search(config: ExperimentConfig, attainment_threshold: float,
                     bracket: tuple[float, float], resolution: float = 0.05,
                     variant: Variant | None = None,
-                    backend: str | None = None) -> tuple[float, list[tuple[float, float]]]:
+                    ) -> tuple[float, list[tuple[float, float]]]:
     """Largest rate sustaining the attainment threshold, by bisection.
 
     Every probe is a full seeded simulation.  Returns the capacity estimate
@@ -462,7 +458,7 @@ def capacity_search(config: ExperimentConfig, attainment_threshold: float,
 
     def probe(rate: float) -> float:
         specs = generate(config.workload.with_rate(rate))
-        _, report, _ = run_cell(specs, config, chosen, backend=backend)
+        _, report, _ = run_cell(specs, config, chosen)
         probes.append((rate, report.slo_attainment))
         return report.slo_attainment
 

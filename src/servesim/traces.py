@@ -181,6 +181,13 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _all_finite(times: tuple[float, ...]) -> bool:
+    # sum() is one C loop and is finite whenever every time is; a number too
+    # large for a double (1e400) parses as inf.  Only a sum that is not
+    # finite needs the exact per-time check, as finite times may overflow it.
+    return math.isfinite(sum(times)) or all(map(math.isfinite, times))
+
+
 def read_trace(path) -> list[RequestTrace]:
     records = []
     with open(path, "r", encoding="utf-8") as f:
@@ -189,15 +196,23 @@ def read_trace(path) -> list[RequestTrace]:
                 continue
             try:
                 obj = _DECODER.decode(line)
+                request_id = str(obj["request_id"])
+                arrival = float(obj["arrival_s"])
+                token_times = tuple(map(float, obj["token_times_s"]))
                 delivery = obj.get("delivery_times_s")
+                if delivery is not None:
+                    delivery = tuple(map(float, delivery))
+                if not (math.isfinite(arrival) and _all_finite(token_times)
+                        and (delivery is None or _all_finite(delivery))):
+                    raise ValueError(f"{request_id}: arrival, token and "
+                                     f"delivery times must be finite")
                 rec = RequestTrace(
-                    request_id=str(obj["request_id"]),
-                    arrival=float(obj["arrival_s"]),
-                    token_times=tuple(map(float, obj["token_times_s"])),
+                    request_id=request_id,
+                    arrival=arrival,
+                    token_times=token_times,
                     prompt_len=int(obj["prompt_len"]),
                     completed=bool(obj["completed"]),
-                    delivery_times=None if delivery is None
-                    else tuple(map(float, delivery)),
+                    delivery_times=delivery,
                 )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc

@@ -1,10 +1,10 @@
 """Sweep artifacts: byte-identity gate and the TBT CDF quantile grid.
 
 ``fixtures/golden/sweep_sha256.json`` maps every file a tiny sweep of
-``configs/default_sweep.json`` writes (24 requests, rates 1 and 4, Python
-engine) to its sha256, except the ``plots/tbt_cdf_*.csv`` tables, which the
-grid tests below pin instead.  A writer change that alters any byte fails
-here.  Regenerate only for an intended change of output, and say why in
+``configs/default_sweep.json`` writes (24 requests, rates 1 and 4) to its
+sha256, except the ``plots/tbt_cdf_*.csv`` tables, which the grid tests
+below pin instead.  A writer change that alters any byte fails here.
+Regenerate only for an intended change of output, and say why in
 CHANGES.md:
 
     PYTHONPATH=src python tests/test_artifacts.py
@@ -45,7 +45,7 @@ def tiny_sweep(count=24, rates=(1.0, 4.0)):
 
 
 def artifact_hashes(out_dir):
-    run_experiment(tiny_sweep(), str(out_dir), backend="python")
+    run_experiment(tiny_sweep(), str(out_dir))
     hashes = {}
     for root, _, files in os.walk(out_dir):
         for name in files:
@@ -88,7 +88,7 @@ def held_records(count):
     config = tiny_sweep(count=count, rates=(4.0,))
     variant = Variant("held", VllmLike(), DelayConfig.tbt_cap(0.05))
     specs = generate(config.workload.with_rate(4.0))
-    records, _, _ = run_cell(specs, config, variant, backend="python")
+    records, _, _ = run_cell(specs, config, variant)
     return records
 
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from servesim.engine import (
-    EngineConfig,
-    available_backends,
-    iteration_time,
-    run,
-)
+from servesim.engine import EngineConfig, iteration_time, run
 from servesim.schedulers import (
     BatchPlan,
     ChunkedPrefill,
@@ -17,8 +12,6 @@ from servesim.schedulers import (
     next_batch,
 )
 from servesim.workload import RequestSpec, Synthetic, UniformInt, WorkloadConfig, generate
-
-BACKENDS = available_backends()
 
 ENG = EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
                    decode_per_seq_s=0.02, max_batch_tokens=2048,
@@ -41,37 +34,32 @@ def test_iteration_time_examples():
         iteration_time(-1, 0, ENG)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_request_hand_oracle(backend):
+def test_single_request_hand_oracle():
     # prompt 10 at cost 0.001/token over base 0.01: prefill ends at 0.02 and
     # emits the first token; each following decode iteration adds 0.03.
-    trace = run([RequestSpec("r0", 0.0, 10, 3)], ENG, VllmLike(),
-                backend=backend)
+    trace = run([RequestSpec("r0", 0.0, 10, 3)], ENG, VllmLike())
     assert trace.requests[0].token_times == pytest.approx(
         (0.02, 0.05, 0.08), abs=1e-12)
     durations = [it.duration for it in trace.iterations]
     assert durations == pytest.approx([0.02, 0.03, 0.03], abs=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_epsilon_cost_iteration_count(backend):
+def test_epsilon_cost_iteration_count():
     # With only the epsilon base cost, a lone request takes exactly
     # output_len iterations: the prefill emits token 1, then one decode
     # iteration per remaining token.
     eng = EngineConfig(base_s=1e-6, prefill_per_token_s=0.0,
                        decode_per_seq_s=0.0, max_batch_tokens=2048,
                        max_running_seqs=64, kv_capacity_tokens=100_000)
-    trace = run([RequestSpec("r0", 0.0, 10, 7)], eng, VllmLike(),
-                backend=backend)
+    trace = run([RequestSpec("r0", 0.0, 10, 7)], eng, VllmLike())
     assert len(trace.iterations) == 7
     assert len(trace.requests[0].token_times) == 7
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_two_request_stall_oracle(backend):
+def test_two_request_stall_oracle():
     # Hand-traced: a decodes alone every 0.03 s until b arrives; b's prefill
     # (0.01 + 0.3) stalls a; the next joint decode costs 0.01 + 2*0.02.
-    trace = run(TWO_REQ, ENG, VllmLike(), backend=backend)
+    trace = run(TWO_REQ, ENG, VllmLike())
     a, b = trace.requests
     gaps = np.diff(a.token_times)
     assert max(gaps) == pytest.approx(0.31 + 0.05, abs=1e-12)
@@ -80,19 +68,16 @@ def test_two_request_stall_oracle(backend):
     assert gaps[:7] == pytest.approx([0.03] * 7, abs=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_chunked_reduces_stall_to_chunk_time(backend):
-    trace = run(TWO_REQ, ENG, ChunkedPrefill(chunk_tokens=100),
-                backend=backend)
+def test_chunked_reduces_stall_to_chunk_time():
+    trace = run(TWO_REQ, ENG, ChunkedPrefill(chunk_tokens=100))
     a = trace.requests[0]
     gaps = np.diff(a.token_times)
     # Hybrid batch: base + 100 prefill tokens + one decode seq.
     assert max(gaps) == pytest.approx(0.01 + 0.1 + 0.02, abs=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_prepone_releases_inside_prefill_window(backend):
-    trace = run(TWO_REQ, ENG, DecodePrepone(n=2), backend=backend)
+def test_prepone_releases_inside_prefill_window():
+    trace = run(TWO_REQ, ENG, DecodePrepone(n=2))
     a, b = trace.requests
     assert a.delivery_times is not None
     # b admitted at the 0.35 boundary after two prepone decodes at 0.38, 0.41.
@@ -109,20 +94,18 @@ def test_prepone_releases_inside_prefill_window(backend):
     assert b.token_times[0] == pytest.approx(prefill_end, abs=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_prepone_shifts_b_by_n_decode_iterations(backend):
-    base = run(TWO_REQ, ENG, VllmLike(), backend=backend)
-    prep = run(TWO_REQ, ENG, DecodePrepone(n=2), backend=backend)
+def test_prepone_shifts_b_by_n_decode_iterations():
+    base = run(TWO_REQ, ENG, VllmLike())
+    prep = run(TWO_REQ, ENG, DecodePrepone(n=2))
     delta = 2 * (0.01 + 0.02)  # two extra single-seq decode iterations
     for t_base, t_prep in zip(base.requests[1].token_times,
                               prep.requests[1].token_times):
         assert t_prep - t_base == pytest.approx(delta, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_conservation_and_causality(backend):
+def test_conservation_and_causality():
     workload = random_workload(31)
-    trace = run(workload, ENG, VllmLike(), backend=backend)
+    trace = run(workload, ENG, VllmLike())
     assert sum(len(r.token_times) for r in trace.requests) == \
         sum(s.output_len for s in workload)
     by_id = {s.request_id: s for s in workload}
@@ -141,31 +124,9 @@ def test_conservation_and_causality(backend):
     VllmLike(), ChunkedPrefill(chunk_tokens=64), DecodePrepone(n=3)])
 def test_determinism(scheduler):
     workload = random_workload(97)
-    first = run(workload, ENG, scheduler, backend="python")
-    second = run(workload, ENG, scheduler, backend="python")
+    first = run(workload, ENG, scheduler)
+    second = run(workload, ENG, scheduler)
     assert first == second
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend unavailable")
-@pytest.mark.parametrize("scheduler", [
-    VllmLike(), ChunkedPrefill(chunk_tokens=64),
-    ChunkedPrefill(chunk_tokens=17, chunk_overhead_s=0.002),
-    DecodePrepone(n=3), DecodePrepone(n=2, t_delay=0.04)])
-@pytest.mark.parametrize("engine", [
-    ENG,
-    # Tight limits exercise admission blocking on every axis.
-    EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
-                 decode_per_seq_s=0.02, max_batch_tokens=512,
-                 max_running_seqs=4, kv_capacity_tokens=1200),
-])
-def test_backends_bit_identical(scheduler, engine):
-    for seed in (1, 2, 3):
-        workload = random_workload(seed, count=60, rate=6.0,
-                                   prompt=(10, 300), output=(1, 40))
-        py = run(workload, engine, scheduler, backend="python")
-        cy = run(workload, engine, scheduler, backend="compiled")
-        assert py.requests == cy.requests
-        assert py.iterations == cy.iterations
 
 
 def test_limits_respected_throughout():
@@ -205,6 +166,40 @@ def test_violating_scheduler_aborts_with_diagnostic():
 
     with pytest.raises(SchedulerViolation):
         run(workload, ENG, oversized)
+
+
+def _prefill_a_and_b(state):
+    return BatchPlan(prefill_items=(PrefillItem("a", 0, 60),
+                                    PrefillItem("b", 0, 60)))
+
+
+def _reprefill_once_decoding(state):
+    if not state.decoding():
+        return next_batch(VllmLike(), state)
+    return BatchPlan(prefill_items=(PrefillItem("a", 0, 60),))
+
+
+@pytest.mark.parametrize("engine, rogue, message", [
+    (ENG, lambda s: BatchPlan(prefill_items=(PrefillItem("c", 0, 60),)),
+     "c: scheduled before arrival"),
+    (ENG, _reprefill_once_decoding, "a: not prefillable"),
+    (ENG, lambda s: BatchPlan(prefill_items=(PrefillItem("a", 0, 61),)),
+     "a: prefill span 0:61 inconsistent"),
+    (ENG, lambda s: BatchPlan(decode_ids=("a",)), "a: not decodable"),
+    (EngineConfig(max_batch_tokens=100, max_running_seqs=4),
+     _prefill_a_and_b, "batch tokens 120 exceed max_batch_tokens 100"),
+    (EngineConfig(max_running_seqs=1), _prefill_a_and_b,
+     "exceeds max_running_seqs"),
+    (EngineConfig(kv_capacity_tokens=200), _prefill_a_and_b,
+     "exceeds kv_capacity_tokens"),
+], ids=["before_arrival", "not_prefillable", "prefill_span", "not_decodable",
+        "batch_tokens", "running_seqs", "kv_capacity"])
+def test_rogue_plan_diagnostics(engine, rogue, message):
+    # Each request alone fits every engine above; only the plan breaks a rule.
+    workload = [RequestSpec("a", 0.0, 60, 50), RequestSpec("b", 0.0, 60, 50),
+                RequestSpec("c", 5.0, 60, 50)]
+    with pytest.raises(SchedulerViolation, match=message):
+        run(workload, engine, rogue)
 
 
 def test_workload_validation_errors():

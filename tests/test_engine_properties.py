@@ -1,0 +1,97 @@
+"""Engine invariants on random small workloads, re-derived from the trace."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from servesim.engine import EngineConfig, run
+from servesim.schedulers import ChunkedPrefill, DecodePrepone, VllmLike
+from servesim.workload import RequestSpec
+
+MAX_PROMPT, MAX_OUTPUT = 120, 20
+
+policies = st.one_of(
+    st.just(VllmLike()),
+    st.builds(ChunkedPrefill, st.integers(1, 160), st.sampled_from([0.0, 0.002])),
+    st.builds(DecodePrepone, st.integers(1, 3),
+              st.sampled_from([None, 0.0, 0.01, 0.04])),
+)
+
+# Limits go down to one running request, a batch smaller than a prompt and a
+# KV budget that holds one largest request, so admission blocks on every axis.
+engines = st.builds(
+    EngineConfig,
+    base_s=st.just(0.01), prefill_per_token_s=st.just(0.001),
+    decode_per_seq_s=st.just(0.02),
+    max_batch_tokens=st.integers(16, 256),
+    max_running_seqs=st.integers(1, 8),
+    kv_capacity_tokens=st.integers(MAX_PROMPT + MAX_OUTPUT, 1000),
+)
+
+
+@st.composite
+def cases(draw):
+    """A workload with an engine and a policy that can serve all of it."""
+    engine, policy = draw(engines), draw(policies)
+    max_prompt = MAX_PROMPT
+    if not isinstance(policy, ChunkedPrefill):
+        # Only chunked prefill splits a prompt over several batches.
+        max_prompt = min(max_prompt, engine.max_batch_tokens)
+    # Arrivals on a coarse grid so ties are common; ids break ties in order.
+    n = draw(st.integers(1, 12))
+    arrivals = sorted(draw(st.lists(st.integers(0, 20), min_size=n,
+                                    max_size=n)))
+    outputs = st.one_of(st.just(1), st.integers(1, MAX_OUTPUT))
+    workload = [RequestSpec(f"r{i:02d}", k * 0.05,
+                            draw(st.integers(1, max_prompt)), draw(outputs))
+                for i, k in enumerate(arrivals)]
+    return workload, engine, policy
+
+
+def check_limits(trace, specs, engine):
+    """Re-derive admissions and completions from the iteration log alone.
+
+    A request is admitted by the first batch that prefills it and leaves with
+    its last token: its last prefill chunk when it has one output token, else
+    its (output_len - 1)-th decode.
+    """
+    admit, leave, decodes = {}, {}, dict.fromkeys(specs, 0)
+    prev_end = 0.0
+    for k, it in enumerate(trace.iterations):
+        assert it.start >= prev_end
+        prev_end = it.start + it.duration
+        assert it.prefill_tokens + it.decode_seqs <= engine.max_batch_tokens
+        for rid in it.prefill_ids:
+            admit.setdefault(rid, k)
+            if specs[rid].output_len == 1:
+                leave[rid] = k
+        for rid in it.decode_ids:
+            decodes[rid] += 1
+            if decodes[rid] == specs[rid].output_len - 1:
+                leave[rid] = k
+    assert all(decodes[rid] == s.output_len - 1 for rid, s in specs.items())
+    for k in range(len(trace.iterations)):
+        live = [s for rid, s in specs.items() if admit[rid] <= k <= leave[rid]]
+        assert len(live) <= engine.max_running_seqs
+        assert sum(s.prompt_len + s.output_len for s in live) \
+            <= engine.kv_capacity_tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_engine_invariants(case):
+    workload, engine, policy = case
+    trace = run(workload, engine, policy)
+    specs = {s.request_id: s for s in workload}
+    assert [r.request_id for r in trace.requests] == list(specs)
+    for rec in trace.requests:
+        spec = specs[rec.request_id]
+        times = rec.token_times
+        assert rec.completed and len(times) == spec.output_len
+        assert times[0] > spec.arrival
+        assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
+        if rec.delivery_times is not None:
+            delivery = rec.delivery_times
+            assert all(d >= g for g, d in zip(times, delivery))
+            assert list(delivery) == sorted(delivery)
+    check_limits(trace, specs, engine)
+    assert run(workload, engine, policy) == trace

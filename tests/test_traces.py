@@ -104,3 +104,28 @@ def test_non_finite_trace_number_reports_line(tmp_path, literal):
                  f'[0.5, {literal}], "prompt_len": 4, "completed": true}}\n')
     with pytest.raises(TraceFormatError, match=f"line 2: .*{literal}"):
         read_trace(p)
+
+
+@pytest.mark.parametrize("field", ["arrival_s", "token_times_s",
+                                   "delivery_times_s"])
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_overflowing_trace_number_reports_line(tmp_path, field, number):
+    # Such a number parses as an infinity, which no JSON literal check sees.
+    obj = {"arrival_s": "0.0", "token_times_s": "[0.5, 0.9]",
+           "delivery_times_s": "[0.6, 1.0]"}
+    obj[field] = number if field == "arrival_s" else f"[0.6, {number}]"
+    fields = ", ".join(f'"{k}": {v}' for k, v in obj.items())
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"request_id": "a", "arrival_s": 0.0, "token_times_s": [1.0],'
+                 ' "prompt_len": 4, "completed": true}\n'
+                 f'{{"request_id": "b", {fields}, "prompt_len": 4, '
+                 '"completed": true}\n')
+    with pytest.raises(TraceFormatError, match="line 2: b: .*must be finite"):
+        read_trace(p)
+
+
+def test_finite_times_whose_sum_overflows_are_read(tmp_path):
+    rec = RequestTrace("a", 0.0, (1e308, 1.5e308), 4, True)
+    p = tmp_path / "big.jsonl"
+    write_trace(p, [rec])
+    assert read_trace(p) == [rec]
