@@ -10,6 +10,12 @@ per second, where benefit discounts tokens by the user's worst idle wait).
 
 __version__ = "0.1.0"
 
+from .config import (
+    ExperimentConfig,
+    Variant,
+    experiment_from_config,
+    load_experiment,
+)
 from .deadlines import (
     DeadlinePolicy,
     DeadlineSeries,
@@ -42,14 +48,7 @@ from .metrics import (
     user_idle_latency,
     window_from_traces,
 )
-from .runner import (
-    ExperimentConfig,
-    Variant,
-    capacity_search,
-    experiment_from_config,
-    load_experiment,
-    run_experiment,
-)
+from .runner import capacity_search, run_experiment
 from .schedulers import (
     BatchPlan,
     ChunkedPrefill,

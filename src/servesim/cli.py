@@ -15,20 +15,16 @@ object to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import __version__
+from .config import ExperimentConfig, load_experiment
 from .delivery import DelayConfig, delay_trace
 from .metrics import build_report, write_report_csv, write_report_json
-from .runner import (
-    ExperimentConfig,
-    capacity_search,
-    load_experiment,
-    run_experiment,
-    trimmed_window,
-)
+from .runner import capacity_search, run_experiment, trimmed_window
 from .traces import read_trace, write_trace
 
 
@@ -53,13 +49,7 @@ def _print_summary(result) -> None:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     rate = args.rate if args.rate is not None else config.rates[0]
-    config = ExperimentConfig(
-        workload=config.workload, engine=config.engine,
-        variants=config.variants, policy=config.policy,
-        benefit=config.benefit, rates=(float(rate),),
-        trim_start_frac=config.trim_start_frac,
-        trim_end_frac=config.trim_end_frac,
-        use_delivery=config.use_delivery)
+    config = dataclasses.replace(config, rates=(float(rate),))
     result = run_experiment(config, out_dir=args.out)
     _print_summary(result)
     return 1 if any(c.error for c in result.cells) else 0
@@ -116,9 +106,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_delay(args) -> int:
     records = read_trace(args.trace)
-    config = (DelayConfig.tbt_cap(args.hold, args.first_token_delayed)
-              if args.mode == "tbt_cap"
-              else DelayConfig.fixed_rate(args.hold, args.first_token_delayed))
+    config = DelayConfig(args.mode, args.hold, args.first_token_delayed)
     write_trace(args.out, delay_trace(records, config))
     print(f"wrote {args.out}")
     return 0

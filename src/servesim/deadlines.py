@@ -142,44 +142,3 @@ def meets_slo(timeline: TokenTimeline, policy: DeadlinePolicy) -> bool:
     series = deadlines_for(policy, timeline)
     rel = np.asarray(timeline.token_times) - timeline.arrival
     return bool(np.all(rel <= series.as_array()))
-
-
-def policy_from_config(obj: dict) -> DeadlinePolicy:
-    """Parse the tagged-record form used in experiment config files.
-
-    Accepted shapes::
-
-        {"type": "ttft_tbt", "ttft_s": 1.0, "tbt_s": 0.2}
-        {"type": "e2e", "e2e_s": 10.0}
-        {"type": "reading_speed", "tokens_per_second": 20,
-         "first_token_allowance_s": 0.05}
-
-    ``reading_speed`` also accepts ``per_token_budget_s`` in place of
-    ``tokens_per_second``; the allowance is optional.
-    """
-    kind = obj.get("type")
-    if kind == "ttft_tbt":
-        return TtftTbt(float(obj["ttft_s"]), float(obj["tbt_s"]))
-    if kind == "e2e":
-        return EndToEnd(float(obj["e2e_s"]))
-    if kind == "reading_speed":
-        allowance = obj.get("first_token_allowance_s")
-        allowance = None if allowance is None else float(allowance)
-        if "per_token_budget_s" in obj:
-            return ReadingSpeed(float(obj["per_token_budget_s"]), allowance)
-        return ReadingSpeed.from_tokens_per_second(
-            float(obj["tokens_per_second"]), allowance)
-    raise ValueError(f"unknown deadline policy type: {kind!r}")
-
-
-def policy_to_config(policy: DeadlinePolicy) -> dict:
-    if isinstance(policy, TtftTbt):
-        return {"type": "ttft_tbt", "ttft_s": policy.ttft_budget,
-                "tbt_s": policy.tbt_budget}
-    if isinstance(policy, EndToEnd):
-        return {"type": "e2e", "e2e_s": policy.e2e_budget}
-    if isinstance(policy, ReadingSpeed):
-        return {"type": "reading_speed",
-                "per_token_budget_s": policy.per_token_budget,
-                "first_token_allowance_s": policy.first_token_allowance}
-    raise TypeError(f"unknown deadline policy: {policy!r}")

@@ -79,19 +79,3 @@ def delay_trace_record(record: RequestTrace, config: DelayConfig,
 
 def delay_trace(records, config: DelayConfig) -> list[RequestTrace]:
     return [delay_trace_record(rec, config) for rec in records]
-
-
-def delay_from_config(obj: dict) -> DelayConfig:
-    mode = obj.get("mode")
-    first = bool(obj.get("first_token_delayed", False))
-    if mode == "tbt_cap":
-        return DelayConfig.tbt_cap(float(obj["tbt_target_s"]), first)
-    if mode == "fixed_rate":
-        return DelayConfig.fixed_rate(float(obj["per_token_s"]), first)
-    raise ValueError(f"unknown delay mode: {mode!r}")
-
-
-def delay_to_config(config: DelayConfig) -> dict:
-    key = "tbt_target_s" if config.mode == "tbt_cap" else "per_token_s"
-    return {"mode": config.mode, key: config.hold_s,
-            "first_token_delayed": config.first_token_delayed}

@@ -7,7 +7,7 @@ affine cost model in ``config``.
 
 from __future__ import annotations
 
-from .config import EngineConfig, engine_from_config, engine_to_config, iteration_time
+from .config import EngineConfig, iteration_time
 from .pyloop import run
 
 
@@ -18,8 +18,6 @@ def default_backend() -> str:
 
 __all__ = [
     "EngineConfig",
-    "engine_from_config",
-    "engine_to_config",
     "iteration_time",
     "run",
 ]

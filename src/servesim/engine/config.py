@@ -49,30 +49,3 @@ def iteration_time(prefill_tokens: int, decode_seqs: int, engine: EngineConfig,
     return (engine.base_s + extra_base_s
             + engine.prefill_per_token_s * prefill_tokens
             + engine.decode_per_seq_s * decode_seqs)
-
-
-def engine_from_config(obj: dict) -> EngineConfig:
-    return EngineConfig(
-        base_s=float(obj.get("base_s", EngineConfig.base_s)),
-        prefill_per_token_s=float(
-            obj.get("prefill_per_token_s", EngineConfig.prefill_per_token_s)),
-        decode_per_seq_s=float(
-            obj.get("decode_per_seq_s", EngineConfig.decode_per_seq_s)),
-        max_batch_tokens=int(
-            obj.get("max_batch_tokens", EngineConfig.max_batch_tokens)),
-        max_running_seqs=int(
-            obj.get("max_running_seqs", EngineConfig.max_running_seqs)),
-        kv_capacity_tokens=int(
-            obj.get("kv_capacity_tokens", EngineConfig.kv_capacity_tokens)),
-    )
-
-
-def engine_to_config(engine: EngineConfig) -> dict:
-    return {
-        "base_s": engine.base_s,
-        "prefill_per_token_s": engine.prefill_per_token_s,
-        "decode_per_seq_s": engine.decode_per_seq_s,
-        "max_batch_tokens": engine.max_batch_tokens,
-        "max_running_seqs": engine.max_running_seqs,
-        "kv_capacity_tokens": engine.kv_capacity_tokens,
-    }

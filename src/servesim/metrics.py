@@ -130,30 +130,6 @@ class BenefitParams:
             raise ValueError("alpha must be non-negative")
 
 
-def penalty_from_config(obj: dict) -> PenaltyFn:
-    kind = obj.get("type")
-    if kind == "linear_seconds":
-        return LinearSeconds(float(obj.get("scale", 1.0)))
-    if kind == "tokens_equivalent":
-        return TokensEquivalent(float(obj["per_token_budget_s"]))
-    if kind == "indicator":
-        return IndicatorPenalty(float(obj.get("threshold_s", 0.0)),
-                                float(obj.get("penalty_value", 1.0)))
-    raise ValueError(f"unknown penalty type: {kind!r}")
-
-
-def penalty_to_config(penalty: PenaltyFn) -> dict:
-    if isinstance(penalty, LinearSeconds):
-        return {"type": "linear_seconds", "scale": penalty.scale}
-    if isinstance(penalty, TokensEquivalent):
-        return {"type": "tokens_equivalent",
-                "per_token_budget_s": penalty.per_token_budget}
-    if isinstance(penalty, IndicatorPenalty):
-        return {"type": "indicator", "threshold_s": penalty.threshold,
-                "penalty_value": penalty.penalty_value}
-    raise TypeError(f"unknown penalty: {penalty!r}")
-
-
 @dataclass(frozen=True)
 class RequestMetrics:
     """One request's scores; defaults are those of a request with no tokens."""

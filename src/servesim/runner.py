@@ -23,189 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as engine_mod
-from .deadlines import (
-    DeadlinePolicy,
-    ReadingSpeed,
-    deadlines_for,
-    policy_from_config,
-    policy_to_config,
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    Variant,
+    experiment_to_config,
+    load_experiment,  # noqa: F401 - perfbench calls runner.load_experiment
 )
-from .delivery import DelayConfig, delay_from_config, delay_to_config, delay_trace
-from .engine import EngineConfig, engine_from_config, engine_to_config
+from .deadlines import DeadlinePolicy, deadlines_for
+from .delivery import delay_trace
 from .metrics import (
-    BenefitParams,
-    LinearSeconds,
     MetricsReport,
-    TokensEquivalent,
     _nearest_rank,
     build_report,
-    penalty_from_config,
-    penalty_to_config,
     window_from_traces,
     write_report_csv,
     write_report_json,
 )
-from .schedulers import (
-    SchedulerPolicy,
-    scheduler_from_config,
-    scheduler_tag,
-    scheduler_to_config,
-)
 from .traces import RequestTrace, SimTrace, write_iterations_csv, write_trace
-from .workload import WorkloadConfig, generate, save_workload, workload_from_config
-
-
-class ConfigError(ValueError):
-    """An experiment config is malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class Variant:
-    name: str
-    scheduler: SchedulerPolicy
-    delivery: DelayConfig | None = None
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    workload: WorkloadConfig
-    engine: EngineConfig
-    variants: tuple[Variant, ...]
-    policy: DeadlinePolicy
-    benefit: BenefitParams
-    rates: tuple[float, ...]
-    trim_start_frac: float = 0.05
-    trim_end_frac: float = 0.05
-    use_delivery: bool = True
-
-    def __post_init__(self):
-        if not self.variants:
-            raise ConfigError("at least one variant is required")
-        if len({v.name for v in self.variants}) != len(self.variants):
-            raise ConfigError("variant names must be unique")
-        if not self.rates:
-            raise ConfigError("at least one rate is required")
-        if any(r <= 0 for r in self.rates):
-            raise ConfigError("rates must be positive")
-        if list(self.rates) != sorted(self.rates):
-            raise ConfigError("rates must be sorted ascending")
-        if not (0 <= self.trim_start_frac < 1 and 0 <= self.trim_end_frac < 1
-                and self.trim_start_frac + self.trim_end_frac < 1):
-            raise ConfigError("trim fractions must leave a non-empty window")
-
-
-def _default_benefit(policy: DeadlinePolicy, obj: dict | None) -> BenefitParams:
-    obj = obj or {}
-    alpha = float(obj.get("alpha", 5.0))
-    if "penalty" in obj:
-        penalty = penalty_from_config(obj["penalty"])
-    elif isinstance(policy, ReadingSpeed):
-        # Idle seconds expressed as tokens of reading lost, so alpha is
-        # dimensionless against the token count.
-        penalty = TokensEquivalent(policy.per_token_budget)
-    else:
-        penalty = LinearSeconds(1.0)
-    return BenefitParams(alpha=alpha, penalty=penalty)
-
-
-def experiment_from_config(obj: dict, seed_override: int | None = None,
-                           ) -> ExperimentConfig:
-    try:
-        workload = workload_from_config(obj["workload"])
-        engine = engine_from_config(obj.get("engine", {}))
-        policy = policy_from_config(obj["deadline_policy"])
-        benefit = _default_benefit(policy, obj.get("benefit"))
-        variants = []
-        for v in obj["variants"]:
-            scheduler = scheduler_from_config(v["scheduler"])
-            delivery = v.get("delivery")
-            variants.append(Variant(
-                name=str(v.get("name") or scheduler_tag(scheduler)),
-                scheduler=scheduler,
-                delivery=None if delivery is None else delay_from_config(delivery)))
-        rates = obj.get("rates")
-        if rates is None:
-            rates = [workload.rate]
-        trim = obj.get("trim", {})
-        evaluate = obj.get("evaluate", {})
-        timeline = evaluate.get("timeline", "delivery")
-        if timeline not in ("delivery", "generation"):
-            raise ConfigError(f"evaluate.timeline must be delivery or "
-                              f"generation, got {timeline!r}")
-        if seed_override is not None:
-            workload = WorkloadConfig(workload.rate, workload.count,
-                                      seed_override, workload.length_source)
-        elif "seed" in obj:
-            workload = WorkloadConfig(workload.rate, workload.count,
-                                      int(obj["seed"]), workload.length_source)
-        return ExperimentConfig(
-            workload=workload,
-            engine=engine,
-            variants=tuple(variants),
-            policy=policy,
-            benefit=benefit,
-            rates=tuple(float(r) for r in rates),
-            trim_start_frac=float(trim.get("start_frac", 0.05)),
-            trim_end_frac=float(trim.get("end_frac", 0.05)),
-            use_delivery=(timeline == "delivery"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-def experiment_to_config(config: ExperimentConfig) -> dict:
-    wl = config.workload
-    src = wl.length_source
-    from .workload import Concatenated, DatasetFile, Synthetic
-    if isinstance(src, Synthetic):
-        def dist(d):
-            from .workload import Constant, LogNormalInt, UniformInt
-            if isinstance(d, Constant):
-                return {"type": "constant", "value": d.value}
-            if isinstance(d, UniformInt):
-                return {"type": "uniform_int", "low": d.low, "high": d.high}
-            if isinstance(d, LogNormalInt):
-                return {"type": "lognormal_int", "mean_tokens": d.mean_tokens,
-                        "sigma": d.sigma}
-            raise TypeError(repr(d))
-        src_obj = {"type": "synthetic", "prompt_dist": dist(src.prompt_dist),
-                   "output_dist": dist(src.output_dist)}
-    elif isinstance(src, DatasetFile):
-        src_obj = {"type": "dataset_file", "path": src.path}
-    elif isinstance(src, Concatenated):
-        src_obj = {"type": "concatenated", "path": src.path,
-                   "target_mean_prompt_len": src.target_mean_prompt_len}
-    else:
-        raise TypeError(repr(src))
-    return {
-        "workload": {"rate": wl.rate, "count": wl.count, "seed": wl.seed,
-                     "length_source": src_obj},
-        "engine": engine_to_config(config.engine),
-        "deadline_policy": policy_to_config(config.policy),
-        "benefit": {"alpha": config.benefit.alpha,
-                    "penalty": penalty_to_config(config.benefit.penalty)},
-        "variants": [
-            {"name": v.name, "scheduler": scheduler_to_config(v.scheduler),
-             "delivery": None if v.delivery is None
-             else delay_to_config(v.delivery)}
-            for v in config.variants],
-        "rates": list(config.rates),
-        "trim": {"start_frac": config.trim_start_frac,
-                 "end_frac": config.trim_end_frac},
-        "evaluate": {"timeline": "delivery" if config.use_delivery
-                     else "generation"},
-    }
-
-
-def load_experiment(path, seed_override: int | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return experiment_from_config(obj, seed_override)
+from .workload import generate, save_workload
 
 
 # ---------------------------------------------------------------------------

@@ -322,35 +322,6 @@ def next_batch(policy: SchedulerPolicy, state: QueueState) -> BatchPlan:
     raise TypeError(f"unknown scheduler policy: {policy!r}")
 
 
-# Config parsing ---------------------------------------------------------------
-
-
-def scheduler_from_config(obj: dict) -> SchedulerPolicy:
-    kind = obj.get("type")
-    if kind == "vllm_like":
-        return VllmLike()
-    if kind == "chunked_prefill":
-        return ChunkedPrefill(int(obj["chunk_tokens"]),
-                              float(obj.get("chunk_overhead_s", 0.0)))
-    if kind == "decode_prepone":
-        delay = obj.get("t_delay_s", "auto")
-        return DecodePrepone(int(obj["n"]),
-                             None if delay == "auto" else float(delay))
-    raise ValueError(f"unknown scheduler type: {kind!r}")
-
-
-def scheduler_to_config(policy: SchedulerPolicy) -> dict:
-    if isinstance(policy, VllmLike):
-        return {"type": "vllm_like"}
-    if isinstance(policy, ChunkedPrefill):
-        return {"type": "chunked_prefill", "chunk_tokens": policy.chunk_tokens,
-                "chunk_overhead_s": policy.chunk_overhead_s}
-    if isinstance(policy, DecodePrepone):
-        return {"type": "decode_prepone", "n": policy.n,
-                "t_delay_s": "auto" if policy.t_delay is None else policy.t_delay}
-    raise TypeError(f"unknown scheduler policy: {policy!r}")
-
-
 def scheduler_tag(policy: SchedulerPolicy) -> str:
     if isinstance(policy, VllmLike):
         return "vllm_like"

@@ -176,15 +176,28 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
-# Trace times must be finite, so NaN and +-Infinity are rejected.  One
-# shared decoder: json.loads with arguments builds a new one for every line.
+# Trace and workload times must be finite, so NaN and +-Infinity are
+# rejected.  One shared decoder: json.loads with arguments builds a new one
+# for every line.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _all_finite(times: tuple[float, ...]) -> bool:
-    # sum() is one C loop and is finite whenever every time is; a number too
-    # large for a double (1e400) parses as inf.  Only a sum that is not
-    # finite needs the exact per-time check, as finite times may overflow it.
+_NUMBER = (float, int)
+
+
+def _field(obj: dict, key: str, kind: tuple[type, ...]):
+    """``obj[key]``, checked to be exactly one of ``kind``: a bool is no int."""
+    value = obj[key]
+    if type(value) not in kind:
+        raise TypeError(f"{key}: expected {kind[0].__name__}, got {value!r}")
+    return value
+
+
+def _all_finite(times: list) -> bool:
+    # sum() is one C loop over the raw JSON numbers: it raises TypeError on a
+    # string and is finite whenever every time is; a number too large for a
+    # double (1e400) parses as inf.  Only a sum that is not finite needs the
+    # exact per-time check, as finite times may overflow it.
     return math.isfinite(sum(times)) or all(map(math.isfinite, times))
 
 
@@ -196,25 +209,26 @@ def read_trace(path) -> list[RequestTrace]:
                 continue
             try:
                 obj = _DECODER.decode(line)
-                request_id = str(obj["request_id"])
-                arrival = float(obj["arrival_s"])
-                token_times = tuple(map(float, obj["token_times_s"]))
+                request_id = _field(obj, "request_id", (str,))
+                arrival = _field(obj, "arrival_s", _NUMBER)
+                token_times = _field(obj, "token_times_s", (list,))
                 delivery = obj.get("delivery_times_s")
                 if delivery is not None:
-                    delivery = tuple(map(float, delivery))
+                    delivery = _field(obj, "delivery_times_s", (list,))
                 if not (math.isfinite(arrival) and _all_finite(token_times)
                         and (delivery is None or _all_finite(delivery))):
                     raise ValueError(f"{request_id}: arrival, token and "
                                      f"delivery times must be finite")
                 rec = RequestTrace(
                     request_id=request_id,
-                    arrival=arrival,
-                    token_times=token_times,
-                    prompt_len=int(obj["prompt_len"]),
-                    completed=bool(obj["completed"]),
-                    delivery_times=delivery,
+                    arrival=float(arrival),
+                    token_times=tuple(map(float, token_times)),
+                    prompt_len=_field(obj, "prompt_len", (int,)),
+                    completed=_field(obj, "completed", (bool,)),
+                    delivery_times=(None if delivery is None
+                                    else tuple(map(float, delivery))),
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
             records.append(rec)
     return records

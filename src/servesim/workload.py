@@ -14,13 +14,14 @@ first, then lengths, so identical configs yield byte-identical workload files.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .traces import TraceFormatError
+from .traces import _DECODER, _NUMBER, TraceFormatError, _field
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,9 @@ class RequestSpec:
     output_len: int
 
     def __post_init__(self):
-        if self.arrival < 0:
-            raise ValueError(f"{self.request_id}: negative arrival")
+        if not 0.0 <= self.arrival < math.inf:  # NaN fails too
+            raise ValueError(
+                f"{self.request_id}: arrival must be finite and >= 0")
         if self.prompt_len < 1 or self.output_len < 1:
             raise ValueError(f"{self.request_id}: lengths must be >= 1")
 
@@ -145,11 +147,12 @@ def load_dataset_lengths(path) -> list[tuple[int, int]]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                pair = (int(obj["prompt_len"]), int(obj["output_len"]))
+                obj = _DECODER.decode(line)
+                pair = (_field(obj, "prompt_len", (int,)),
+                        _field(obj, "output_len", (int,)))
                 if pair[0] < 1 or pair[1] < 1:
                     raise ValueError("lengths must be >= 1")
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
             pairs.append(pair)
     if not pairs:
@@ -244,51 +247,14 @@ def load_workload(path) -> list[RequestSpec]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
                 spec = RequestSpec(
-                    request_id=str(obj["request_id"]),
-                    arrival=float(obj["arrival_s"]),
-                    prompt_len=int(obj["prompt_len"]),
-                    output_len=int(obj["output_len"]),
+                    request_id=_field(obj, "request_id", (str,)),
+                    arrival=float(_field(obj, "arrival_s", _NUMBER)),
+                    prompt_len=_field(obj, "prompt_len", (int,)),
+                    output_len=_field(obj, "output_len", (int,)),
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
             specs.append(spec)
     return specs
-
-
-# Config parsing ---------------------------------------------------------------
-
-
-def _dist_from_config(obj: dict) -> LengthDist:
-    kind = obj.get("type")
-    if kind == "constant":
-        return Constant(int(obj["value"]))
-    if kind == "uniform_int":
-        return UniformInt(int(obj["low"]), int(obj["high"]))
-    if kind == "lognormal_int":
-        return LogNormalInt(float(obj["mean_tokens"]), float(obj.get("sigma", 0.5)))
-    raise ValueError(f"unknown length distribution: {kind!r}")
-
-
-def workload_from_config(obj: dict) -> WorkloadConfig:
-    """Parse the ``workload`` section of an experiment config."""
-    src_obj = obj["length_source"]
-    kind = src_obj.get("type")
-    if kind == "synthetic":
-        src: LengthSource = Synthetic(
-            _dist_from_config(src_obj["prompt_dist"]),
-            _dist_from_config(src_obj["output_dist"]))
-    elif kind == "dataset_file":
-        src = DatasetFile(str(src_obj["path"]))
-    elif kind == "concatenated":
-        src = Concatenated(str(src_obj["path"]),
-                           int(src_obj["target_mean_prompt_len"]))
-    else:
-        raise ValueError(f"unknown length source type: {kind!r}")
-    return WorkloadConfig(
-        rate=float(obj.get("rate", 1.0)),
-        count=int(obj["count"]),
-        seed=int(obj.get("seed", 0)),
-        length_source=src,
-    )

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import oracles
+from servesim.config import from_config
 from servesim.deadlines import (
+    DeadlinePolicy,
     EndToEnd,
     ReadingSpeed,
     TtftTbt,
     deadlines_for,
     meets_slo,
-    policy_from_config,
-    policy_to_config,
 )
 from servesim.metrics import peak_lateness, user_idle_latency
 from servesim.traces import TokenTimeline
@@ -112,15 +112,10 @@ def test_shifting_later_never_fixes_a_miss():
             assert not meets_slo(shifted, policy)
 
 
-def test_policy_config_roundtrip():
-    for policy in (TtftTbt(1.0, 0.2), EndToEnd(9.5), ReadingSpeed(0.05, 0.3)):
-        assert policy_from_config(policy_to_config(policy)) == policy
-
-
 def test_policy_config_accepts_tokens_per_second():
-    policy = policy_from_config(
+    policy = from_config(
         {"type": "reading_speed", "tokens_per_second": 20,
-         "first_token_allowance_s": 0.05})
+         "first_token_allowance_s": 0.05}, DeadlinePolicy)
     assert policy == ReadingSpeed(0.05, 0.05)
 
 

@@ -5,8 +5,6 @@ from servesim.deadlines import ReadingSpeed, TtftTbt, meets_slo
 from servesim.delivery import (
     DelayConfig,
     apply_output_delay,
-    delay_from_config,
-    delay_to_config,
     delay_trace,
     delay_trace_record,
 )
@@ -128,9 +126,7 @@ def test_trace_record_transform_and_stacking(tmp_path):
     assert delay_trace([rec], DelayConfig.tbt_cap(0.2))[0] == out
 
 
-def test_config_roundtrip_and_validation():
-    for config in (DelayConfig.tbt_cap(0.2), DelayConfig.fixed_rate(0.05, True)):
-        assert delay_from_config(delay_to_config(config)) == config
+def test_config_validation():
     with pytest.raises(ValueError):
         DelayConfig.tbt_cap(0.0)
     with pytest.raises(ValueError):

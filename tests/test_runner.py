@@ -8,14 +8,16 @@ import pytest
 from servesim.deadlines import ReadingSpeed, deadlines_for
 from servesim.engine import EngineConfig
 from servesim.metrics import BenefitParams, TokensEquivalent
-from servesim.runner import (
+from servesim.config import (
     ConfigError,
     ExperimentConfig,
     Variant,
-    capacity_search,
     experiment_from_config,
     experiment_to_config,
     load_experiment,
+)
+from servesim.runner import (
+    capacity_search,
     run_experiment,
     _write_token_timeline,
 )

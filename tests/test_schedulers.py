@@ -15,8 +15,6 @@ from servesim.schedulers import (
     next_batch_chunked,
     next_batch_prepone,
     next_batch_vllm,
-    scheduler_from_config,
-    scheduler_to_config,
 )
 from servesim.workload import RequestSpec
 
@@ -191,12 +189,6 @@ def test_policy_validation():
         DecodePrepone(0)
     with pytest.raises(ValueError):
         DecodePrepone(1, -0.5)
-
-
-def test_scheduler_config_roundtrip():
-    for policy in (VllmLike(), ChunkedPrefill(128, 0.001),
-                   DecodePrepone(4, 0.05), DecodePrepone(2, None)):
-        assert scheduler_from_config(scheduler_to_config(policy)) == policy
 
 
 def test_batch_plan_accounting():

@@ -129,3 +129,31 @@ def test_finite_times_whose_sum_overflows_are_read(tmp_path):
     p = tmp_path / "big.jsonl"
     write_trace(p, [rec])
     assert read_trace(p) == [rec]
+
+
+@pytest.mark.parametrize("field, text", [
+    ("completed", '"false"'), ("completed", "1"), ("prompt_len", "4.7"),
+    ("prompt_len", "true"), ("arrival_s", '"0.1"'), ("arrival_s", "true"),
+    ("token_times_s", '["0.6"]'), ("token_times_s", '"0.6"'),
+    ("token_times_s", "[[0.6]]"), ("delivery_times_s", '["0.7"]'),
+    ("request_id", "3"),
+])
+def test_trace_field_types_are_checked(tmp_path, field, text):
+    obj = {"request_id": '"b"', "arrival_s": "0.1", "token_times_s": "[0.6]",
+           "prompt_len": "4", "completed": "true"}
+    obj[field] = text
+    fields = ", ".join(f'"{k}": {v}' for k, v in obj.items())
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"request_id": "a", "arrival_s": 0.0, "token_times_s": [1.0],'
+                 f' "prompt_len": 4, "completed": true}}\n{{{fields}}}\n')
+    with pytest.raises(TraceFormatError, match="line 2: "):
+        read_trace(p)
+
+
+def test_trace_reads_integer_times(tmp_path):
+    p = tmp_path / "ints.jsonl"
+    p.write_text('{"request_id": "a", "arrival_s": 0, "token_times_s": [1, 2],'
+                 ' "prompt_len": 4, "completed": false, "delivery_times_s": [1, 3]}\n')
+    [rec] = read_trace(p)
+    assert rec == RequestTrace("a", 0.0, (1.0, 2.0), 4, False, (1.0, 3.0))
+    assert type(rec.arrival) is float and type(rec.token_times[0]) is float

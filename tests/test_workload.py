@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from servesim.workload import (
     load_dataset_lengths,
     load_workload,
     save_workload,
-    workload_from_config,
 )
 
 SYN = Synthetic(Constant(100), Constant(20))
@@ -174,12 +174,33 @@ def test_config_validation():
         RequestSpec("x", 0.0, 0, 10)
 
 
-def test_workload_from_config_dict():
-    config = workload_from_config({
-        "rate": 2.0, "count": 10, "seed": 4,
-        "length_source": {"type": "synthetic",
-                          "prompt_dist": {"type": "constant", "value": 64},
-                          "output_dist": {"type": "uniform_int",
-                                          "low": 10, "high": 20}}})
-    specs = generate(config)
-    assert all(s.prompt_len == 64 and 10 <= s.output_len <= 20 for s in specs)
+@pytest.mark.parametrize("arrival", [math.nan, math.inf, -0.5])
+def test_request_spec_rejects_bad_arrival(arrival):
+    # A NaN arrival used to pass (NaN < 0 is False) and hang the engine.
+    with pytest.raises(ValueError, match="arrival must be finite"):
+        RequestSpec("x", arrival, 10, 10)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("arrival_s", "NaN"), ("arrival_s", "Infinity"), ("arrival_s", "1e400"),
+    ("arrival_s", '"0.1"'), ("prompt_len", "4.9"), ("output_len", "true"),
+    ("request_id", "7"),
+])
+def test_workload_file_values_are_checked(tmp_path, field, text):
+    obj = {"request_id": '"b"', "arrival_s": "0.1", "prompt_len": "4",
+           "output_len": "2"}
+    obj[field] = text
+    fields = ", ".join(f'"{k}": {v}' for k, v in obj.items())
+    p = tmp_path / "wl.jsonl"
+    p.write_text('{"request_id": "a", "arrival_s": 0.0, "prompt_len": 4, '
+                 f'"output_len": 2}}\n{{{fields}}}\n')
+    with pytest.raises(TraceFormatError, match="line 2: "):
+        load_workload(p)
+
+
+def test_dataset_lengths_are_checked(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"prompt_len": 10, "output_len": 5}\n'
+                   '{"prompt_len": 10.5, "output_len": 5}\n')
+    with pytest.raises(TraceFormatError, match="line 2: prompt_len: expected int"):
+        load_dataset_lengths(bad)
