@@ -5,10 +5,20 @@ next batch, advance the clock by the batch's cost-model duration, then emit
 one token per decoding member and the first token of any request whose prefill
 just completed.  Admission reserves the request's full final KV footprint, so
 a running request can never run out of cache (there is no preemption).
+
+Decode runs: when a built-in policy plans a plain decode batch (no prefill,
+no prepone release, no prepone phase in flight), the same batch would be
+planned again at every iteration until a member emits its last token or the
+clock reaches the next arrival.  The loop runs such a batch for that many
+iterations from one policy call and one plan check: it advances the clock by
+the same sequential additions, emits each member's tokens with one
+``list.extend`` and logs one record per iteration.  Every other batch, and
+every batch of a custom callable, is a run of one iteration.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 from ..schedulers import (
@@ -35,7 +45,9 @@ def validate_workload(workload: Sequence[RequestSpec], engine: EngineConfig,
         raise ValueError("empty workload")
     seen = set()
     prev = (-1.0, "")
-    full_prompt = not isinstance(scheduler, ChunkedPrefill)
+    # Only chunked prefill splits a prompt; a custom callable's plans are
+    # checked one by one in _validate_plan.
+    full_prompt = isinstance(scheduler, (VllmLike, DecodePrepone))
     for spec in workload:
         key = (spec.arrival, spec.request_id)
         if key < prev:
@@ -111,7 +123,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     gen: dict[str, list[float]] = {s.spec.request_id: [] for s in states}
     rel: dict[str, list[float]] = {s.spec.request_id: [] for s in states}
 
-    if isinstance(scheduler, (VllmLike, ChunkedPrefill, DecodePrepone)):
+    builtin = isinstance(scheduler, (VllmLike, ChunkedPrefill, DecodePrepone))
+    if builtin:
         schedule = lambda qs: next_batch(scheduler, qs)  # noqa: E731
     elif callable(scheduler):
         schedule = scheduler
@@ -126,14 +139,18 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     arrive_idx = 0
     finished = 0
     n = len(states)
+    # The inf sentinel ends the admission scan and is the next arrival once
+    # every request has arrived.
+    arrivals = [s.spec.arrival for s in states] + [math.inf]
     qstate = QueueState(clock, waiting, running, kv_reserved, engine)
 
     while finished < n:
-        while arrive_idx < n and states[arrive_idx].spec.arrival <= clock:
+        while arrivals[arrive_idx] <= clock:
             waiting.append(states[arrive_idx])
             arrive_idx += 1
+        next_arrival = arrivals[arrive_idx]
         if not waiting and not running:
-            clock = states[arrive_idx].spec.arrival
+            clock = next_arrival
             continue
 
         qstate.clock = clock
@@ -144,10 +161,27 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 f"scheduler idle at t={clock} with work pending")
         _validate_plan(plan, qstate, by_id)
 
-        duration = iteration_time(plan.prefill_tokens, plan.decode_seqs,
-                                  engine, plan.overhead_s)
-        end = clock + duration
+        prefill_tokens, decode_seqs = plan.prefill_tokens, plan.decode_seqs
+        duration = iteration_time(prefill_tokens, decode_seqs, engine,
+                                  plan.overhead_s)
         queue_depth = len(waiting)
+        # A built-in policy's plain decode batch depends only on the queue,
+        # which stays the same until a member runs out of output or the next
+        # arrival is admitted, so it runs for up to m iterations at once.
+        members = [by_id[rid] for rid in plan.decode_ids]
+        m = 1
+        if (builtin and not plan.prefill_items and plan.prepone_k == 0
+                and qstate.prepone is None):
+            m = min([r.remaining_output for r in members])
+        # Iteration ends by sequential addition, exactly as one iteration at
+        # a time would advance the clock; the run stops at the first end that
+        # admits the next arrival.
+        end = clock + duration
+        ends = [end]
+        while end < next_arrival and len(ends) < m:
+            end = end + duration
+            ends.append(end)
+        m = len(ends)
 
         for item in plan.prefill_items:
             req = by_id[item.request_id]
@@ -170,9 +204,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 else:
                     req.phase = Phase.DECODING
 
-        for rid in plan.decode_ids:
-            req = by_id[rid]
-            gen[rid].append(end)
+        for rid, req in zip(plan.decode_ids, members):
+            gen[rid].extend(ends)
             if plan.prepone_k > 0:
                 release = end + plan.prepone_k * plan.release_t_delay
                 if release > plan.release_cap:
@@ -181,19 +214,23 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                     release = end
                 rel[rid].append(release)
             else:
-                rel[rid].append(end)
-            req.emitted += 1
+                rel[rid].extend(ends)
+            req.emitted += m
             if req.emitted == req.spec.output_len:
                 req.phase = Phase.FINISHED
                 kv_reserved -= req.kv_reservation
                 running.remove(req)
                 finished += 1
 
-        iterations.append(IterationRecord(
-            start=clock, duration=duration,
-            prefill_tokens=plan.prefill_tokens, decode_seqs=plan.decode_seqs,
-            prefill_ids=tuple(i.request_id for i in plan.prefill_items),
-            decode_ids=plan.decode_ids, queue_depth=queue_depth))
+        # One record per iteration, all sharing the plan's decode_ids tuple;
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        prefill_ids = tuple(i.request_id for i in plan.prefill_items)
+        decode_ids = plan.decode_ids
+        iterations.extend([
+            tuple.__new__(IterationRecord, (
+                start, duration, prefill_tokens, decode_seqs, prefill_ids,
+                decode_ids, queue_depth))
+            for start in [clock, *ends[:-1]]])
         clock = end
 
     records = []

@@ -87,8 +87,10 @@ class Phase(enum.IntEnum):
     FINISHED = 3
 
 
-@dataclass
+@dataclass(eq=False)
 class RequestState:
+    # Compared by identity: one state per request, so the engine's
+    # list.remove on its queues never calls a field-by-field __eq__.
     spec: RequestSpec
     phase: Phase = Phase.WAITING
     prefill_done: int = 0

@@ -213,11 +213,27 @@ def test_workload_validation_errors():
         eng = EngineConfig(kv_capacity_tokens=64, max_batch_tokens=64,
                            max_running_seqs=4)
         run([RequestSpec("a", 0.0, 60, 10)], eng, VllmLike())
-    with pytest.raises(ValueError, match="cannot fit"):
-        eng = EngineConfig(max_batch_tokens=64, max_running_seqs=4)
-        run([RequestSpec("a", 0.0, 100, 10)], eng, VllmLike())
     with pytest.raises(ValueError, match="empty"):
         run([], ENG, VllmLike())
+
+
+@pytest.mark.parametrize("policy", [VllmLike(), DecodePrepone(n=2)])
+def test_full_prompt_policies_reject_prompts_beyond_batch_limit(policy):
+    eng = EngineConfig(max_batch_tokens=16, max_running_seqs=4)
+    with pytest.raises(ValueError, match="cannot fit one batch under this "
+                                         "scheduler \\(needs chunked prefill\\)"):
+        run([RequestSpec("a", 0.0, 40, 3)], eng, policy)
+
+
+def test_callable_may_chunk_prompts_beyond_batch_limit():
+    # Only the policy records are known to take whole prompts; a callable's
+    # plans are checked one by one, and chunked ones are valid.
+    eng = EngineConfig(max_batch_tokens=16, max_running_seqs=4)
+    workload = [RequestSpec("a", 0.0, 40, 3)]
+    policy = ChunkedPrefill(chunk_tokens=8)
+    trace = run(workload, eng, lambda qs: next_batch(policy, qs))
+    assert trace == run(workload, eng, policy)
+    assert len(trace.iterations) == 5 + 2
 
 
 def test_chunked_serves_prompts_beyond_batch_limit():
@@ -229,6 +245,22 @@ def test_chunked_serves_prompts_beyond_batch_limit():
     assert len(trace.requests[0].token_times) == 4
     # ceil(500/64) chunk batches before the first token, then 3 decodes.
     assert len(trace.iterations) == 8 + 3
+
+
+@pytest.mark.parametrize("policy, first_token", [
+    (VllmLike(), 1.5), (ChunkedPrefill(chunk_tokens=16), 1.75),
+    (DecodePrepone(n=1), 2.0)], ids=["vllm", "chunked", "prepone"])
+def test_arrival_at_a_decode_run_end_is_admitted(policy, first_token):
+    # Dyadic costs end every iteration exactly: a's prefill ends at 0.25 and
+    # its solo decodes at 0.75 and 1.25, the instant b arrives.  The decode
+    # run must stop there so that the next plan sees b waiting.
+    eng = EngineConfig(base_s=0.25, prefill_per_token_s=0.0,
+                       decode_per_seq_s=0.25)
+    workload = [RequestSpec("a", 0.0, 10, 10), RequestSpec("b", 1.25, 10, 3)]
+    trace = run(workload, eng, policy)
+    assert [it.start for it in trace.iterations[:4]] == [0.0, 0.25, 0.75, 1.25]
+    assert trace.iterations[3].queue_depth == 1
+    assert trace.requests[1].token_times[0] == first_token
 
 
 def test_work_monotonicity_under_replay():

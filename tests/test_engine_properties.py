@@ -1,10 +1,17 @@
 """Engine invariants on random small workloads, re-derived from the trace."""
 
+from bisect import bisect_left, bisect_right
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from servesim.engine import EngineConfig, run
-from servesim.schedulers import ChunkedPrefill, DecodePrepone, VllmLike
+from servesim.schedulers import (
+    ChunkedPrefill,
+    DecodePrepone,
+    VllmLike,
+    next_batch,
+)
 from servesim.workload import RequestSpec
 
 MAX_PROMPT, MAX_OUTPUT = 120, 20
@@ -18,14 +25,17 @@ policies = st.one_of(
 
 # Limits go down to one running request, a batch smaller than a prompt and a
 # KV budget that holds one largest request, so admission blocks on every axis.
-engines = st.builds(
-    EngineConfig,
-    base_s=st.just(0.01), prefill_per_token_s=st.just(0.001),
-    decode_per_seq_s=st.just(0.02),
-    max_batch_tokens=st.integers(16, 256),
-    max_running_seqs=st.integers(1, 8),
-    kv_capacity_tokens=st.integers(MAX_PROMPT + MAX_OUTPUT, 1000),
-)
+# The dyadic costs end every iteration on a multiple of 0.25 exactly, where
+# every fifth arrival of the grid below lands, so arrivals tie iteration ends.
+engines = st.sampled_from([(0.01, 0.001, 0.02), (0.25, 0.0, 0.25)]).flatmap(
+    lambda costs: st.builds(
+        EngineConfig,
+        base_s=st.just(costs[0]), prefill_per_token_s=st.just(costs[1]),
+        decode_per_seq_s=st.just(costs[2]),
+        max_batch_tokens=st.integers(16, 256),
+        max_running_seqs=st.integers(1, 8),
+        kv_capacity_tokens=st.integers(MAX_PROMPT + MAX_OUTPUT, 1000),
+    ))
 
 
 @st.composite
@@ -55,10 +65,7 @@ def check_limits(trace, specs, engine):
     its (output_len - 1)-th decode.
     """
     admit, leave, decodes = {}, {}, dict.fromkeys(specs, 0)
-    prev_end = 0.0
     for k, it in enumerate(trace.iterations):
-        assert it.start >= prev_end
-        prev_end = it.start + it.duration
         assert it.prefill_tokens + it.decode_seqs <= engine.max_batch_tokens
         for rid in it.prefill_ids:
             admit.setdefault(rid, k)
@@ -69,6 +76,17 @@ def check_limits(trace, specs, engine):
             if decodes[rid] == specs[rid].output_len - 1:
                 leave[rid] = k
     assert all(decodes[rid] == s.output_len - 1 for rid, s in specs.items())
+    # The clock, bit for bit: an iteration starts where the previous one
+    # ended (start + duration, one addition), unless every request that had
+    # arrived by then has left; then it starts at the next arrival.
+    arrivals = sorted(s.arrival for s in specs.values())
+    left = sorted(leave.values())
+    prev_end = 0.0
+    for k, it in enumerate(trace.iterations):
+        arrived = bisect_right(arrivals, prev_end)
+        queued = arrived - bisect_left(left, k)
+        assert it.start == (prev_end if queued else arrivals[arrived])
+        prev_end = it.start + it.duration
     for k in range(len(trace.iterations)):
         live = [s for rid, s in specs.items() if admit[rid] <= k <= leave[rid]]
         assert len(live) <= engine.max_running_seqs
@@ -95,3 +113,15 @@ def test_engine_invariants(case):
             assert list(delivery) == sorted(delivery)
     check_limits(trace, specs, engine)
     assert run(workload, engine, policy) == trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_decode_runs_match_the_per_iteration_loop(case):
+    # The engine steps a built-in policy's plain decode batches a run at a
+    # time; a callable is asked for every iteration.  Wrapping the policy in
+    # a callable therefore gives the per-iteration loop as the reference,
+    # token, delivery and iteration records alike.
+    workload, engine, policy = case
+    assert run(workload, engine, policy) == \
+        run(workload, engine, lambda qs: next_batch(policy, qs))
