@@ -23,7 +23,6 @@ from .deadlines import (
     ReadingSpeed,
     TtftTbt,
     deadlines_for,
-    meets_slo,
 )
 from .delivery import DelayConfig, apply_output_delay, delay_trace
 from .engine import EngineConfig, iteration_time, run
@@ -38,6 +37,7 @@ from .metrics import (
     build_report,
     e2e_latency,
     goodput,
+    meets_slo,
     peak_lateness,
     percentile,
     slo_attainment,

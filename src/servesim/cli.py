@@ -106,7 +106,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_delay(args) -> int:
     records = read_trace(args.trace)
-    config = DelayConfig(args.mode, args.hold, args.first_token_delayed)
+    config = DelayConfig(args.hold, args.first_token_delayed)
     write_trace(args.out, delay_trace(records, config))
     print(f"wrote {args.out}")
     return 0
@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_config=False)
     p.add_argument("--trace", required=True, help="input trace JSONL")
     p.add_argument("--out", required=True, help="output trace JSONL")
-    p.add_argument("--mode", choices=("tbt_cap", "fixed_rate"),
-                   default="tbt_cap")
     p.add_argument("--hold", type=float, required=True,
                    help="release cadence in seconds")
     p.add_argument("--first-token-delayed", action="store_true")

@@ -106,13 +106,12 @@ RECORDS: dict[str, tuple[type, tuple[str, ...]]] = {
     "indicator": (IndicatorPenalty, ("threshold_s", "penalty_value")),
     # Schedulers (variants[i].scheduler).
     "vllm_like": (VllmLike, ()),
-    "chunked_prefill": (ChunkedPrefill, ("chunk_tokens", "chunk_overhead_s")),
+    "chunked_prefill": (ChunkedPrefill, ("chunk_tokens",)),
     "decode_prepone": (DecodePrepone, ("n", "t_delay_s")),
-    # Delivery modes (variants[i].delivery), tagged by "mode".
-    "tbt_cap": (DelayConfig, ("mode", "tbt_target_s", "first_token_delayed")),
-    "fixed_rate": (DelayConfig, ("mode", "per_token_s", "first_token_delayed")),
+    # Output delay (variants[i].delivery), tagged by "mode".
+    "tbt_cap": (DelayConfig, ("tbt_target_s", "first_token_delayed")),
 }
-_TAGS = {cls: tag for tag, (cls, _) in RECORDS.items() if cls is not DelayConfig}
+_TAGS = {cls: tag for tag, (cls, _) in RECORDS.items()}
 
 
 def _join(path: str, key: str) -> str:
@@ -231,7 +230,7 @@ def _as_dict(value, keys=None) -> dict:
 def to_config(record) -> dict:
     """The tagged JSON form of ``record``, keys in field order."""
     cls = type(record)
-    tag = record.mode if cls is DelayConfig else _TAGS[cls]
+    tag = _TAGS[cls]
     return {_tag_key(cls): tag, **_as_dict(record, RECORDS[tag][1])}
 
 

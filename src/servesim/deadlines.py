@@ -135,10 +135,3 @@ def deadlines_for(policy: DeadlinePolicy, timeline: TokenTimeline) -> DeadlineSe
     else:
         raise TypeError(f"unknown deadline policy: {policy!r}")
     return DeadlineSeries(d)
-
-
-def meets_slo(timeline: TokenTimeline, policy: DeadlinePolicy) -> bool:
-    """True iff every token was generated at or before its deadline."""
-    series = deadlines_for(policy, timeline)
-    rel = np.asarray(timeline.token_times) - timeline.arrival
-    return bool(np.all(rel <= series.as_array()))

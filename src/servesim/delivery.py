@@ -26,27 +26,14 @@ from .traces import RequestTrace, TokenTimeline
 
 @dataclass(frozen=True)
 class DelayConfig:
-    """Release cadence, as a TBT cap or a fixed per-token rate (same math)."""
+    """Release cadence: at most one token per ``hold_s`` (a TBT cap)."""
 
-    mode: str
     hold_s: float
     first_token_delayed: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("tbt_cap", "fixed_rate"):
-            raise ValueError(f"unknown delay mode {self.mode!r}")
         if self.hold_s <= 0:
             raise ValueError("hold budget must be positive")
-
-    @classmethod
-    def tbt_cap(cls, tbt_target_s: float,
-                first_token_delayed: bool = False) -> "DelayConfig":
-        return cls("tbt_cap", tbt_target_s, first_token_delayed)
-
-    @classmethod
-    def fixed_rate(cls, per_token_s: float,
-                   first_token_delayed: bool = False) -> "DelayConfig":
-        return cls("fixed_rate", per_token_s, first_token_delayed)
 
 
 def apply_output_delay(timeline: TokenTimeline, config: DelayConfig,

@@ -42,10 +42,9 @@ class EngineConfig:
 
 
 def iteration_time(prefill_tokens: int, decode_seqs: int, engine: EngineConfig,
-                   extra_base_s: float = 0.0) -> float:
+                   ) -> float:
     """Affine iteration latency; an empty batch costs ``base_s``."""
     if prefill_tokens < 0 or decode_seqs < 0:
         raise ValueError("negative batch composition")
-    return (engine.base_s + extra_base_s
-            + engine.prefill_per_token_s * prefill_tokens
+    return (engine.base_s + engine.prefill_per_token_s * prefill_tokens
             + engine.decode_per_seq_s * decode_seqs)

@@ -6,19 +6,26 @@ one token per decoding member and the first token of any request whose prefill
 just completed.  Admission reserves the request's full final KV footprint, so
 a running request can never run out of cache (there is no preemption).
 
+A plan's ``release_s`` holds its decode tokens back until that instant, which
+may not precede the batch's end.  The loop keeps one ``(decode_ids, end,
+release)`` entry per held batch and builds the delivery times from them once
+the run is over; a request with no held token has none.
+
 Decode runs: when a built-in policy plans a plain decode batch (no prefill,
-no prepone release, no prepone phase in flight), the same batch would be
-planned again at every iteration until a member emits its last token or the
-clock reaches the next arrival.  The loop runs such a batch for that many
-iterations from one policy call and one plan check: it advances the clock by
-the same sequential additions, emits each member's tokens with one
-``list.extend`` and logs one record per iteration.  Every other batch, and
-every batch of a custom callable, is a run of one iteration.
+no release instant; a prepone phase in flight always plans one or the
+other), the same batch would be planned again at every iteration until a
+member emits its last token or the clock reaches the next arrival.  The loop
+runs such a batch for that many iterations from one policy call and one plan
+check: it advances the clock by the same sequential additions, emits each
+member's tokens with one ``list.extend`` and logs one record per iteration.
+Every other batch, and every batch of a custom callable, is a run of one
+iteration.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 from ..schedulers import (
@@ -121,7 +128,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     states = [RequestState(spec) for spec in workload]
     by_id = {s.spec.request_id: s for s in states}
     gen: dict[str, list[float]] = {s.spec.request_id: [] for s in states}
-    rel: dict[str, list[float]] = {s.spec.request_id: [] for s in states}
+    held: list[tuple[tuple[str, ...], float, float]] = []
 
     builtin = isinstance(scheduler, (VllmLike, ChunkedPrefill, DecodePrepone))
     if builtin:
@@ -162,21 +169,25 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
         _validate_plan(plan, qstate, by_id)
 
         prefill_tokens, decode_seqs = plan.prefill_tokens, plan.decode_seqs
-        duration = iteration_time(prefill_tokens, decode_seqs, engine,
-                                  plan.overhead_s)
+        duration = iteration_time(prefill_tokens, decode_seqs, engine)
         queue_depth = len(waiting)
         # A built-in policy's plain decode batch depends only on the queue,
         # which stays the same until a member runs out of output or the next
         # arrival is admitted, so it runs for up to m iterations at once.
         members = [by_id[rid] for rid in plan.decode_ids]
+        release = plan.release_s
         m = 1
-        if (builtin and not plan.prefill_items and plan.prepone_k == 0
-                and qstate.prepone is None):
+        if builtin and not plan.prefill_items and release is None:
             m = min([r.remaining_output for r in members])
         # Iteration ends by sequential addition, exactly as one iteration at
         # a time would advance the clock; the run stops at the first end that
         # admits the next arrival.
         end = clock + duration
+        if release is not None and release != end:
+            if not (release >= end):  # NaN fails too
+                raise SchedulerViolation(
+                    f"release at {release} precedes batch end {end}")
+            held.append((plan.decode_ids, end, release))
         ends = [end]
         while end < next_arrival and len(ends) < m:
             end = end + duration
@@ -194,7 +205,6 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             if req.prefill_done == req.spec.prompt_len:
                 # Prefill produces the request's first output token.
                 gen[item.request_id].append(end)
-                rel[item.request_id].append(end)
                 req.emitted = 1
                 if req.emitted == req.spec.output_len:
                     req.phase = Phase.FINISHED
@@ -206,15 +216,6 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
 
         for rid, req in zip(plan.decode_ids, members):
             gen[rid].extend(ends)
-            if plan.prepone_k > 0:
-                release = end + plan.prepone_k * plan.release_t_delay
-                if release > plan.release_cap:
-                    release = plan.release_cap
-                if release < end:
-                    release = end
-                rel[rid].append(release)
-            else:
-                rel[rid].extend(ends)
             req.emitted += m
             if req.emitted == req.spec.output_len:
                 req.phase = Phase.FINISHED
@@ -233,13 +234,21 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             for start in [clock, *ends[:-1]]])
         clock = end
 
+    # A request's token times strictly increase (base_s > 0), so bisect
+    # finds the token a held batch generated at its end.
+    delivery: dict[str, list[float]] = {}
+    for decode_ids, end, release in held:
+        for rid in decode_ids:
+            times = delivery.get(rid)
+            if times is None:
+                times = delivery[rid] = gen[rid][:]
+            times[bisect_left(gen[rid], end)] = release
     records = []
     for s in states:
         rid = s.spec.request_id
-        g, r = gen[rid], rel[rid]
-        delivery = tuple(r) if r != g else None
+        d = delivery.get(rid)
         records.append(RequestTrace(
-            request_id=rid, arrival=s.spec.arrival, token_times=tuple(g),
+            request_id=rid, arrival=s.spec.arrival, token_times=tuple(gen[rid]),
             prompt_len=s.spec.prompt_len, completed=True,
-            delivery_times=delivery))
+            delivery_times=None if d is None else tuple(d)))
     return SimTrace(requests=records, iterations=iterations)

@@ -179,6 +179,12 @@ def _score(timeline: TokenTimeline, policy: DeadlinePolicy,
         met_slo=timeline.complete and lateness <= 0.0), gaps
 
 
+def meets_slo(timeline: TokenTimeline, policy: DeadlinePolicy) -> bool:
+    """True iff the timeline is complete and every token met its deadline,
+    the rule goodput and attainment count by."""
+    return _score(timeline, policy)[0].met_slo
+
+
 def peak_lateness(timeline: TokenTimeline, policy: DeadlinePolicy) -> float:
     """Signed worst lateness: max over tokens of (relative time - deadline).
 

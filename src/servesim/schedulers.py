@@ -9,26 +9,26 @@ Three policies are provided, all FCFS by arrival with request-id tie-breaks:
   one prompt chunk from the head waiting/prefilling request, so a long prompt
   is consumed over several hybrid batches instead of one stall.
 * ``DecodePrepone``: before admitting a waiting request's prefill, run ``n``
-  extra decode-only iterations for the currently decoding requests and attach
-  deferred-release times to those tokens, staggered by ``t_delay`` and capped
-  at the projected completion of the upcoming prefill.  The buffered tokens
-  are then drip-released while the prefill runs.
+  extra decode-only iterations for the currently decoding requests and hold
+  back each such batch's tokens until a release instant, staggered by
+  ``t_delay`` and capped at the projected completion of the upcoming prefill.
+  The buffered tokens are then drip-released while the prefill runs.
+  ``VllmLike`` is the same planner with ``n = 0``.
 
 Policies are deterministic functions of the queue state; ``DecodePrepone``
 keeps its phase bookkeeping in ``QueueState.prepone`` between iterations.
+A :class:`BatchPlan` says only what runs and when its decode tokens are
+released, so the engine needs no knowledge of any policy.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
+from .engine.config import EngineConfig, iteration_time
 from .workload import RequestSpec
-
-if TYPE_CHECKING:
-    from .engine.config import EngineConfig
 
 
 class SchedulerViolation(RuntimeError):
@@ -46,13 +46,10 @@ class VllmLike:
 @dataclass(frozen=True)
 class ChunkedPrefill:
     chunk_tokens: int
-    chunk_overhead_s: float = 0.0
 
     def __post_init__(self):
         if self.chunk_tokens < 1:
             raise ValueError("chunk_tokens must be >= 1")
-        if self.chunk_overhead_s < 0:
-            raise ValueError("chunk_overhead_s must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class PreponeState:
 
     remaining: int
     k_next: int
-    planned_ids: tuple[str, ...]
+    planned: list[RequestState]
     release_cap: float
     t_delay: float
 
@@ -130,7 +127,7 @@ class QueueState:
     waiting: list[RequestState]
     running: list[RequestState]
     kv_reserved: int
-    engine: "EngineConfig"
+    engine: EngineConfig
     prepone: PreponeState | None = None
 
     def decoding(self) -> list[RequestState]:
@@ -155,15 +152,16 @@ class PrefillItem:
 
 @dataclass(frozen=True)
 class BatchPlan:
+    """What one iteration runs, and when its decode tokens are released.
+
+    ``release_s`` is the instant at which every token the batch's decode
+    members generate is delivered; it may not precede the batch's end.
+    ``None`` delivers each token when it is generated.
+    """
+
     prefill_items: tuple[PrefillItem, ...] = ()
     decode_ids: tuple[str, ...] = ()
-    overhead_s: float = 0.0
-    # Deferred-release directive for a prepone batch: every token emitted by
-    # this batch is released at min(generation + prepone_k * release_t_delay,
-    # release_cap) instead of at generation time.
-    prepone_k: int = 0
-    release_t_delay: float = 0.0
-    release_cap: float = math.inf
+    release_s: float | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -208,21 +206,7 @@ def _admissible_prefix(state: QueueState, full_prompt_in_batch: bool,
     return picked
 
 
-def next_batch_vllm(state: QueueState) -> BatchPlan:
-    """Prefill-prioritized batching: waiting prompts preempt all decoding."""
-    admissible = _admissible_prefix(state, full_prompt_in_batch=True)
-    if admissible:
-        return BatchPlan(prefill_items=tuple(
-            PrefillItem(r.spec.request_id, 0, r.spec.prompt_len)
-            for r in admissible))
-    decoding = state.decoding()
-    if decoding:
-        return BatchPlan(decode_ids=tuple(r.spec.request_id for r in decoding))
-    return BatchPlan()
-
-
-def next_batch_chunked(state: QueueState, chunk_tokens: int,
-                       chunk_overhead_s: float = 0.0) -> BatchPlan:
+def next_batch_chunked(state: QueueState, chunk_tokens: int) -> BatchPlan:
     """Hybrid batching: all decodes plus one prompt chunk from the head."""
     decoding = state.decoding()
     decode_ids = tuple(r.spec.request_id for r in decoding)
@@ -238,8 +222,7 @@ def next_batch_chunked(state: QueueState, chunk_tokens: int,
         if span >= 1:
             item = PrefillItem(head.spec.request_id, head.prefill_done,
                                head.prefill_done + span)
-            return BatchPlan(prefill_items=(item,), decode_ids=decode_ids,
-                             overhead_s=chunk_overhead_s)
+            return BatchPlan(prefill_items=(item,), decode_ids=decode_ids)
     return BatchPlan(decode_ids=decode_ids)
 
 
@@ -259,66 +242,69 @@ def _prepone_projection(state: QueueState, n: int, planned: list[RequestState],
         members = sum(1 for rem in remaining if rem >= j)
         if members == 0:
             break
-        t = t + (eng.base_s + eng.decode_per_seq_s * members)
+        t = t + iteration_time(0, members, eng)
         iters += 1
-    prompt_tokens = sum(r.spec.prompt_len for r in planned)
-    prefill_dur = eng.base_s + eng.prefill_per_token_s * prompt_tokens
+    prefill_dur = iteration_time(sum(r.spec.prompt_len for r in planned), 0,
+                                 eng)
     return iters, prefill_dur, t + prefill_dur
+
+
+def _prefill(requests: list[RequestState]) -> BatchPlan:
+    return BatchPlan(prefill_items=tuple(
+        PrefillItem(r.spec.request_id, 0, r.spec.prompt_len)
+        for r in requests))
+
+
+def _held_decode(state: QueueState, decoding: list[RequestState],
+                 k: int) -> BatchPlan:
+    """The phase's k-th decode batch, released ``k`` delays after its end but
+    no later than the planned prefill's end (and never before its own)."""
+    ps = state.prepone
+    end = state.clock + iteration_time(0, len(decoding), state.engine)
+    return BatchPlan(decode_ids=tuple(r.spec.request_id for r in decoding),
+                     release_s=max(end, min(end + k * ps.t_delay,
+                                            ps.release_cap)))
 
 
 def next_batch_prepone(state: QueueState, n: int,
                        t_delay: float | None) -> BatchPlan:
-    """Decode-prepone batching; updates ``state.prepone`` as the phase runs."""
+    """Prefill-first batching with ``n`` decodes preponed before each prefill.
+
+    Waiting prompts that fit preempt all decoding; with ``n = 0`` this is
+    ``VllmLike``.  Updates ``state.prepone`` as a phase runs.
+    """
     ps = state.prepone
+    decoding = state.decoding()
     if ps is not None:
-        decoding = state.decoding()
         if ps.remaining > 0 and decoding:
             k = ps.k_next
             ps.remaining -= 1
             ps.k_next += 1
-            return BatchPlan(
-                decode_ids=tuple(r.spec.request_id for r in decoding),
-                prepone_k=k, release_t_delay=ps.t_delay,
-                release_cap=ps.release_cap)
+            return _held_decode(state, decoding, k)
         # Phase exhausted (or every decoder finished early): run the prefill
-        # that the phase was bridging.
-        planned = ps.planned_ids
+        # that the phase was bridging.  Nothing admits a request while a
+        # phase runs, so the planned requests are still waiting.
         state.prepone = None
-        by_id = {r.spec.request_id: r for r in state.waiting}
-        items = tuple(PrefillItem(rid, 0, by_id[rid].spec.prompt_len)
-                      for rid in planned if rid in by_id)
-        if items:
-            return BatchPlan(prefill_items=items)
-        # Planned set vanished (cannot happen in a closed run); fall through.
+        return _prefill(ps.planned)
 
     admissible = _admissible_prefix(state, full_prompt_in_batch=True)
+    if admissible and decoding and n > 0:
+        iters, prefill_dur, cap = _prepone_projection(state, n, admissible)
+        state.prepone = PreponeState(
+            remaining=iters - 1, k_next=2, planned=admissible,
+            release_cap=cap,
+            t_delay=prefill_dur / (n + 1) if t_delay is None else t_delay)
+        return _held_decode(state, decoding, 1)
     if admissible:
-        decoding = state.decoding()
-        if decoding and n > 0:
-            iters, prefill_dur, cap = _prepone_projection(state, n, admissible)
-            delay = prefill_dur / (n + 1) if t_delay is None else t_delay
-            state.prepone = PreponeState(
-                remaining=iters - 1, k_next=2,
-                planned_ids=tuple(r.spec.request_id for r in admissible),
-                release_cap=cap, t_delay=delay)
-            return BatchPlan(
-                decode_ids=tuple(r.spec.request_id for r in decoding),
-                prepone_k=1, release_t_delay=delay, release_cap=cap)
-        return BatchPlan(prefill_items=tuple(
-            PrefillItem(r.spec.request_id, 0, r.spec.prompt_len)
-            for r in admissible))
-    decoding = state.decoding()
-    if decoding:
-        return BatchPlan(decode_ids=tuple(r.spec.request_id for r in decoding))
-    return BatchPlan()
+        return _prefill(admissible)
+    return BatchPlan(decode_ids=tuple(r.spec.request_id for r in decoding))
 
 
 def next_batch(policy: SchedulerPolicy, state: QueueState) -> BatchPlan:
     if isinstance(policy, VllmLike):
-        return next_batch_vllm(state)
+        return next_batch_prepone(state, 0, None)
     if isinstance(policy, ChunkedPrefill):
-        return next_batch_chunked(state, policy.chunk_tokens,
-                                  policy.chunk_overhead_s)
+        return next_batch_chunked(state, policy.chunk_tokens)
     if isinstance(policy, DecodePrepone):
         return next_batch_prepone(state, policy.n, policy.t_delay)
     raise TypeError(f"unknown scheduler policy: {policy!r}")

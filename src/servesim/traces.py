@@ -197,45 +197,68 @@ def _field(obj: dict, key: str, kind: tuple[type, ...]):
     return value
 
 
+def _times(obj: dict, key: str) -> list:
+    """``obj[key]``, checked to be a list of numbers: a bool is no number."""
+    times = _field(obj, key, (list,))
+    if not set(map(type, times)) <= {float, int}:
+        raise TypeError(f"{key}: expected a list of numbers")
+    return times
+
+
 def _all_finite(times: list) -> bool:
-    # sum() is one C loop over the raw JSON numbers: it raises TypeError on a
-    # string and is finite whenever every time is; a number too large for a
-    # double (1e400) parses as inf.  Only a sum that is not finite needs the
-    # exact per-time check, as finite times may overflow it.
+    # sum() is one C loop over the raw JSON numbers, finite whenever every
+    # time is; a number too large for a double (1e400) parses as inf.  Only
+    # a sum that is not finite needs the exact per-time check, as finite
+    # times may overflow it.
     return math.isfinite(sum(times)) or all(map(math.isfinite, times))
 
 
-def read_trace(path) -> list[RequestTrace]:
-    records = []
+def _read_jsonl(path, parse) -> list:
+    """``parse(obj)`` for the JSON object on each non-blank line of ``path``.
+
+    A line that is not an object, or that ``parse`` rejects with a
+    ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError``, raises
+    :class:`TraceFormatError` naming the file and the line.
+    """
+    out = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
                 obj = _DECODER.decode(line)
-                request_id = _field(obj, "request_id", (str,))
-                arrival = _field(obj, "arrival_s", _NUMBER)
-                token_times = _field(obj, "token_times_s", (list,))
-                delivery = obj.get("delivery_times_s")
-                if delivery is not None:
-                    delivery = _field(obj, "delivery_times_s", (list,))
-                if not (math.isfinite(arrival) and _all_finite(token_times)
-                        and (delivery is None or _all_finite(delivery))):
-                    raise ValueError(f"{request_id}: arrival, token and "
-                                     f"delivery times must be finite")
-                rec = RequestTrace(
-                    request_id=request_id,
-                    arrival=float(arrival),
-                    token_times=tuple(map(float, token_times)),
-                    prompt_len=_field(obj, "prompt_len", (int,)),
-                    completed=_field(obj, "completed", (bool,)),
-                    delivery_times=(None if delivery is None
-                                    else tuple(map(float, delivery))),
-                )
+                if type(obj) is not dict:
+                    raise TypeError(f"expected object, got {obj!r}")
+                out.append(parse(obj))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(rec)
-    return records
+    return out
+
+
+def _parse_trace_record(obj: dict) -> RequestTrace:
+    request_id = _field(obj, "request_id", (str,))
+    arrival = _field(obj, "arrival_s", _NUMBER)
+    token_times = _times(obj, "token_times_s")
+    delivery = obj.get("delivery_times_s")
+    if delivery is not None:
+        delivery = _times(obj, "delivery_times_s")
+    if not (math.isfinite(arrival) and _all_finite(token_times)
+            and (delivery is None or _all_finite(delivery))):
+        raise ValueError(f"{request_id}: arrival, token and "
+                         f"delivery times must be finite")
+    return RequestTrace(
+        request_id=request_id,
+        arrival=float(arrival),
+        token_times=tuple(map(float, token_times)),
+        prompt_len=_field(obj, "prompt_len", (int,)),
+        completed=_field(obj, "completed", (bool,)),
+        delivery_times=(None if delivery is None
+                        else tuple(map(float, delivery))),
+    )
+
+
+def read_trace(path) -> list[RequestTrace]:
+    return _read_jsonl(path, _parse_trace_record)
 
 
 ITERATIONS_CSV_HEADER = [

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .traces import _DECODER, _NUMBER, TraceFormatError, _field
+from .traces import _NUMBER, TraceFormatError, _field, _read_jsonl
 
 
 @dataclass(frozen=True)
@@ -141,20 +141,14 @@ class WorkloadConfig:
 
 def load_dataset_lengths(path) -> list[tuple[int, int]]:
     """Read a JSONL length file into (prompt_len, output_len) pairs."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = _DECODER.decode(line)
-                pair = (_field(obj, "prompt_len", (int,)),
-                        _field(obj, "output_len", (int,)))
-                if pair[0] < 1 or pair[1] < 1:
-                    raise ValueError("lengths must be >= 1")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-            pairs.append(pair)
+    def parse(obj: dict) -> tuple[int, int]:
+        pair = (_field(obj, "prompt_len", (int,)),
+                _field(obj, "output_len", (int,)))
+        if pair[0] < 1 or pair[1] < 1:
+            raise ValueError("lengths must be >= 1")
+        return pair
+
+    pairs = _read_jsonl(path, parse)
     if not pairs:
         raise TraceFormatError(f"{path}: empty dataset")
     return pairs
@@ -241,20 +235,9 @@ def save_workload(path, specs: Sequence[RequestSpec]) -> None:
 
 
 def load_workload(path) -> list[RequestSpec]:
-    specs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = _DECODER.decode(line)
-                spec = RequestSpec(
-                    request_id=_field(obj, "request_id", (str,)),
-                    arrival=float(_field(obj, "arrival_s", _NUMBER)),
-                    prompt_len=_field(obj, "prompt_len", (int,)),
-                    output_len=_field(obj, "output_len", (int,)),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-            specs.append(spec)
-    return specs
+    return _read_jsonl(path, lambda obj: RequestSpec(
+        request_id=_field(obj, "request_id", (str,)),
+        arrival=float(_field(obj, "arrival_s", _NUMBER)),
+        prompt_len=_field(obj, "prompt_len", (int,)),
+        output_len=_field(obj, "output_len", (int,)),
+    ))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import oracles
-from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt, meets_slo
+from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt
 from servesim.delivery import DelayConfig, apply_output_delay
 from servesim.engine import EngineConfig, iteration_time, run
 from servesim.metrics import (
@@ -21,6 +21,7 @@ from servesim.metrics import (
     benefit,
     e2e_latency,
     goodput,
+    meets_slo,
     percentile,
     slo_attainment,
     smooth_goodput,
@@ -229,7 +230,7 @@ def test_criterion_4_output_delay_indictment():
     t0 = time.monotonic()
     eng = EngineConfig()
     hold = 0.1
-    delay = DelayConfig.tbt_cap(hold)
+    delay = DelayConfig(hold)
     chained = TtftTbt(ttft_budget=2.0, tbt_budget=0.15)  # hold <= budget
     pacing = ReadingSpeed(0.05, 2.0)
 

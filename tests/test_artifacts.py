@@ -86,7 +86,7 @@ def expected_rows(label, timelines):
 def held_records(count):
     """Engine records of one tiny-sweep cell with a delivery hold."""
     config = tiny_sweep(count=count, rates=(4.0,))
-    variant = Variant("held", VllmLike(), DelayConfig.tbt_cap(0.05))
+    variant = Variant("held", VllmLike(), DelayConfig(0.05))
     specs = generate(config.workload.with_rate(4.0))
     records, _, _ = run_cell(specs, config, variant)
     return records

@@ -60,10 +60,9 @@ SAMPLES = {
     "tokens_equivalent": TokensEquivalent(0.05),
     "indicator": IndicatorPenalty(0.5, 3.0),
     "vllm_like": VllmLike(),
-    "chunked_prefill": ChunkedPrefill(128, 0.001),
+    "chunked_prefill": ChunkedPrefill(128),
     "decode_prepone": DecodePrepone(4, 0.05),
-    "tbt_cap": DelayConfig.tbt_cap(0.2),
-    "fixed_rate": DelayConfig.fixed_rate(0.05, True),
+    "tbt_cap": DelayConfig(0.2, True),
 }
 
 UNIONS = (DeadlinePolicy, SchedulerPolicy, PenaltyFn, LengthDist, LengthSource)
@@ -94,7 +93,7 @@ def test_every_union_member_has_a_record():
         for cls in typing.get_args(union):
             assert cls in tagged, cls
     modes = {tag for tag, (cls, _) in RECORDS.items() if cls is DelayConfig}
-    assert modes == {"tbt_cap", "fixed_rate"}
+    assert modes == {"tbt_cap"}
 
 
 def test_special_forms():
@@ -109,7 +108,7 @@ def test_special_forms():
     # Field defaults fill absent keys.
     assert from_config({"type": "indicator"}, PenaltyFn) == IndicatorPenalty()
     assert from_config({"mode": "tbt_cap", "tbt_target_s": 0.1},
-                       DelayConfig) == DelayConfig.tbt_cap(0.1)
+                       DelayConfig) == DelayConfig(0.1)
 
 
 def test_defaults_of_the_experiment_sections():

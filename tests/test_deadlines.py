@@ -9,9 +9,8 @@ from servesim.deadlines import (
     ReadingSpeed,
     TtftTbt,
     deadlines_for,
-    meets_slo,
 )
-from servesim.metrics import peak_lateness, user_idle_latency
+from servesim.metrics import meets_slo, peak_lateness, user_idle_latency
 from servesim.traces import TokenTimeline
 
 
@@ -55,6 +54,15 @@ def test_meets_slo_examples():
     assert meets_slo(timeline(0.0, [0.04, 0.09]), policy)
     assert not meets_slo(timeline(0.0, [0.06, 0.09]), policy)
     assert meets_slo(timeline(0.0, [0.5]), EndToEnd(10.0))
+
+
+def test_incomplete_timeline_never_meets_slo():
+    # Every token is on time, but the request was cut short: goodput and
+    # attainment do not count it, and neither does meets_slo.
+    cut = TokenTimeline("t", 0.0, (0.04, 0.09), complete=False)
+    policy = ReadingSpeed(0.05, 0.05)
+    assert user_idle_latency(cut, policy) == 0.0
+    assert not meets_slo(cut, policy)
 
 
 def test_deadlines_match_oracle_on_random_timelines():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from servesim.deadlines import ReadingSpeed, TtftTbt, meets_slo
+from servesim.deadlines import ReadingSpeed, TtftTbt
 from servesim.delivery import (
     DelayConfig,
     apply_output_delay,
     delay_trace,
     delay_trace_record,
 )
-from servesim.metrics import tbt_series, ttft, user_idle_latency
+from servesim.metrics import meets_slo, tbt_series, ttft, user_idle_latency
 from servesim.traces import RequestTrace, TokenTimeline
 
 
@@ -25,26 +25,25 @@ def random_timeline(rng, rid="t"):
 
 def test_hand_evaluated_example():
     tl = timeline([0.1, 0.12, 0.14, 1.0])
-    out = apply_output_delay(tl, DelayConfig.tbt_cap(0.2))
+    out = apply_output_delay(tl, DelayConfig(0.2))
     assert out.token_times == pytest.approx((0.1, 0.3, 0.5, 1.0), abs=1e-12)
 
 
 def test_identity_when_gaps_exceed_hold():
     tl = timeline([0.1, 0.4, 0.8, 1.3])
-    out = apply_output_delay(tl, DelayConfig.tbt_cap(0.2))
+    out = apply_output_delay(tl, DelayConfig(0.2))
     assert out.token_times == tl.token_times
 
 
 def test_single_token_passthrough():
     tl = timeline([0.7])
-    out = apply_output_delay(tl, DelayConfig.fixed_rate(0.5))
+    out = apply_output_delay(tl, DelayConfig(0.5))
     assert out.token_times == (0.7,)
 
 
 def test_first_token_delayed_paces_from_arrival():
     tl = timeline([0.1, 0.15], arrival=0.0)
-    out = apply_output_delay(tl, DelayConfig.tbt_cap(0.3,
-                                                     first_token_delayed=True))
+    out = apply_output_delay(tl, DelayConfig(0.3, first_token_delayed=True))
     assert out.token_times == pytest.approx((0.3, 0.6), abs=1e-12)
 
 
@@ -53,7 +52,7 @@ def test_postconditions_on_random_timelines():
     for _ in range(200):
         tl = random_timeline(rng)
         hold = float(rng.uniform(0.01, 0.4))
-        out = apply_output_delay(tl, DelayConfig.tbt_cap(hold))
+        out = apply_output_delay(tl, DelayConfig(hold))
         orig = tl.token_times
         rel = out.token_times
         # Never deliver before generation; never reorder.
@@ -71,7 +70,7 @@ def test_ttft_unchanged_without_first_token_delay():
     rng = np.random.default_rng(5)
     for _ in range(50):
         tl = random_timeline(rng)
-        out = apply_output_delay(tl, DelayConfig.tbt_cap(0.2))
+        out = apply_output_delay(tl, DelayConfig(0.2))
         assert ttft(out) == ttft(tl)
 
 
@@ -80,7 +79,7 @@ def test_delivered_tbt_above_hold_implies_generation_stall():
     for _ in range(100):
         tl = random_timeline(rng)
         hold = 0.25
-        out = apply_output_delay(tl, DelayConfig.tbt_cap(hold))
+        out = apply_output_delay(tl, DelayConfig(hold))
         gen_gaps = tbt_series(tl)
         for i, gap in enumerate(tbt_series(out)):
             if gap > hold + 1e-12:
@@ -92,7 +91,7 @@ def test_delay_never_reduces_idle_latency():
     policy = ReadingSpeed(0.05, 0.2)
     for _ in range(100):
         tl = random_timeline(rng)
-        out = apply_output_delay(tl, DelayConfig.tbt_cap(0.1))
+        out = apply_output_delay(tl, DelayConfig(0.1))
         assert user_idle_latency(out, policy) >= \
             user_idle_latency(tl, policy) - 1e-12
 
@@ -107,7 +106,7 @@ def test_delay_never_hurts_ttft_tbt_attainment():
     flips = 0
     for _ in range(200):
         tl = random_timeline(rng)
-        out = apply_output_delay(tl, DelayConfig.tbt_cap(0.25))
+        out = apply_output_delay(tl, DelayConfig(0.25))
         before = meets_slo(tl, policy)
         after = meets_slo(out, policy)
         assert after >= before
@@ -117,17 +116,17 @@ def test_delay_never_hurts_ttft_tbt_attainment():
 
 def test_trace_record_transform_and_stacking(tmp_path):
     rec = RequestTrace("a", 0.0, (0.1, 0.12, 0.9), 10, True)
-    out = delay_trace_record(rec, DelayConfig.tbt_cap(0.2))
+    out = delay_trace_record(rec, DelayConfig(0.2))
     assert out.token_times == rec.token_times  # generation preserved
     assert out.delivery_times == pytest.approx((0.1, 0.3, 0.9), abs=1e-12)
     # Applying a second, looser cadence operates on the delivered timeline.
-    stacked = delay_trace_record(out, DelayConfig.tbt_cap(0.5))
+    stacked = delay_trace_record(out, DelayConfig(0.5))
     assert stacked.delivery_times == pytest.approx((0.1, 0.6, 1.1), abs=1e-12)
-    assert delay_trace([rec], DelayConfig.tbt_cap(0.2))[0] == out
+    assert delay_trace([rec], DelayConfig(0.2))[0] == out
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DelayConfig.tbt_cap(0.0)
+        DelayConfig(0.0)
     with pytest.raises(ValueError):
-        DelayConfig("bogus", 0.1)
+        DelayConfig(-0.1, True)

@@ -173,6 +173,14 @@ def _prefill_a_and_b(state):
                                     PrefillItem("b", 0, 60)))
 
 
+def _release_before_the_batch_end(state):
+    if not state.decoding():
+        return next_batch(VllmLike(), state)
+    # a and b are prefilled together by 0.13 and decode at 0.05 a batch; a
+    # release 0.01 s early would deliver tokens before they exist.
+    return BatchPlan(decode_ids=("a", "b"), release_s=state.clock + 0.04)
+
+
 def _reprefill_once_decoding(state):
     if not state.decoding():
         return next_batch(VllmLike(), state)
@@ -192,8 +200,10 @@ def _reprefill_once_decoding(state):
      "exceeds max_running_seqs"),
     (EngineConfig(kv_capacity_tokens=200), _prefill_a_and_b,
      "exceeds kv_capacity_tokens"),
+    (ENG, _release_before_the_batch_end,
+     "release at 0.17 precedes batch end 0.18"),
 ], ids=["before_arrival", "not_prefillable", "prefill_span", "not_decodable",
-        "batch_tokens", "running_seqs", "kv_capacity"])
+        "batch_tokens", "running_seqs", "kv_capacity", "early_release"])
 def test_rogue_plan_diagnostics(engine, rogue, message):
     # Each request alone fits every engine above; only the plan breaks a rule.
     workload = [RequestSpec("a", 0.0, 60, 50), RequestSpec("b", 0.0, 60, 50),

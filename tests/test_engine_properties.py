@@ -18,7 +18,7 @@ MAX_PROMPT, MAX_OUTPUT = 120, 20
 
 policies = st.one_of(
     st.just(VllmLike()),
-    st.builds(ChunkedPrefill, st.integers(1, 160), st.sampled_from([0.0, 0.002])),
+    st.builds(ChunkedPrefill, st.integers(1, 160)),
     st.builds(DecodePrepone, st.integers(1, 3),
               st.sampled_from([None, 0.0, 0.01, 0.04])),
 )

@@ -106,12 +106,10 @@ penalties = st.one_of(
 )
 schedulers = st.one_of(
     st.just(VllmLike()),
-    st.builds(ChunkedPrefill, counts, non_negative),
+    st.builds(ChunkedPrefill, counts),
     st.builds(DecodePrepone, counts, st.none() | non_negative),
 )
-deliveries = st.none() | st.builds(
-    DelayConfig, st.sampled_from(["tbt_cap", "fixed_rate"]), positive,
-    st.booleans())
+deliveries = st.none() | st.builds(DelayConfig, positive, st.booleans())
 
 
 @st.composite

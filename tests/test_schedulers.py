@@ -1,8 +1,6 @@
-import math
-
 import pytest
 
-from servesim.engine import EngineConfig
+from servesim.engine import EngineConfig, iteration_time
 from servesim.schedulers import (
     BatchPlan,
     ChunkedPrefill,
@@ -14,7 +12,6 @@ from servesim.schedulers import (
     next_batch,
     next_batch_chunked,
     next_batch_prepone,
-    next_batch_vllm,
 )
 from servesim.workload import RequestSpec
 
@@ -39,7 +36,7 @@ def qstate(waiting=(), running=(), kv=0, clock=1.0, engine=ENG):
 def test_vllm_prefill_preempts_decode():
     a = req("a", 100, 50, phase=Phase.DECODING, prefill_done=100, emitted=5)
     b = req("b", 300, 5, arrival=0.9)
-    plan = next_batch_vllm(qstate(waiting=[b], running=[a], kv=150))
+    plan = next_batch(VllmLike(), qstate(waiting=[b], running=[a], kv=150))
     assert plan.decode_ids == ()
     assert [(i.request_id, i.start, i.end) for i in plan.prefill_items] == \
         [("b", 0, 300)]
@@ -47,14 +44,14 @@ def test_vllm_prefill_preempts_decode():
 
 def test_vllm_pure_decode_when_no_waiting():
     a = req("a", 100, 50, phase=Phase.DECODING, prefill_done=100, emitted=5)
-    plan = next_batch_vllm(qstate(running=[a], kv=150))
+    plan = next_batch(VllmLike(), qstate(running=[a], kv=150))
     assert plan.prefill_items == () and plan.decode_ids == ("a",)
 
 
 def test_vllm_oversized_prompt_stays_waiting():
     a = req("a", 100, 50, phase=Phase.DECODING, prefill_done=100, emitted=5)
     b = req("b", 600, 5)  # exceeds max_batch_tokens=512 alone
-    plan = next_batch_vllm(qstate(waiting=[b], running=[a], kv=150))
+    plan = next_batch(VllmLike(), qstate(waiting=[b], running=[a], kv=150))
     assert plan.prefill_items == () and plan.decode_ids == ("a",)
 
 
@@ -62,7 +59,7 @@ def test_vllm_packs_fcfs_prefix_without_overtaking():
     b = req("b", 200, 5, arrival=0.1)
     c = req("c", 400, 5, arrival=0.2)  # 200+400 > 512: stops the pack
     d = req("d", 50, 5, arrival=0.3)   # would fit, but must not overtake c
-    plan = next_batch_vllm(qstate(waiting=[b, c, d]))
+    plan = next_batch(VllmLike(), qstate(waiting=[b, c, d]))
     assert [i.request_id for i in plan.prefill_items] == ["b"]
 
 
@@ -73,10 +70,11 @@ def test_vllm_respects_kv_and_seq_limits():
     a = req("a", 100, 50, phase=Phase.DECODING, prefill_done=100, emitted=5)
     x = req("x", 100, 50, phase=Phase.DECODING, prefill_done=100, emitted=5)
     b = req("b", 100, 5)
-    plan = next_batch_vllm(qstate(waiting=[b], running=[a, x], kv=300,
-                                  engine=eng))
+    plan = next_batch(VllmLike(), qstate(waiting=[b], running=[a, x], kv=300,
+                                         engine=eng))
     assert plan.prefill_items == ()  # seq limit reached
-    plan = next_batch_vllm(qstate(waiting=[b], running=[a], kv=450, engine=eng))
+    plan = next_batch(VllmLike(), qstate(waiting=[b], running=[a], kv=450,
+                                         engine=eng))
     assert plan.prefill_items == ()  # kv would be exceeded (450+105 > 500)
     assert plan.decode_ids == ("a",)
 
@@ -133,22 +131,37 @@ def test_prepone_phase_sequence():
     state = qstate(waiting=[b], running=[a], kv=150)
 
     first = next_batch_prepone(state, 2, None)
-    assert first.decode_ids == ("a",) and first.prepone_k == 1
+    assert first.decode_ids == ("a",) and first.prefill_items == ()
     assert state.prepone is not None and state.prepone.remaining == 1
     # Release cap is the projected end of b's prefill: two decode iterations
     # (0.01 + 0.02 each) then the 300-token prefill (0.01 + 0.3).
     expected_cap = 1.0 + 2 * 0.03 + 0.31
-    assert first.release_cap == pytest.approx(expected_cap, abs=1e-12)
-    assert first.release_t_delay == pytest.approx(0.31 / 3, abs=1e-12)
+    assert state.prepone.release_cap == pytest.approx(expected_cap, abs=1e-12)
+    # The k-th batch (the clock stays at 1.0 here) ends at 1.03 and is
+    # released k automatic delays of prefill / (n + 1) later, below the cap.
+    end = 1.0 + iteration_time(0, 1, ENG)
+    delay = iteration_time(300, 0, ENG) / 3
+    assert first.release_s == end + 1 * delay
+    assert first.release_s == pytest.approx(1.03 + 0.31 / 3, abs=1e-12)
 
     second = next_batch_prepone(state, 2, None)
-    assert second.decode_ids == ("a",) and second.prepone_k == 2
+    assert second.decode_ids == ("a",) and second.release_s == end + 2 * delay
+    assert second.release_s == pytest.approx(1.03 + 2 * 0.31 / 3, abs=1e-12)
     assert state.prepone.remaining == 0
 
     third = next_batch_prepone(state, 2, None)
     assert [(i.request_id, i.start, i.end) for i in third.prefill_items] == \
         [("b", 0, 300)]
+    assert third.release_s is None
     assert state.prepone is None
+
+
+def test_prepone_release_is_capped_at_the_prefill_end():
+    a = req("a", 100, 50, phase=Phase.DECODING, prefill_done=100, emitted=5)
+    b = req("b", 300, 5)
+    state = qstate(waiting=[b], running=[a], kv=150)
+    plan = next_batch_prepone(state, 2, 10.0)
+    assert plan.release_s == state.prepone.release_cap
 
 
 def test_prepone_zero_delay_releases_at_generation():
@@ -156,7 +169,7 @@ def test_prepone_zero_delay_releases_at_generation():
     b = req("b", 300, 5)
     state = qstate(waiting=[b], running=[a], kv=150)
     plan = next_batch_prepone(state, 2, 0.0)
-    assert plan.release_t_delay == 0.0
+    assert plan.release_s == 1.0 + iteration_time(0, 1, ENG)  # the batch end
 
 
 def test_prepone_clamps_to_remaining_output():
@@ -164,7 +177,7 @@ def test_prepone_clamps_to_remaining_output():
     b = req("b", 300, 5)
     state = qstate(waiting=[b], running=[a], kv=150)
     plan = next_batch_prepone(state, 3, None)
-    assert plan.prepone_k == 1
+    assert plan.release_s is not None
     assert state.prepone.remaining == 0  # only one token left to prepone
 
 
@@ -196,4 +209,4 @@ def test_batch_plan_accounting():
     assert plan.decode_seqs == 2 and plan.prefill_tokens == 0
     assert not plan.is_empty
     assert BatchPlan().is_empty
-    assert math.isinf(BatchPlan().release_cap)
+    assert BatchPlan().release_s is None

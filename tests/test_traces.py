@@ -157,3 +157,17 @@ def test_trace_reads_integer_times(tmp_path):
     [rec] = read_trace(p)
     assert rec == RequestTrace("a", 0.0, (1.0, 2.0), 4, False, (1.0, 3.0))
     assert type(rec.arrival) is float and type(rec.token_times[0]) is float
+
+
+@pytest.mark.parametrize("field, text", [
+    ("token_times_s", "[true, 1.5]"), ("delivery_times_s", "[1.0, false]")])
+def test_bools_in_time_lists_are_rejected(tmp_path, field, text):
+    # JSON true/false would otherwise read as the times 1.0 and 0.0.
+    obj = {"token_times_s": "[0.5, 1.5]", field: text}
+    fields = ", ".join(f'"{k}": {v}' for k, v in obj.items())
+    p = tmp_path / "bools.jsonl"
+    p.write_text(f'{{"request_id": "a", "arrival_s": 0.0, {fields}, '
+                 '"prompt_len": 4, "completed": true}\n')
+    with pytest.raises(TraceFormatError,
+                       match=f"line 1: {field}: expected a list of numbers"):
+        read_trace(p)
