@@ -18,7 +18,6 @@ from .config import (
 )
 from .deadlines import (
     DeadlinePolicy,
-    DeadlineSeries,
     EndToEnd,
     ReadingSpeed,
     TtftTbt,

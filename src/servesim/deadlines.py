@@ -77,56 +77,19 @@ class ReadingSpeed:
 DeadlinePolicy = Union[TtftTbt, EndToEnd, ReadingSpeed]
 
 
-class DeadlineSeries:
-    """Deadlines in seconds from arrival, one per output token.
+def deadlines_for(policy: DeadlinePolicy, timeline: TokenTimeline) -> np.ndarray:
+    """Deadlines in seconds from arrival, one per token of ``timeline``.
 
-    Backed by a read-only float array, which scoring reads through
-    ``as_array()`` without building Python floats; ``deadlines`` is a tuple
-    view built on access.
-    """
-
-    __slots__ = ("_array",)
-
-    def __init__(self, deadlines):
-        array = np.array(deadlines, dtype=float)
-        array.flags.writeable = False
-        self._array = array
-
-    @property
-    def deadlines(self) -> tuple[float, ...]:
-        return tuple(self._array.tolist())
-
-    def as_array(self) -> np.ndarray:
-        return self._array
-
-    def __len__(self) -> int:
-        return len(self._array)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DeadlineSeries):
-            return NotImplemented
-        return bool(np.array_equal(self._array, other._array))
-
-    def __hash__(self) -> int:
-        return hash(self.deadlines)
-
-    def __repr__(self) -> str:
-        return f"DeadlineSeries(deadlines={self.deadlines!r})"
-
-
-def deadlines_for(policy: DeadlinePolicy, timeline: TokenTimeline) -> DeadlineSeries:
-    """Deadline series for each token of ``timeline`` under ``policy``.
-
-    Raises ValueError on an empty timeline (a request with no output tokens
-    has no deadlines to evaluate).
+    The series is a read-only float array.  Raises ValueError on an empty
+    timeline (a request with no output tokens has no deadlines to evaluate).
     """
     n = timeline.num_tokens
     if n == 0:
         raise ValueError(f"{timeline.request_id}: no output tokens")
     if isinstance(policy, ReadingSpeed):
-        d = policy.first_token_allowance + policy.per_token_budget * np.arange(n)
+        d = policy.first_token_allowance + policy.per_token_budget * np.arange(n, dtype=float)
     elif isinstance(policy, EndToEnd):
-        d = np.full(n, policy.e2e_budget)
+        d = np.full(n, policy.e2e_budget, dtype=float)
     elif isinstance(policy, TtftTbt):
         rel = np.asarray(timeline.token_times) - timeline.arrival
         d = np.empty(n)
@@ -134,4 +97,5 @@ def deadlines_for(policy: DeadlinePolicy, timeline: TokenTimeline) -> DeadlineSe
         d[1:] = rel[:-1] + policy.tbt_budget
     else:
         raise TypeError(f"unknown deadline policy: {policy!r}")
-    return DeadlineSeries(d)
+    d.flags.writeable = False
+    return d

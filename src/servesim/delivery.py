@@ -13,13 +13,15 @@ first token too (``first_token_delayed=True``) paces it against arrival
 instead.
 
 Because this transform games TBT-style metrics without shortening anyone's
-real wait, it is applied as a trace transform (never inside the engine): the
-same code evaluates simulated and ingested real traces identically.
+real wait, it is applied to trace records (``delay_trace``), never inside the
+engine: the same code evaluates simulated and ingested real traces
+identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .traces import RequestTrace, TokenTimeline
 
@@ -41,28 +43,21 @@ def apply_output_delay(timeline: TokenTimeline, config: DelayConfig,
     """Delivery timeline produced by pacing ``timeline`` at the hold cadence."""
     hold = config.hold_s
     releases: list[float] = []
-    prev = timeline.arrival if config.first_token_delayed else None
+    # From -inf the first release is max(t_1, -inf) = t_1: it passes through.
+    prev = timeline.arrival if config.first_token_delayed else -math.inf
     for t in timeline.token_times:
-        if prev is None:
-            r = t
-        else:
-            r = max(t, prev + hold)
-        releases.append(r)
-        prev = r
+        prev = max(t, prev + hold)
+        releases.append(prev)
     return TokenTimeline(timeline.request_id, timeline.arrival,
                          tuple(releases), timeline.complete)
 
 
-def delay_trace_record(record: RequestTrace, config: DelayConfig,
-                       ) -> RequestTrace:
-    """Attach paced delivery times to a trace record.
-
-    The cadence is applied to the record's existing delivery timeline (or the
-    generation timeline when none exists), so stacking transforms composes.
-    """
-    paced = apply_output_delay(record.delivery_timeline(), config)
-    return record.with_delivery(paced.token_times)
-
-
 def delay_trace(records, config: DelayConfig) -> list[RequestTrace]:
-    return [delay_trace_record(rec, config) for rec in records]
+    """Each record with paced delivery times; generation times are kept.
+
+    The cadence paces the record's delivery timeline (its generation
+    timeline when it has none), so stacking transforms composes.
+    """
+    return [replace(rec, delivery_times=apply_output_delay(
+                rec.delivery_timeline(), config).token_times)
+            for rec in records]

@@ -164,7 +164,7 @@ def _score(timeline: TokenTimeline, policy: DeadlinePolicy,
     times = timeline.token_times
     array = np.asarray(times)
     lateness = float(np.max(array - timeline.arrival
-                            - deadlines_for(policy, timeline).as_array()))
+                            - deadlines_for(policy, timeline)))
     idle = max(0.0, lateness)
     gaps = np.diff(array)
     return RequestMetrics(

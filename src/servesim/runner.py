@@ -97,8 +97,6 @@ def _summary_row(cell: CellResult) -> list[str]:
 @dataclass
 class SweepResult:
     cells: list[CellResult]
-    out_dir: str | None = None
-    artifacts: list[str] | None = None
 
     def cell(self, variant: str, rate: float) -> CellResult:
         for c in self.cells:
@@ -147,7 +145,7 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
     """
     delivery = rec.delivery_timeline()
     scored = delivery if use_delivery else rec.generation_timeline()
-    deadlines = deadlines_for(policy, scored).deadlines
+    deadlines = deadlines_for(policy, scored).tolist()
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["token_index", "generated_s", "delivered_s",
@@ -264,7 +262,7 @@ def run_experiment(config: ExperimentConfig,
             json.dump(manifest, f, indent=2)
             f.write("\n")
 
-    return SweepResult(cells=cells, out_dir=out_dir, artifacts=sorted(artifacts))
+    return SweepResult(cells=cells)
 
 
 # ---------------------------------------------------------------------------

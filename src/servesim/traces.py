@@ -23,11 +23,37 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 class TraceFormatError(ValueError):
     """A trace or workload file does not match the expected schema."""
+
+
+def _check_timeline(request_id: str, arrival: float,
+                    times: tuple[float, ...], complete: bool) -> None:
+    """Raise ValueError unless ``times`` is a timeline a metric can score.
+
+    The arrival is ``>= 0``, the times are finite and non-decreasing from
+    it, and a complete timeline holds at least one token.
+    """
+    # Written as not(>=) so that NaN fails the checks.
+    if not (arrival >= 0.0):
+        raise ValueError(f"{request_id}: arrival must be finite and >= 0")
+    if complete and not times:
+        raise ValueError(f"{request_id}: complete timeline with no tokens")
+    prev = arrival
+    for t in times:
+        if not (t >= prev):
+            break
+        prev = t
+    else:
+        # Every time lies in [arrival, prev], prev being the last token (or
+        # the arrival), so one check keeps them all finite.
+        if math.isfinite(prev):
+            return
+    raise ValueError(f"{request_id}: times must be finite, non-decreasing "
+                     f"and not precede arrival")
 
 
 @dataclass(frozen=True)
@@ -45,23 +71,8 @@ class TokenTimeline:
     complete: bool = True
 
     def __post_init__(self):
-        # Written as not(>=) so that NaN fails the check.
-        if not (self.arrival >= 0.0):
-            raise ValueError(f"{self.request_id}: negative or NaN arrival time")
-        if self.complete and not self.token_times:
-            raise ValueError(f"{self.request_id}: complete timeline with no tokens")
-        prev = self.arrival
-        for t in self.token_times:
-            if not (t >= prev):
-                raise ValueError(
-                    f"{self.request_id}: token times must be non-decreasing, "
-                    f"not NaN, and not precede arrival"
-                )
-            prev = t
-        # Every time lies in [arrival, prev], prev being the last token (or
-        # the arrival), so one check keeps them all finite.
-        if not math.isfinite(prev):
-            raise ValueError(f"{self.request_id}: times must be finite")
+        _check_timeline(self.request_id, self.arrival, self.token_times,
+                        self.complete)
 
     @property
     def num_tokens(self) -> int:
@@ -113,16 +124,6 @@ class RequestTrace:
         times = self.delivery_times if self.delivery_times is not None else self.token_times
         return TokenTimeline(self.request_id, self.arrival, times, self.completed)
 
-    def with_delivery(self, delivery_times: Sequence[float]) -> "RequestTrace":
-        return RequestTrace(
-            self.request_id,
-            self.arrival,
-            self.token_times,
-            self.prompt_len,
-            self.completed,
-            tuple(delivery_times),
-        )
-
 
 class IterationRecord(NamedTuple):
     """One engine iteration: timing, batch composition, and queue depth.
@@ -150,10 +151,6 @@ class SimTrace:
 
     def total_tokens(self) -> int:
         return sum(len(r.token_times) for r in self.requests)
-
-    def makespan(self) -> float:
-        return max((r.token_times[-1] for r in self.requests if r.token_times),
-                   default=0.0)
 
 
 def _record_to_obj(rec: RequestTrace) -> dict:
@@ -205,14 +202,6 @@ def _times(obj: dict, key: str) -> list:
     return times
 
 
-def _all_finite(times: list) -> bool:
-    # sum() is one C loop over the raw JSON numbers, finite whenever every
-    # time is; a number too large for a double (1e400) parses as inf.  Only
-    # a sum that is not finite needs the exact per-time check, as finite
-    # times may overflow it.
-    return math.isfinite(sum(times)) or all(map(math.isfinite, times))
-
-
 def _read_jsonl(path, parse) -> list:
     """``parse(obj)`` for the JSON object on each non-blank line of ``path``.
 
@@ -237,24 +226,18 @@ def _read_jsonl(path, parse) -> list:
 
 def _parse_trace_record(obj: dict) -> RequestTrace:
     request_id = _field(obj, "request_id", (str,))
-    arrival = _field(obj, "arrival_s", _NUMBER)
-    token_times = _times(obj, "token_times_s")
+    arrival = float(_field(obj, "arrival_s", _NUMBER))
+    completed = _field(obj, "completed", (bool,))
+    # Both timelines are checked here, not by every RequestTrace: the engine
+    # builds its records in order.
+    token_times = tuple(map(float, _times(obj, "token_times_s")))
+    _check_timeline(request_id, arrival, token_times, completed)
     delivery = obj.get("delivery_times_s")
     if delivery is not None:
-        delivery = _times(obj, "delivery_times_s")
-    if not (math.isfinite(arrival) and _all_finite(token_times)
-            and (delivery is None or _all_finite(delivery))):
-        raise ValueError(f"{request_id}: arrival, token and "
-                         f"delivery times must be finite")
-    return RequestTrace(
-        request_id=request_id,
-        arrival=float(arrival),
-        token_times=tuple(map(float, token_times)),
-        prompt_len=_field(obj, "prompt_len", (int,)),
-        completed=_field(obj, "completed", (bool,)),
-        delivery_times=(None if delivery is None
-                        else tuple(map(float, delivery))),
-    )
+        delivery = tuple(map(float, _times(obj, "delivery_times_s")))
+        _check_timeline(request_id, arrival, delivery, completed)
+    return RequestTrace(request_id, arrival, token_times,
+                        _field(obj, "prompt_len", (int,)), completed, delivery)
 
 
 def read_trace(path) -> list[RequestTrace]:

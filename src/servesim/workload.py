@@ -48,10 +48,6 @@ class RequestSpec:
 class Constant:
     value: int
 
-    @property
-    def mean(self) -> float:
-        return float(self.value)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value, dtype=np.int64)
 
@@ -67,10 +63,6 @@ class UniformInt:
         if self.low < 1 or self.high < self.low:
             raise ValueError("need 1 <= low <= high")
 
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.integers(self.low, self.high + 1, size=size, dtype=np.int64)
 
@@ -85,10 +77,6 @@ class LogNormalInt:
     def __post_init__(self):
         if self.mean_tokens < 1 or self.sigma <= 0:
             raise ValueError("need mean_tokens >= 1 and sigma > 0")
-
-    @property
-    def mean(self) -> float:
-        return float(self.mean_tokens)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         mu = np.log(self.mean_tokens) - 0.5 * self.sigma ** 2

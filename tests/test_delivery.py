@@ -6,7 +6,6 @@ from servesim.delivery import (
     DelayConfig,
     apply_output_delay,
     delay_trace,
-    delay_trace_record,
 )
 from servesim.metrics import meets_slo, tbt_series, ttft, user_idle_latency
 from servesim.traces import RequestTrace, TokenTimeline
@@ -116,11 +115,11 @@ def test_delay_never_hurts_ttft_tbt_attainment():
 
 def test_trace_record_transform_and_stacking(tmp_path):
     rec = RequestTrace("a", 0.0, (0.1, 0.12, 0.9), 10, True)
-    out = delay_trace_record(rec, DelayConfig(0.2))
+    out = delay_trace([rec], DelayConfig(0.2))[0]
     assert out.token_times == rec.token_times  # generation preserved
     assert out.delivery_times == pytest.approx((0.1, 0.3, 0.9), abs=1e-12)
     # Applying a second, looser cadence operates on the delivered timeline.
-    stacked = delay_trace_record(out, DelayConfig(0.5))
+    stacked = delay_trace([out], DelayConfig(0.5))[0]
     assert stacked.delivery_times == pytest.approx((0.1, 0.6, 1.1), abs=1e-12)
     assert delay_trace([rec], DelayConfig(0.2))[0] == out
 

@@ -52,12 +52,18 @@ def request_traces(draw):
     for gap in draw(st.lists(st.floats(0.0, 10.0), max_size=6)):
         t += gap
         token_times.append(t)
+    # The reader rejects what no metric can score, so delivery times stay
+    # in order and only a record with tokens may be completed.
     delivery = None
     if draw(st.booleans()):
-        delivery = tuple(g + draw(st.floats(0.0, 1.0)) for g in token_times)
+        delivery, prev = [], arrival
+        for g in token_times:
+            prev = max(prev, g + draw(st.floats(0.0, 1.0)))
+            delivery.append(prev)
+        delivery = tuple(delivery)
+    completed = bool(token_times) and draw(st.booleans())
     return RequestTrace(draw(ids), arrival, tuple(token_times),
-                        draw(st.integers(0, 10**6)), draw(st.booleans()),
-                        delivery)
+                        draw(st.integers(0, 10**6)), completed, delivery)
 
 
 def _cycle_bytes(write, read, items) -> tuple[bytes, bytes]:

@@ -187,7 +187,7 @@ def test_timeline_plot_deadlines_follow_the_scored_timeline(fixtures_dir,
     rec = records[plot.stem[len("timeline_held_rate3_"):]]
     chained = {
         timeline: [repr(rec.arrival + d)
-                   for d in deadlines_for(config.policy, tl).deadlines]
+                   for d in deadlines_for(config.policy, tl).tolist()]
         for timeline, tl in (("delivery", rec.delivery_timeline()),
                              ("generation", rec.generation_timeline()))}
     assert chained["delivery"] != chained["generation"]
@@ -305,6 +305,29 @@ def test_cli_delay_roundtrip(fixtures_dir, tmp_path, capsys):
                     "--out", str(out)]) == 0
     records = read_trace(out)
     assert all(r.delivery_times is not None for r in records)
+
+
+def test_cli_metrics_rejects_an_unscorable_trace(fixtures_dir, tmp_path,
+                                                  capsys):
+    # r3 sets the makespan to 10.0, so the trimmed window ends at 9.5: the
+    # bad records arrive after it, where no timeline check would reach them.
+    records = [
+        ("r1", 0.0, [0.3, 0.6]), ("r2", 1.0, [1.4, 2.0]),
+        ("b1", 9.5, [9.8, 9.6]), ("r3", 4.0, [4.5, 10.0]),
+        ("b2", 9.6, [9.5, 9.9]), ("b3", 9.7, []),
+    ]
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text("".join(
+        json.dumps({"request_id": rid, "arrival_s": arrival,
+                    "token_times_s": times, "prompt_len": 4,
+                    "completed": True}) + "\n"
+        for rid, arrival, times in records))
+    config_path = os.path.join(fixtures_dir, "experiment.json")
+    assert run_cli(["metrics", "--config", config_path,
+                    "--trace", str(trace)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"]["type"] == "TraceFormatError"
+    assert "line 3: b1: " in error["error"]["message"]
 
 
 def test_cli_capacity(tmp_path, capsys):

@@ -124,6 +124,26 @@ def test_overflowing_trace_number_reports_line(tmp_path, field, number):
         read_trace(p)
 
 
+@pytest.mark.parametrize("fields", [
+    '"arrival_s": 9.5, "token_times_s": [9.8, 9.6]',
+    '"arrival_s": 9.6, "token_times_s": [9.5, 9.9]',
+    '"arrival_s": 9.7, "token_times_s": []',
+    '"arrival_s": 9.5, "token_times_s": [9.8, 9.9], '
+    '"delivery_times_s": [9.95, 9.9]',
+], ids=["decreasing", "before_arrival", "complete_empty",
+        "decreasing_delivery"])
+def test_unscorable_timeline_reports_line(tmp_path, fields):
+    # No metric can score these records; each delivery time of the last one
+    # still follows its generation time.
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"request_id": "a", "arrival_s": 0.0, "token_times_s": [1.0],'
+                 ' "prompt_len": 4, "completed": true}\n'
+                 f'{{"request_id": "b", {fields}, "prompt_len": 4, '
+                 '"completed": true}\n')
+    with pytest.raises(TraceFormatError, match="line 2: b: "):
+        read_trace(p)
+
+
 def test_finite_times_whose_sum_overflows_are_read(tmp_path):
     rec = RequestTrace("a", 0.0, (1e308, 1.5e308), 4, True)
     p = tmp_path / "big.jsonl"
