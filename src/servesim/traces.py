@@ -14,15 +14,21 @@ earlier than the matching generation instant.
 
 Timestamps are serialized with Python's shortest round-trip float repr, so a
 load/save cycle is byte-stable and value-lossless at full double precision.
+The members of a decode batch share its end instant, so ``write_trace``
+formats each distinct time once per file, in a bounded map, and writes the
+bytes ``json.dumps`` would.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -153,24 +159,54 @@ class SimTrace:
         return sum(len(r.token_times) for r in self.requests)
 
 
-def _record_to_obj(rec: RequestTrace) -> dict:
-    obj = {
-        "request_id": rec.request_id,
-        "arrival_s": rec.arrival,
-        "token_times_s": list(rec.token_times),
-        "prompt_len": rec.prompt_len,
-        "completed": rec.completed,
-    }
-    if rec.delivery_times is not None:
-        obj["delivery_times_s"] = list(rec.delivery_times)
-    return obj
+# Records come in arrival order, so the batch-mates that share an instant are
+# neighbours: a map of this many texts keeps nearly every repeat.
+_MAX_TEXTS = 4096
+_FLOAT = {float}
+
+
+class _NumberTexts(dict):
+    """Each float's JSON text, made on its first miss as ``json.dumps`` does.
+
+    Only nonzero floats are kept: ``-0.0 == 0.0`` and ``1 == 1.0`` would
+    share a key but not a text.  The map is emptied when it is full.
+    """
+
+    def __missing__(self, x: float) -> str:
+        if not x:
+            return json.dumps(x)
+        text = float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+        if len(self) >= _MAX_TEXTS:
+            self.clear()
+        self[x] = text
+        return text
+
+    def join(self, values) -> str:
+        """``values`` as the items of a JSON list, ``", "``-separated."""
+        if set(map(type, values)) <= _FLOAT:
+            return ", ".join(map(self.__getitem__, values))
+        return ", ".join(map(json.dumps, values))
 
 
 def write_trace(path, records: Iterable[RequestTrace]) -> None:
+    """One JSON line per record, as ``json.dumps`` writes its object.
+
+    Each distinct time is formatted once per file, in a bounded map; the
+    bytes are those of ``json.dumps`` with its default separators.
+    """
+    texts = _NumberTexts()
+    dumps = json.dumps
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
-            f.write(json.dumps(_record_to_obj(rec)))
-            f.write("\n")
+            delivery = ""
+            if rec.delivery_times is not None:
+                delivery = (', "delivery_times_s": '
+                            f'[{texts.join(rec.delivery_times)}]')
+            f.write(f'{{"request_id": {dumps(rec.request_id)}, '
+                    f'"arrival_s": {dumps(rec.arrival)}, '
+                    f'"token_times_s": [{texts.join(rec.token_times)}], '
+                    f'"prompt_len": {dumps(rec.prompt_len)}, '
+                    f'"completed": {dumps(rec.completed)}{delivery}}}\n')
 
 
 def _reject_constant(name: str):
@@ -250,21 +286,40 @@ ITERATIONS_CSV_HEADER = [
 ]
 
 
+_TAIL = itemgetter(slice(1, None))
+
+
 def write_iterations_csv(path, iterations: Iterable[IterationRecord]) -> None:
-    """Iteration log for replay and audit of scheduler decisions."""
+    """Iteration log for replay and audit of scheduler decisions.
+
+    The rows of a decode run differ only in ``start_s``, so the text after
+    it (``duration_s`` to ``queue_depth``) is formatted once per run of equal
+    fields.  The bytes are those of one ``csv.writer`` row per record.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+
+    def tail(fields) -> str:
+        (duration, prefill_tokens, decode_seqs, prefill_ids, decode_ids,
+         queue_depth) = fields
+        writer.writerow([repr(duration), prefill_tokens, decode_seqs,
+                         "|".join(prefill_ids), "|".join(decode_ids),
+                         queue_depth])
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return text
+
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(ITERATIONS_CSV_HEADER)
-        # The records of a decode run share one decode_ids tuple: join it
-        # once per run, not once per iteration.
-        decode_ids, joined = None, ""
-        for it in iterations:
-            if it.decode_ids is not decode_ids:
-                decode_ids = it.decode_ids
-                joined = "|".join(decode_ids)
-            writer.writerow([
-                repr(it.start), repr(it.duration),
-                it.prefill_tokens, it.decode_seqs,
-                "|".join(it.prefill_ids), joined,
-                it.queue_depth,
-            ])
+        csv.writer(f).writerow(ITERATIONS_CSV_HEADER)
+        for fields, run in groupby(iterations, _TAIL):
+            duration = fields[0]
+            # Equal durations print apart when one is -0.0 and one 0.0, or
+            # an int and an integral float: only a non-integral float is
+            # shared by the whole run.
+            if type(duration) is float and not duration.is_integer():
+                shared = "," + tail(fields)
+                f.write("".join([repr(it.start) + shared for it in run]))
+            else:
+                f.write("".join([f"{it.start!r},{tail(it[1:])}"
+                                 for it in run]))

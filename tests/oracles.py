@@ -3,8 +3,14 @@
 Everything here is written as plain Python loops, deliberately sharing no
 code path with the package implementation, so the two can cross-check each
 other.  Keep it dumb.
+
+The artifact writers at the end are the reference for the package's: one
+``json.dumps`` per trace record, one ``csv.writer`` row per iteration and
+one ``json.dump(indent=2)`` per report.
 """
 
+import csv
+import json
 import math
 
 
@@ -111,3 +117,44 @@ def nearest_rank(values, q):
     if rank < 1:
         rank = 1
     return ordered[rank - 1]
+
+
+def _record_to_obj(rec):
+    obj = {
+        "request_id": rec.request_id,
+        "arrival_s": rec.arrival,
+        "token_times_s": list(rec.token_times),
+        "prompt_len": rec.prompt_len,
+        "completed": rec.completed,
+    }
+    if rec.delivery_times is not None:
+        obj["delivery_times_s"] = list(rec.delivery_times)
+    return obj
+
+
+def write_trace(path, records):
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(_record_to_obj(rec)))
+            f.write("\n")
+
+
+def write_iterations_csv(path, iterations):
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["start_s", "duration_s", "prefill_tokens",
+                         "decode_seqs", "prefill_ids", "decode_ids",
+                         "queue_depth"])
+        for it in iterations:
+            writer.writerow([
+                repr(it.start), repr(it.duration),
+                it.prefill_tokens, it.decode_seqs,
+                "|".join(it.prefill_ids), "|".join(it.decode_ids),
+                it.queue_depth,
+            ])
+
+
+def write_report_json(path, report):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(report.to_json_dict(), f, indent=2)
+        f.write("\n")

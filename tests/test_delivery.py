@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from servesim.deadlines import ReadingSpeed, TtftTbt
 from servesim.delivery import (
@@ -65,6 +67,36 @@ def test_postconditions_on_random_timelines():
                 assert rel[i] == orig[i]
 
 
+@st.composite
+def timelines(draw):
+    """Token timelines with ties, zero gaps and empty, incomplete ones."""
+    arrival = draw(st.floats(0.0, 100.0))
+    times, t = [], arrival
+    gaps = st.sampled_from([0.0, 0.05]) | st.floats(0.0, 10.0)
+    for gap in draw(st.lists(gaps, max_size=12)):
+        t += gap
+        times.append(t)
+    complete = bool(times) and draw(st.booleans())
+    return TokenTimeline("t", arrival, tuple(times), complete)
+
+
+@settings(max_examples=300, deadline=None)
+@given(timelines(), st.sampled_from([0.05, 0.2]) | st.floats(1e-3, 10.0),
+       st.booleans())
+def test_output_delay_properties(tl, hold, first_token_delayed):
+    config = DelayConfig(hold, first_token_delayed)
+    out = apply_output_delay(tl, config)
+    gen, rel = tl.token_times, out.token_times
+    assert len(rel) == len(gen)
+    # Never released before generation, and in generation order.
+    assert all(r >= t for r, t in zip(rel, gen))
+    assert all(b >= a for a, b in zip(rel, rel[1:]))
+    if gen and not first_token_delayed:
+        assert ttft(out) == ttft(tl)
+    # After one pass r_i >= r_{i-1} + hold holds, so a second changes nothing.
+    assert apply_output_delay(out, config) == out
+
+
 def test_ttft_unchanged_without_first_token_delay():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -121,7 +153,8 @@ def test_trace_record_transform_and_stacking(tmp_path):
     # Applying a second, looser cadence operates on the delivered timeline.
     stacked = delay_trace([out], DelayConfig(0.5))[0]
     assert stacked.delivery_times == pytest.approx((0.1, 0.6, 1.1), abs=1e-12)
-    assert delay_trace([rec], DelayConfig(0.2))[0] == out
+    assert out == RequestTrace("a", 0.0, (0.1, 0.12, 0.9), 10, True,
+                               (0.1, 0.1 + 0.2, 0.9))
 
 
 def test_config_validation():

@@ -1,0 +1,154 @@
+"""The artifact writers write the bytes of the reference writers in oracles.
+
+The package formats each distinct trace time once, each decode run's
+iteration-row tail once and each report row with the C encoder; these tests
+hold every byte to a plain ``json.dumps`` per record, a ``csv.writer`` row
+per iteration and ``json.dump(indent=2)`` per report.
+"""
+
+import math
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from servesim.metrics import MetricsReport, RequestMetrics, write_report_json
+from servesim.traces import (
+    _MAX_TEXTS,
+    IterationRecord,
+    RequestTrace,
+    write_iterations_csv,
+    write_trace,
+)
+
+# Numbers that compare equal but print apart (-0.0 == 0.0, 1 == 1.0 == True),
+# and the ones JSON spells out.
+SPECIAL = [0.0, -0.0, 0, 1, 1.0, -1.0, True, False, 0.5, 1e-7, 1e16,
+           math.nan, math.inf, -math.inf]
+numbers = st.sampled_from(SPECIAL) | st.floats() | st.integers(-2**70, 2**70)
+floats = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf,
+                          -math.inf]) | st.floats()
+# Characters that csv quotes, the id separator and non-ASCII text.
+ids = st.text(st.sampled_from(',"\n\r|\\ é日')
+              | st.characters(codec="utf-8"), max_size=6)
+
+
+def assert_same_bytes(write, reference, value):
+    with tempfile.TemporaryDirectory() as d:
+        got, want = os.path.join(d, "got"), os.path.join(d, "want")
+        write(got, value)
+        reference(want, value)
+        with open(got, "rb") as f, open(want, "rb") as g:
+            assert f.read() == g.read()
+
+
+@st.composite
+def traces(draw):
+    # Records draw their times from a shared pool, as batch-mates share
+    # their iterations' ends.
+    pool = draw(st.lists(numbers, min_size=1, max_size=8))
+    values = st.sampled_from(pool) | numbers
+    records = []
+    for request_id in draw(st.lists(ids, max_size=6)):
+        times = tuple(draw(st.lists(values, max_size=8)))
+        delivery = None
+        if draw(st.booleans()) and all(t == t for t in times):
+            delivery = tuple(
+                t if h is None else t + h
+                for t, h in zip(times, draw(st.lists(
+                    st.sampled_from([None, 0, 3, 2**60]),
+                    min_size=len(times), max_size=len(times)))))
+        records.append(RequestTrace(request_id, draw(numbers), times,
+                                    draw(st.integers()), draw(st.booleans()),
+                                    delivery))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+@example([RequestTrace("a", 0.0, (0.0, 0.5), 1, True),
+          RequestTrace("b", -0.0, (-0.0, 0.5, 1.0), 2, False, (0.0, 0.5, 1))])
+@example([RequestTrace("c", 1, (1.0, 2.0), 1, True),
+          RequestTrace("d", 1.0, (1, True, 2), 1, True)])
+def test_trace_bytes_match_reference(records):
+    assert_same_bytes(write_trace, oracles.write_trace, records)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(1e-6, 1e6), st.integers(1, 50), st.integers(0, 40))
+def test_trace_bytes_past_the_map_bound(step, size, overlap):
+    """More distinct times than the map holds: it is emptied and refilled."""
+    times = [i * step for i in range(1, _MAX_TEXTS + 2 * size + 100)]
+    records = [RequestTrace(f"r{k}", 0.0,
+                            tuple(times[k * size:(k + 1) * size + overlap]),
+                            1, True)
+               for k in range(len(times) // size)]
+    # Times from before the map was emptied, then a signed zero after its
+    # positive twin.
+    records.append(RequestTrace("again", 0.0, tuple(times[:size]), 1, True))
+    records.append(RequestTrace("zero", 0.0, (0.0,), 1, True))
+    records.append(RequestTrace("negzero", -0.0, (-0.0, -0.0), 1, True))
+    assert len(times) > _MAX_TEXTS
+    assert_same_bytes(write_trace, oracles.write_trace, records)
+
+
+@st.composite
+def iteration_logs(draw):
+    counts = st.integers(0, 10**6)
+    id_tuples = st.lists(ids, max_size=3).map(tuple)
+    tails = draw(st.lists(
+        st.tuples(floats | st.integers(0, 10), counts, counts, id_tuples,
+                  id_tuples, counts),
+        min_size=1, max_size=4))
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        duration, *rest = draw(st.sampled_from(tails))
+        # A neighbouring run may differ only in the sign or type of an equal
+        # duration.
+        if draw(st.booleans()):
+            duration = draw(st.sampled_from([0.0, -0.0, 0, 1.0, 1, 2.0, 2]))
+        for start in draw(st.lists(floats, min_size=1, max_size=4)):
+            records.append(IterationRecord(start, duration, *rest))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(iteration_logs())
+@example([IterationRecord(0.0, 0.0, 1, 1, (), ("a",), 0),
+          IterationRecord(0.5, 0.0, 1, 1, (), ("a",), 0),
+          IterationRecord(1.0, -0.0, 1, 1, (), ("a",), 0)])
+@example([IterationRecord(0.0, 1.0, 0, 2, ("x,y",), ('"q"', "日"), 3),
+          IterationRecord(1.0, 1, 0, 2, ("x,y",), ('"q"', "日"), 3)])
+def test_iterations_bytes_match_reference(iterations):
+    assert_same_bytes(write_iterations_csv, oracles.write_iterations_csv,
+                      iterations)
+
+
+optional = st.none() | floats
+request_rows = st.builds(RequestMetrics, ids, floats, st.integers(),
+                         st.booleans(), optional, optional, optional,
+                         optional, floats, optional, floats, st.booleans())
+percentiles = st.dictionaries(st.sampled_from(["p50", "p90", "p99"]), floats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(MetricsReport, floats, floats,
+                 st.lists(request_rows, max_size=40).map(tuple),
+                 floats, floats, floats, floats, floats, percentiles,
+                 percentiles, floats, floats))
+@example(MetricsReport(0.0, 1.0, (), 0.0, 0.0, 0.0, 0.0, 0.0, {}, {},
+                       math.nan, 0.0))
+@example(MetricsReport(
+    0.0, 100.0,
+    tuple(RequestMetrics(f"r{i},\"é\"", i * 0.5, i, i % 2 == 0,
+                         *([None] * 4 if i % 3 == 0 else [0.1 * i, -0.0,
+                                                          math.inf, 0.2]),
+                         float(i), None if i % 3 == 0 else -0.0, -1.5 * i,
+                         i % 5 == 0)
+          for i in range(500)),
+    1.0, 2.0, 3.0, -4.0, 0.5, {"p50": 0.1, "p90": 0.2, "p99": 0.3},
+    {"p50": math.nan}, 0.25, 0.125))
+def test_report_json_bytes_match_reference(report):
+    assert_same_bytes(write_report_json, oracles.write_report_json, report)
