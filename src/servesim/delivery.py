@@ -34,8 +34,9 @@ class DelayConfig:
     first_token_delayed: bool = False
 
     def __post_init__(self):
-        if self.hold_s <= 0:
-            raise ValueError("hold budget must be positive")
+        # Written so that NaN fails too: a NaN hold would pace nothing.
+        if not (0 < self.hold_s < math.inf):
+            raise ValueError("hold budget must be positive and finite")
 
 
 def apply_output_delay(timeline: TokenTimeline, config: DelayConfig,

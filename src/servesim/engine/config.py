@@ -13,6 +13,7 @@ deployment if absolute numbers matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -26,12 +27,15 @@ class EngineConfig:
     kv_capacity_tokens: int = 120_000
 
     def __post_init__(self):
-        if self.base_s <= 0:
+        # Each cost check is written so that NaN fails it too.
+        if not (0 < self.base_s < math.inf):
             # Token timestamps must be strictly increasing per request, so
             # every iteration needs a positive floor cost.
-            raise ValueError("base_s must be positive")
-        if self.prefill_per_token_s < 0 or self.decode_per_seq_s < 0:
-            raise ValueError("cost coefficients must be non-negative")
+            raise ValueError("base_s must be positive and finite")
+        if not (0 <= self.prefill_per_token_s < math.inf
+                and 0 <= self.decode_per_seq_s < math.inf):
+            raise ValueError("cost coefficients must be non-negative and "
+                             "finite")
         if min(self.max_batch_tokens, self.max_running_seqs,
                self.kv_capacity_tokens) < 1:
             raise ValueError("limits must be >= 1")

@@ -20,6 +20,15 @@ check: it advances the clock by the same sequential additions, emits each
 member's tokens with one ``list.extend`` and logs one record per iteration.
 Every other batch, and every batch of a custom callable, is a run of one
 iteration.
+
+The decode set: the loop keeps the DECODING members of ``running`` (in
+``running`` order) and publishes them with their ids on the ``QueueState``
+whenever they change.  A last token removes its request with ``list.remove``;
+a completed prefill rebuilds the set from ``running``, whose order holds even
+when a callable's prefills complete out of admission order.  Between changes
+the built-in planners return the published id tuple itself, and the plan
+check tests the members against the set of decodable ids with set
+operations, walking them one by one only to name a culprit.
 """
 
 from __future__ import annotations
@@ -73,7 +82,8 @@ def validate_workload(workload: Sequence[RequestSpec], engine: EngineConfig,
 
 
 def _validate_plan(plan: BatchPlan, state: QueueState,
-                   by_id: dict[str, RequestState]) -> None:
+                   by_id: dict[str, RequestState], decodable: set[str],
+                   prefill_tokens: int) -> None:
     eng = state.engine
     seen: set[str] = set()
     admitted = 0
@@ -98,16 +108,23 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
         if req.phase == Phase.WAITING:
             admitted += 1
             kv_needed += req.kv_reservation
-    for rid in plan.decode_ids:
-        if rid in seen:
-            raise SchedulerViolation(f"{rid}: appears twice in batch")
-        seen.add(rid)
-        req = by_id.get(rid)
-        if req is None or req.phase != Phase.DECODING:
-            raise SchedulerViolation(f"{rid}: not decodable")
-    if plan.prefill_tokens + plan.decode_seqs > eng.max_batch_tokens:
+    ids = plan.decode_ids
+    # Set operations check every member at once; only a plan that fails them
+    # walks its members, to name the first culprit.  The superset test
+    # already implies disjointness, as no prefill item passed above is
+    # decoding; the disjointness test keeps this check independent of that.
+    if not (len(set(ids)) == len(ids) and decodable.issuperset(ids)
+            and seen.isdisjoint(ids)):
+        for rid in ids:
+            if rid in seen:
+                raise SchedulerViolation(f"{rid}: appears twice in batch")
+            seen.add(rid)
+            if rid not in decodable:
+                raise SchedulerViolation(f"{rid}: not decodable")
+    batch_tokens = prefill_tokens + len(ids)
+    if batch_tokens > eng.max_batch_tokens:
         raise SchedulerViolation(
-            f"batch tokens {plan.prefill_tokens + plan.decode_seqs} exceed "
+            f"batch tokens {batch_tokens} exceed "
             f"max_batch_tokens {eng.max_batch_tokens}")
     if len(state.running) + admitted > eng.max_running_seqs:
         raise SchedulerViolation("batch exceeds max_running_seqs")
@@ -140,6 +157,9 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
 
     waiting: list[RequestState] = []
     running: list[RequestState] = []
+    # The DECODING members of running, in running order, and their ids.
+    decoding: list[RequestState] = []
+    decodable: set[str] = set()
     iterations: list[IterationRecord] = []
     clock = 0.0
     kv_reserved = 0
@@ -166,15 +186,16 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
         if plan.is_empty:
             raise SchedulerViolation(
                 f"scheduler idle at t={clock} with work pending")
-        _validate_plan(plan, qstate, by_id)
+        prefill_tokens = plan.prefill_tokens
+        _validate_plan(plan, qstate, by_id, decodable, prefill_tokens)
 
-        prefill_tokens, decode_seqs = plan.prefill_tokens, plan.decode_seqs
+        decode_seqs = len(plan.decode_ids)
         duration = iteration_time(prefill_tokens, decode_seqs, engine)
         queue_depth = len(waiting)
         # A built-in policy's plain decode batch depends only on the queue,
         # which stays the same until a member runs out of output or the next
         # arrival is admitted, so it runs for up to m iterations at once.
-        members = [by_id[rid] for rid in plan.decode_ids]
+        members = list(map(by_id.__getitem__, plan.decode_ids))
         release = plan.release_s
         m = 1
         if builtin and not plan.prefill_items and release is None:
@@ -194,6 +215,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             ends.append(end)
         m = len(ends)
 
+        grew = shrank = False
         for item in plan.prefill_items:
             req = by_id[item.request_id]
             if req.phase == Phase.WAITING:
@@ -213,6 +235,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                     finished += 1
                 else:
                     req.phase = Phase.DECODING
+                    grew = True
 
         for rid, req in zip(plan.decode_ids, members):
             gen[rid].extend(ends)
@@ -221,7 +244,16 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 req.phase = Phase.FINISHED
                 kv_reserved -= req.kv_reservation
                 running.remove(req)
+                decoding.remove(req)
                 finished += 1
+                shrank = True
+        if grew:
+            # Rebuilt from running, whose order holds even when a callable's
+            # prefills complete out of admission order.
+            decoding = [r for r in running if r.phase == Phase.DECODING]
+        if grew or shrank:
+            qstate.set_decoding(decoding)
+            decodable = set(qstate.decode_ids)
 
         # One record per iteration, all sharing the plan's decode_ids tuple;
         # tuple.__new__ skips the named tuple's Python-level __new__.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -285,8 +286,8 @@ def capacity_search(config: ExperimentConfig, attainment_threshold: float,
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ConfigError("need 0 < bracket_lo < bracket_hi")
-    if resolution <= 0:
-        raise ConfigError("resolution must be positive")
+    if not (0 < resolution < math.inf):  # NaN fails too
+        raise ConfigError("resolution must be positive and finite")
     chosen = variant or config.variants[0]
     probes: list[tuple[float, float]] = []
 

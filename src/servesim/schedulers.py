@@ -24,8 +24,10 @@ released, so the engine needs no knowledge of any policy.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
+import math
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Iterable, Union
 
 from .engine.config import EngineConfig, iteration_time
 from .workload import RequestSpec
@@ -67,8 +69,8 @@ class DecodePrepone:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("prepone n must be >= 1")
-        if self.t_delay is not None and self.t_delay < 0:
-            raise ValueError("t_delay must be non-negative")
+        if self.t_delay is not None and not (0 <= self.t_delay < math.inf):
+            raise ValueError("t_delay must be non-negative and finite")
 
 
 SchedulerPolicy = Union[VllmLike, ChunkedPrefill, DecodePrepone]
@@ -119,9 +121,19 @@ class PreponeState:
     t_delay: float
 
 
+_request_id = attrgetter("spec.request_id")
+
+
 @dataclass
 class QueueState:
-    """Scheduler-visible snapshot of the engine at an iteration boundary."""
+    """Scheduler-visible snapshot of the engine at an iteration boundary.
+
+    ``decoding`` holds the DECODING members of ``running``, in ``running``
+    order, and ``decode_ids`` their ids.  Both are derived here, so a
+    hand-built state is consistent.  The engine republishes them with
+    ``set_decoding`` only when the members change, so plans that decode the
+    same members share one ``decode_ids`` tuple.  Planners only read them.
+    """
 
     clock: float
     waiting: list[RequestState]
@@ -129,9 +141,16 @@ class QueueState:
     kv_reserved: int
     engine: EngineConfig
     prepone: PreponeState | None = None
+    decoding: tuple[RequestState, ...] = field(init=False)
+    decode_ids: tuple[str, ...] = field(init=False)
 
-    def decoding(self) -> list[RequestState]:
-        return [r for r in self.running if r.phase == Phase.DECODING]
+    def __post_init__(self):
+        self.set_decoding(
+            [r for r in self.running if r.phase == Phase.DECODING])
+
+    def set_decoding(self, decoding: Iterable[RequestState]) -> None:
+        self.decoding = tuple(decoding)
+        self.decode_ids = tuple(map(_request_id, self.decoding))
 
     def prefilling(self) -> RequestState | None:
         for r in self.running:
@@ -208,9 +227,8 @@ def _admissible_prefix(state: QueueState, full_prompt_in_batch: bool,
 
 def next_batch_chunked(state: QueueState, chunk_tokens: int) -> BatchPlan:
     """Hybrid batching: all decodes plus one prompt chunk from the head."""
-    decoding = state.decoding()
-    decode_ids = tuple(r.spec.request_id for r in decoding)
-    token_budget = state.engine.max_batch_tokens - len(decoding)
+    decode_ids = state.decode_ids
+    token_budget = state.engine.max_batch_tokens - len(decode_ids)
 
     head = state.prefilling()
     if head is None:
@@ -235,7 +253,7 @@ def _prepone_projection(state: QueueState, n: int, planned: list[RequestState],
     the true completion time of the planned prefill.
     """
     eng = state.engine
-    remaining = [r.remaining_output for r in state.decoding()]
+    remaining = [r.remaining_output for r in state.decoding]
     t = state.clock
     iters = 0
     for j in range(1, n + 1):
@@ -255,13 +273,13 @@ def _prefill(requests: list[RequestState]) -> BatchPlan:
         for r in requests))
 
 
-def _held_decode(state: QueueState, decoding: list[RequestState],
-                 k: int) -> BatchPlan:
+def _held_decode(state: QueueState, k: int) -> BatchPlan:
     """The phase's k-th decode batch, released ``k`` delays after its end but
     no later than the planned prefill's end (and never before its own)."""
     ps = state.prepone
-    end = state.clock + iteration_time(0, len(decoding), state.engine)
-    return BatchPlan(decode_ids=tuple(r.spec.request_id for r in decoding),
+    decode_ids = state.decode_ids
+    end = state.clock + iteration_time(0, len(decode_ids), state.engine)
+    return BatchPlan(decode_ids=decode_ids,
                      release_s=max(end, min(end + k * ps.t_delay,
                                             ps.release_cap)))
 
@@ -274,13 +292,13 @@ def next_batch_prepone(state: QueueState, n: int,
     ``VllmLike``.  Updates ``state.prepone`` as a phase runs.
     """
     ps = state.prepone
-    decoding = state.decoding()
+    decoding = state.decoding
     if ps is not None:
         if ps.remaining > 0 and decoding:
             k = ps.k_next
             ps.remaining -= 1
             ps.k_next += 1
-            return _held_decode(state, decoding, k)
+            return _held_decode(state, k)
         # Phase exhausted (or every decoder finished early): run the prefill
         # that the phase was bridging.  Nothing admits a request while a
         # phase runs, so the planned requests are still waiting.
@@ -294,10 +312,10 @@ def next_batch_prepone(state: QueueState, n: int,
             remaining=iters - 1, k_next=2, planned=admissible,
             release_cap=cap,
             t_delay=prefill_dur / (n + 1) if t_delay is None else t_delay)
-        return _held_decode(state, decoding, 1)
+        return _held_decode(state, 1)
     if admissible:
         return _prefill(admissible)
-    return BatchPlan(decode_ids=tuple(r.spec.request_id for r in decoding))
+    return BatchPlan(decode_ids=state.decode_ids)
 
 
 def next_batch(policy: SchedulerPolicy, state: QueueState) -> BatchPlan:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +160,8 @@ def test_trace_record_transform_and_stacking(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DelayConfig(0.0)
-    with pytest.raises(ValueError):
-        DelayConfig(-0.1, True)
+    # NaN must fail too: max(t, prev + nan) is t, so it would pace nothing.
+    for hold in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="hold budget must be positive "
+                                             "and finite"):
+            DelayConfig(hold, True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ def _prefill_a_and_b(state):
 
 
 def _release_before_the_batch_end(state):
-    if not state.decoding():
+    if not state.decoding:
         return next_batch(VllmLike(), state)
     # a and b are prefilled together by 0.13 and decode at 0.05 a batch; a
     # release 0.01 s early would deliver tokens before they exist.
@@ -182,9 +184,25 @@ def _release_before_the_batch_end(state):
 
 
 def _reprefill_once_decoding(state):
-    if not state.decoding():
+    if not state.decoding:
         return next_batch(VllmLike(), state)
     return BatchPlan(prefill_items=(PrefillItem("a", 0, 60),))
+
+
+def _decode_a_past_its_last_token(state):
+    # a decodes alone until its last token, then once more beside b, so the
+    # engine's decodable set has just dropped a and still holds b.
+    if "a" in state.decode_ids:
+        return BatchPlan(decode_ids=("a",))
+    if "b" in state.decode_ids:
+        return BatchPlan(decode_ids=("b", "a"))
+    return next_batch(VllmLike(), state)
+
+
+def _decode_a_twice(state):
+    if not state.decoding:
+        return next_batch(VllmLike(), state)
+    return BatchPlan(decode_ids=("a", "b", "a"))
 
 
 @pytest.mark.parametrize("engine, rogue, message", [
@@ -202,14 +220,35 @@ def _reprefill_once_decoding(state):
      "exceeds kv_capacity_tokens"),
     (ENG, _release_before_the_batch_end,
      "release at 0.17 precedes batch end 0.18"),
+    (ENG, _decode_a_past_its_last_token, "a: not decodable"),
+    (ENG, _decode_a_twice, "a: appears twice in batch"),
+    (ENG, lambda s: BatchPlan(prefill_items=(PrefillItem("a", 0, 60),),
+                              decode_ids=("a",)),
+     "a: appears twice in batch"),
 ], ids=["before_arrival", "not_prefillable", "prefill_span", "not_decodable",
-        "batch_tokens", "running_seqs", "kv_capacity", "early_release"])
+        "batch_tokens", "running_seqs", "kv_capacity", "early_release",
+        "finished_decode", "duplicate_decode", "prefill_and_decode"])
 def test_rogue_plan_diagnostics(engine, rogue, message):
     # Each request alone fits every engine above; only the plan breaks a rule.
     workload = [RequestSpec("a", 0.0, 60, 50), RequestSpec("b", 0.0, 60, 50),
                 RequestSpec("c", 5.0, 60, 50)]
     with pytest.raises(SchedulerViolation, match=message):
         run(workload, engine, rogue)
+
+
+@pytest.mark.parametrize("costs, message", [
+    ({"base_s": 0.0}, "base_s must be positive and finite"),
+    ({"base_s": math.nan}, "base_s must be positive and finite"),
+    ({"base_s": math.inf}, "base_s must be positive and finite"),
+    ({"prefill_per_token_s": -1e-3}, "cost coefficients must be"),
+    ({"prefill_per_token_s": math.nan}, "cost coefficients must be"),
+    ({"decode_per_seq_s": math.nan}, "cost coefficients must be"),
+    ({"decode_per_seq_s": math.inf}, "cost coefficients must be"),
+])
+def test_engine_config_rejects_non_finite_costs(costs, message):
+    # NaN fails every check written `not (lo < x < inf)`; `x <= 0` let it in.
+    with pytest.raises(ValueError, match=message):
+        EngineConfig(**costs)
 
 
 def test_workload_validation_errors():

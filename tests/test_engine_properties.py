@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from servesim.engine import EngineConfig, run
 from servesim.schedulers import (
+    BatchPlan,
     ChunkedPrefill,
     DecodePrepone,
+    Phase,
+    PrefillItem,
     VllmLike,
     next_batch,
 )
@@ -125,3 +128,46 @@ def test_decode_runs_match_the_per_iteration_loop(case):
     workload, engine, policy = case
     assert run(workload, engine, policy) == \
         run(workload, engine, lambda qs: next_batch(policy, qs))
+
+
+def checking_decode_set(schedule):
+    """``schedule``, asserting at every call that the decode set the engine
+    keeps is the DECODING filter of ``running``, in order."""
+    def wrapped(state):
+        decoding = [r for r in state.running if r.phase == Phase.DECODING]
+        assert list(state.decoding) == decoding
+        assert state.decode_ids == tuple(r.spec.request_id for r in decoding)
+        return schedule(state)
+    return wrapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_the_engine_keeps_the_decode_set(case):
+    workload, engine, policy = case
+    run(workload, engine,
+        checking_decode_set(lambda qs: next_batch(policy, qs)))
+
+
+def _chunk_every_prompt(state):
+    # Every admitted or waiting prompt gets a chunk of up to 20 tokens in the
+    # same batch, so a short prompt admitted second completes first.
+    items = tuple(
+        PrefillItem(r.spec.request_id, r.prefill_done,
+                    r.prefill_done + min(20, r.remaining_prompt))
+        for r in [*state.running, *state.waiting]
+        if r.phase in (Phase.WAITING, Phase.PREFILLING))
+    return BatchPlan(prefill_items=items, decode_ids=state.decode_ids)
+
+
+def test_decode_set_keeps_running_order_when_prefills_complete_out_of_order():
+    engine = EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
+                          decode_per_seq_s=0.02)
+    workload = [RequestSpec("a", 0.0, 100, 10), RequestSpec("b", 0.0, 20, 10)]
+    trace = run(workload, engine, checking_decode_set(_chunk_every_prompt))
+    # b's prompt is done after one chunk and a's after five; from then on
+    # both decode, a first as it was admitted first.
+    assert [it.decode_ids for it in trace.iterations[:6]] == [
+        (), ("b",), ("b",), ("b",), ("b",), ("a", "b")]
+    assert [it.prefill_ids for it in trace.iterations[:5]] == [
+        ("a", "b"), ("a",), ("a",), ("a",), ("a",)]

@@ -1,6 +1,9 @@
-"""Every JSON-lines reader fails closed: arbitrary JSON lines either load or
-raise TraceFormatError naming the line, never a bare Python error."""
+"""Every reader fails closed: arbitrary JSON lines either load or raise
+TraceFormatError naming the line, and an experiment config with any one field
+replaced either loads or raises ConfigError naming its path; never a bare
+Python error."""
 
+import copy
 import json
 import os
 import tempfile
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from servesim.config import ConfigError, load_experiment
 from servesim.traces import TraceFormatError, read_trace
 from servesim.workload import load_dataset_lengths, load_workload
 
@@ -59,3 +63,54 @@ def test_readers_load_or_name_the_line(reader, values):
             assert ": line " in str(exc)
         else:
             assert len(loaded) == len(values)
+
+
+SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                     "default_sweep.json")
+with open(SWEEP, encoding="utf-8") as _f:
+    SWEEP_CONFIG = json.load(_f)
+
+
+def _fields(value, path=()):
+    """The key path of every value below ``value``, in document order."""
+    keys = (range(len(value)) if type(value) is list
+            else value if type(value) is dict else ())
+    for key in keys:
+        yield (*path, key)
+        yield from _fields(value[key], (*path, key))
+
+
+def _path_text(where):
+    """``where`` as ConfigError names it, e.g. ``variants[3].delivery``."""
+    text = ""
+    for key in where:
+        text += f"[{key}]" if type(key) is int else (
+            f".{key}" if text else key)
+    return text
+
+
+def _related(a, b):
+    """Whether path ``a`` is ``b``, inside it or one of its sections."""
+    return a == b or any(a.startswith(b + sep) or b.startswith(a + sep)
+                         for sep in ".[")
+
+
+@settings(max_examples=300, deadline=None)
+@given(where=st.sampled_from(list(_fields(SWEEP_CONFIG))), value=json_values)
+def test_load_experiment_loads_or_names_the_path(where, value):
+    obj = copy.deepcopy(SWEEP_CONFIG)
+    target = obj
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(obj, f)
+        try:
+            load_experiment(path)
+        except ConfigError as exc:
+            # The error names the replaced field, a field inside it, or a
+            # section holding it (a cross-field rule such as unique names).
+            named = str(exc).split(": ", 1)[0]
+            assert _related(named, _path_text(where)), str(exc)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import typing
 
@@ -270,6 +271,12 @@ def test_capacity_threshold_validation():
         capacity_search(config, 0.0, (1.0, 2.0))
     with pytest.raises(ConfigError):
         capacity_search(config, 0.9, (2.0, 1.0))
+    # A NaN resolution ends bisection at once (hi - lo > nan is False), and
+    # would report the bracket minimum after its two endpoint probes.
+    for resolution in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="resolution must be positive "
+                                              "and finite"):
+            capacity_search(config, 0.9, (1.0, 2.0), resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,19 @@ def test_cli_delay_roundtrip(fixtures_dir, tmp_path, capsys):
                     "--out", str(out)]) == 0
     records = read_trace(out)
     assert all(r.delivery_times is not None for r in records)
+
+
+@pytest.mark.parametrize("hold", ["nan", "inf", "0"])
+def test_cli_delay_rejects_a_hold_that_paces_nothing(fixtures_dir, tmp_path,
+                                                      capsys, hold):
+    src = os.path.join(fixtures_dir, "three_req.jsonl")
+    out = tmp_path / "delayed.jsonl"
+    assert run_cli(["delay", "--trace", src, "--hold", hold,
+                    "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == {"type": "ValueError", "message":
+                              "hold budget must be positive and finite"}
+    assert not out.exists()
 
 
 def test_cli_metrics_rejects_an_unscorable_trace(fixtures_dir, tmp_path,
@@ -353,6 +373,12 @@ def test_cli_capacity(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["capacity_req_per_s"] == 4.0
     assert (tmp_path / "cap" / "capacity.json").exists()
+    assert run_cli(["capacity", "--config", str(path), "--threshold", "1.0",
+                    "--bracket-lo", "1.0", "--bracket-hi", "4.0",
+                    "--resolution", "nan"]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == {"type": "ConfigError", "message":
+                              "resolution must be positive and finite"}
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):

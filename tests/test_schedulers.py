@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from servesim.engine import EngineConfig, iteration_time
@@ -200,8 +202,10 @@ def test_policy_validation():
         ChunkedPrefill(0)
     with pytest.raises(ValueError):
         DecodePrepone(0)
-    with pytest.raises(ValueError):
-        DecodePrepone(1, -0.5)
+    for t_delay in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_delay must be non-negative "
+                                             "and finite"):
+            DecodePrepone(1, t_delay)
 
 
 def test_batch_plan_accounting():
