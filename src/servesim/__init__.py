@@ -32,19 +32,9 @@ from .metrics import (
     LinearSeconds,
     MetricsReport,
     TokensEquivalent,
-    benefit,
     build_report,
-    e2e_latency,
-    goodput,
-    meets_slo,
-    peak_lateness,
     percentile,
-    slo_attainment,
-    smooth_goodput,
-    tbt_series,
-    tpot,
-    ttft,
-    user_idle_latency,
+    score,
     window_from_traces,
 )
 from .runner import capacity_search, run_experiment

@@ -16,6 +16,7 @@ first_token_delayed: expected bool, got 'false'``.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -77,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError("variants: names must be unique")
         if not self.rates:
             raise ConfigError("rates: at least one is required")
-        if any(r <= 0 for r in self.rates):
-            raise ConfigError("rates: must be positive")
+        if not all(0 < r < math.inf for r in self.rates):  # NaN fails too
+            raise ConfigError("rates: must be positive and finite")
         if list(self.rates) != sorted(self.rates):
             raise ConfigError("rates: must be sorted ascending")
         if not (0 <= self.trim_start_frac < 1 and 0 <= self.trim_end_frac < 1

@@ -21,6 +21,7 @@ against the first token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,8 +36,11 @@ class TtftTbt:
     tbt_budget: float
 
     def __post_init__(self):
-        if self.ttft_budget <= 0 or self.tbt_budget <= 0:
-            raise ValueError("TTFT and TBT budgets must be positive")
+        # Each bound check here is written so that NaN fails it too.
+        if not (0 < self.ttft_budget < math.inf
+                and 0 < self.tbt_budget < math.inf):
+            raise ValueError("TTFT and TBT budgets must be positive and "
+                             "finite")
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,8 @@ class EndToEnd:
     e2e_budget: float
 
     def __post_init__(self):
-        if self.e2e_budget <= 0:
-            raise ValueError("end-to-end budget must be positive")
+        if not (0 < self.e2e_budget < math.inf):
+            raise ValueError("end-to-end budget must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,15 @@ class ReadingSpeed:
     def __post_init__(self):
         if self.first_token_allowance is None:
             object.__setattr__(self, "first_token_allowance", self.per_token_budget)
-        if self.per_token_budget <= 0 or self.first_token_allowance <= 0:
-            raise ValueError("deadline budgets must be positive")
+        if not (0 < self.per_token_budget < math.inf
+                and 0 < self.first_token_allowance < math.inf):
+            raise ValueError("deadline budgets must be positive and finite")
 
     @classmethod
     def from_tokens_per_second(cls, tokens_per_second: float,
                                first_token_allowance: float | None = None) -> "ReadingSpeed":
-        if tokens_per_second <= 0:
-            raise ValueError("tokens_per_second must be positive")
+        if not (0 < tokens_per_second < math.inf):
+            raise ValueError("tokens_per_second must be positive and finite")
         return cls(1.0 / tokens_per_second, first_token_allowance)
 
 

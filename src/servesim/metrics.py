@@ -1,23 +1,26 @@
 """Request-level and system-level serving metrics.
 
-Per-request metrics are computed from a :class:`~servesim.traces.TokenTimeline`:
-TTFT, the TBT series, TPOT, end-to-end latency, and the user idle latency,
-which is the largest lateness of any token against its deadline series (how
-long the user sat with nothing left to read).  On top of idle latency sits the
-benefit of a request,
+Two entry points: :func:`score` scores one request's
+:class:`~servesim.traces.TokenTimeline`, and :func:`build_report` scores every
+request of an evaluation window with it and aggregates the records.
+
+A request's record holds TTFT, TPOT, end-to-end latency, the largest TBT gap
+and the peak lateness: the most any token ran past its deadline (negative
+when every token had slack).  Clamped at zero it is the user idle latency,
+how long the user sat with nothing left to read.  On it rests the benefit,
 
     benefit = tokens_generated - alpha * penalty(idle_latency)
 
-and the system-level smooth goodput, the total benefit of every request in an
-evaluation window divided by the window length.  Classic goodput (SLO-meeting
-token output per second) and SLO attainment are provided alongside for
-comparison.
+Smooth goodput is the total benefit of a window's requests divided by the
+window length.  Throughput, classic goodput (SLO-meeting output per second)
+and SLO attainment are aggregated from the same records.
 
 Window semantics: a window selects requests by arrival in [start, end) and
-clips their timelines at ``end``.  A clipped or empty timeline is marked
-incomplete; incomplete requests never count toward goodput or attainment but
-still contribute their generated-so-far tokens (and the idle latency of those
-tokens) to smooth goodput, so abandoning a request is never rewarded.
+clips their timelines at ``end``; a clipped timeline is incomplete.  An
+incomplete request never counts toward goodput or attainment, and it is
+scored on the tokens it received only; with none, its idle latency and
+benefit are 0.  Tokens never delivered are not charged, so cutting a late
+request short can raise its benefit and smooth goodput (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -35,38 +38,6 @@ from .traces import RequestTrace, TokenTimeline
 
 
 # ---------------------------------------------------------------------------
-# Per-timeline metrics.
-
-
-def ttft(timeline: TokenTimeline) -> float:
-    """Time from arrival to the first output token, queueing included."""
-    if timeline.num_tokens == 0:
-        raise ValueError(f"{timeline.request_id}: no output tokens")
-    return timeline.token_times[0] - timeline.arrival
-
-
-def tbt_series(timeline: TokenTimeline) -> list[float]:
-    """Intervals between adjacent tokens; empty for single-token requests."""
-    if timeline.num_tokens == 0:
-        raise ValueError(f"{timeline.request_id}: no output tokens")
-    return [float(d) for d in np.diff(timeline.token_times)]
-
-
-def tpot(timeline: TokenTimeline) -> float:
-    """Mean per-token time excluding the first token: (t_n - t_1)/(n - 1)."""
-    n = timeline.num_tokens
-    if n < 2:
-        raise ValueError(f"{timeline.request_id}: tpot undefined for <2 tokens")
-    return (timeline.token_times[-1] - timeline.token_times[0]) / (n - 1)
-
-
-def e2e_latency(timeline: TokenTimeline) -> float:
-    if timeline.num_tokens == 0:
-        raise ValueError(f"{timeline.request_id}: no output tokens")
-    return timeline.token_times[-1] - timeline.arrival
-
-
-# ---------------------------------------------------------------------------
 # Benefit and per-request scoring.
 
 
@@ -77,8 +48,9 @@ class LinearSeconds:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale must be non-negative")
+        # Each bound check here is written so that NaN fails it too.
+        if not (0 <= self.scale < math.inf):
+            raise ValueError("scale must be non-negative and finite")
 
     def __call__(self, idle: float) -> float:
         return self.scale * max(0.0, idle)
@@ -95,8 +67,8 @@ class TokensEquivalent:
     per_token_budget: float
 
     def __post_init__(self):
-        if self.per_token_budget <= 0:
-            raise ValueError("per_token_budget must be positive")
+        if not (0 < self.per_token_budget < math.inf):
+            raise ValueError("per_token_budget must be positive and finite")
 
     def __call__(self, idle: float) -> float:
         return max(0.0, idle) / self.per_token_budget
@@ -110,8 +82,10 @@ class IndicatorPenalty:
     penalty_value: float = 1.0
 
     def __post_init__(self):
-        if self.threshold < 0 or self.penalty_value < 0:
-            raise ValueError("threshold and penalty_value must be non-negative")
+        if not (0 <= self.threshold < math.inf
+                and 0 <= self.penalty_value < math.inf):
+            raise ValueError("threshold and penalty_value must be "
+                             "non-negative and finite")
 
     def __call__(self, idle: float) -> float:
         return self.penalty_value if idle > self.threshold else 0.0
@@ -126,8 +100,8 @@ class BenefitParams:
     penalty: PenaltyFn = field(default_factory=lambda: LinearSeconds(1.0))
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not (0 <= self.alpha < math.inf):
+            raise ValueError("alpha must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -148,25 +122,31 @@ class RequestMetrics:
     met_slo: bool = False
 
 
-_UNWEIGHTED = BenefitParams()
+def score(timeline: TokenTimeline, policy: DeadlinePolicy,
+          params: BenefitParams = BenefitParams()) -> RequestMetrics:
+    """One request's record, as :func:`build_report` lists it.
+
+    A non-empty timeline gets one deadline series.  ``lateness <= 0`` is
+    exactly "every token at or before its deadline" for finite doubles;
+    only a fully delivered request attains its SLO.
+    """
+    return _score(timeline, policy, params)[0]
 
 
 def _score(timeline: TokenTimeline, policy: DeadlinePolicy,
-           params: BenefitParams = _UNWEIGHTED,
-           ) -> tuple[RequestMetrics, np.ndarray]:
-    """One request's record and token gaps, from one deadline series.
-
-    Every deadline metric goes through here; an empty timeline raises.
-    ``lateness <= 0`` is exactly "every token at or before its deadline"
-    for finite doubles; only a fully delivered request attains its SLO.
-    """
+           params: BenefitParams) -> tuple[RequestMetrics, np.ndarray]:
+    """The record and the token gaps, which build_report pools, from one
+    conversion of the token times."""
     n = timeline.num_tokens
+    if not n:
+        return RequestMetrics(timeline.request_id, timeline.arrival, 0,
+                              timeline.complete), np.empty(0)
     times = timeline.token_times
     array = np.asarray(times)
+    gaps = np.diff(array)
     lateness = float(np.max(array - timeline.arrival
                             - deadlines_for(policy, timeline)))
     idle = max(0.0, lateness)
-    gaps = np.diff(array)
     return RequestMetrics(
         timeline.request_id, timeline.arrival, n, timeline.complete,
         ttft=times[0] - timeline.arrival,
@@ -177,35 +157,6 @@ def _score(timeline: TokenTimeline, policy: DeadlinePolicy,
         peak_lateness=lateness,
         benefit=n - params.alpha * params.penalty(idle),
         met_slo=timeline.complete and lateness <= 0.0), gaps
-
-
-def meets_slo(timeline: TokenTimeline, policy: DeadlinePolicy) -> bool:
-    """True iff the timeline is complete and every token met its deadline,
-    the rule goodput and attainment count by."""
-    return _score(timeline, policy)[0].met_slo
-
-
-def peak_lateness(timeline: TokenTimeline, policy: DeadlinePolicy) -> float:
-    """Signed worst lateness: max over tokens of (relative time - deadline).
-
-    Negative values mean every token beat its deadline with that much slack.
-    """
-    return _score(timeline, policy)[0].peak_lateness
-
-
-def user_idle_latency(timeline: TokenTimeline, policy: DeadlinePolicy) -> float:
-    """Worst lateness clamped below at zero.
-
-    Zero exactly when the request meets the SLO; a user who always had tokens
-    in hand never waited, no matter how much slack there was.
-    """
-    return _score(timeline, policy)[0].idle_latency
-
-
-def benefit(timeline: TokenTimeline, policy: DeadlinePolicy,
-            params: BenefitParams) -> float:
-    """tokens - alpha * penalty(idle latency).  May be negative; no floor."""
-    return _score(timeline, policy, params)[0].benefit
 
 
 # ---------------------------------------------------------------------------
@@ -247,40 +198,6 @@ def window_from_traces(records: Sequence[RequestTrace], start: float, end: float
         tl = rec.delivery_timeline() if use_delivery else rec.generation_timeline()
         picked.append(tl.clipped(end))
     return EvalWindow(start, end, tuple(picked))
-
-
-def goodput(window: EvalWindow, policy: DeadlinePolicy,
-            per_request: bool = False) -> float:
-    """SLO-meeting completed output per second over the window.
-
-    Token-denominated by default; ``per_request=True`` counts SLO-meeting
-    requests per second instead.
-    """
-    if not window.requests:
-        return 0.0
-    report = build_report(window, policy, _UNWEIGHTED)
-    return (report.goodput_requests_per_s if per_request
-            else report.goodput_tokens_per_s)
-
-
-def throughput(window: EvalWindow) -> float:
-    """Tokens generated in the window per second, SLOs ignored."""
-    return sum(tl.num_tokens for tl in window.requests) / window.length
-
-
-def smooth_goodput(window: EvalWindow, policy: DeadlinePolicy,
-                   params: BenefitParams) -> float:
-    """Total benefit over all requests (SLO violators included) per second."""
-    if not window.requests:
-        return 0.0
-    return build_report(window, policy, params).smooth_goodput_per_s
-
-
-def slo_attainment(window: EvalWindow, policy: DeadlinePolicy) -> float:
-    """Fraction of window requests whose every token met its deadline."""
-    if not window.requests:
-        raise ValueError("attainment undefined for an empty window")
-    return build_report(window, policy, _UNWEIGHTED).slo_attainment
 
 
 def _nearest_rank(ordered, q: float):
@@ -357,38 +274,33 @@ def build_report(window: EvalWindow, policy: DeadlinePolicy,
                  params: BenefitParams) -> MetricsReport:
     """Score every request once, in window order, then aggregate the records.
 
-    Each non-empty request gets one deadline series.  Throughput, both
-    goodputs, smooth goodput and attainment are read off the records, and
-    the public aggregate functions read them off this report.  Each
-    percentile pool is sorted once, the TBT pool as one float array.
+    Throughput, both goodputs, smooth goodput and attainment are read off
+    the records.  Each percentile pool is sorted once, the TBT pool as one
+    float array.
     """
     if not window.requests:
         raise ValueError("cannot report on an empty window")
-    records, gaps = [], []
+    records, gaps = zip(*[_score(tl, policy, params)
+                          for tl in window.requests])
+    # Left to right, as a plain loop: sum() compensates float rounding from
+    # Python 3.12 on.  A no-token record adds an exact 0.0.
     total_benefit = 0.0
-    for tl in window.requests:
-        if not tl.num_tokens:
-            records.append(RequestMetrics(tl.request_id, tl.arrival, 0,
-                                          tl.complete))
-            continue
-        record, request_gaps = _score(tl, policy, params)
-        records.append(record)
-        gaps.append(request_gaps)
-        total_benefit += record.benefit
+    for r in records:
+        total_benefit += r.benefit
     met = [r.n_tokens for r in records if r.met_slo]
     ttfts = [r.ttft for r in records if r.ttft is not None]
     length = window.length
     return MetricsReport(
         window_start=window.start,
         window_end=window.end,
-        per_request=tuple(records),
+        per_request=records,
         throughput_tokens_per_s=sum(r.n_tokens for r in records) / length,
         goodput_tokens_per_s=sum(met) / length,
         goodput_requests_per_s=len(met) / length,
         smooth_goodput_per_s=total_benefit / length,
         slo_attainment=len(met) / len(records),
         ttft_percentiles=_percentiles(ttfts),
-        tbt_percentiles=_percentiles(np.concatenate(gaps) if gaps else []),
+        tbt_percentiles=_percentiles(np.concatenate(gaps)),
         mean_ttft=float(np.mean(ttfts)) if ttfts else float("nan"),
         mean_idle_latency=float(np.mean([r.idle_latency for r in records])),
     )

@@ -284,8 +284,9 @@ def capacity_search(config: ExperimentConfig, attainment_threshold: float,
     if not 0 < attainment_threshold <= 1:
         raise ConfigError("attainment threshold must lie in (0, 1]")
     lo, hi = bracket
-    if not (0 < lo < hi):
-        raise ConfigError("need 0 < bracket_lo < bracket_hi")
+    if not (0 < lo < hi < math.inf):  # NaN fails too
+        raise ConfigError(f"bracket ({lo:g}, {hi:g}): need 0 < bracket_lo "
+                          f"< bracket_hi < inf")
     if not (0 < resolution < math.inf):  # NaN fails too
         raise ConfigError("resolution must be positive and finite")
     chosen = variant or config.variants[0]

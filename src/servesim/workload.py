@@ -48,6 +48,10 @@ class RequestSpec:
 class Constant:
     value: int
 
+    def __post_init__(self):
+        if not self.value >= 1:  # NaN fails too
+            raise ValueError("need value >= 1")
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value, dtype=np.int64)
 
@@ -75,8 +79,10 @@ class LogNormalInt:
     sigma: float = 0.5
 
     def __post_init__(self):
-        if self.mean_tokens < 1 or self.sigma <= 0:
-            raise ValueError("need mean_tokens >= 1 and sigma > 0")
+        # Written so that NaN fails too.
+        if not (1 <= self.mean_tokens < math.inf
+                and 0 < self.sigma < math.inf):
+            raise ValueError("need finite mean_tokens >= 1 and sigma > 0")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         mu = np.log(self.mean_tokens) - 0.5 * self.sigma ** 2
@@ -118,8 +124,8 @@ class WorkloadConfig:
     length_source: LengthSource
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (0 < self.rate < math.inf):  # NaN fails too
+            raise ValueError("rate must be positive and finite")
         if self.count < 1:
             raise ValueError("count must be >= 1")
 

@@ -15,21 +15,13 @@ from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt
 from servesim.delivery import DelayConfig, apply_output_delay
 from servesim.engine import EngineConfig, iteration_time, run
 from servesim.metrics import (
+    PERCENTILE_LABELS,
     BenefitParams,
     EvalWindow,
     TokensEquivalent,
-    benefit,
-    e2e_latency,
-    goodput,
-    meets_slo,
+    build_report,
     percentile,
-    slo_attainment,
-    smooth_goodput,
-    tbt_series,
-    throughput,
-    tpot,
-    ttft,
-    user_idle_latency,
+    score,
 )
 from servesim.runner import (
     ExperimentConfig,
@@ -87,22 +79,19 @@ def test_criterion_1_metric_oracle_equivalence():
 
     for tl in timelines:
         times = list(tl.token_times)
-        assert close(ttft(tl), oracles.ttft(tl.arrival, times))
-        assert close(e2e_latency(tl), oracles.e2e(tl.arrival, times))
-        got_tbt = tbt_series(tl)
-        want_tbt = oracles.tbt(times)
-        assert len(got_tbt) == len(want_tbt)
-        assert all(close(a, b) for a, b in zip(got_tbt, want_tbt))
-        if len(times) >= 2:
-            assert close(tpot(tl), oracles.tpot(times))
         for policy, kind, p in policies:
-            assert close(user_idle_latency(tl, policy),
+            r = score(tl, policy, params)
+            assert close(r.ttft, oracles.ttft(tl.arrival, times))
+            assert close(r.e2e, oracles.e2e(tl.arrival, times))
+            if len(times) >= 2:
+                assert close(r.tpot, oracles.tpot(times))
+                assert close(r.max_tbt, max(oracles.tbt(times)))
+            assert close(r.idle_latency,
                          oracles.idle_latency(kind, p, tl.arrival, times))
-            assert close(benefit(tl, policy, params),
+            assert close(r.benefit,
                          oracles.benefit(kind, p, tl.arrival, times,
                                          alpha, penalty))
-            assert meets_slo(tl, policy) == oracles.meets(kind, p,
-                                                          tl.arrival, times)
+            assert r.met_slo == oracles.meets(kind, p, tl.arrival, times)
 
     # Window-level aggregates over 10 windows of 20 requests each.
     for w in range(10):
@@ -112,16 +101,20 @@ def test_criterion_1_metric_oracle_equivalence():
         window = EvalWindow(start, end, tuple(group))
         reqs = [(tl.arrival, list(tl.token_times), True) for tl in group]
         for policy, kind, p in policies:
-            assert close(goodput(window, policy),
+            report = build_report(window, policy, params)
+            assert close(report.goodput_tokens_per_s,
                          oracles.goodput(reqs, kind, p, window.length))
-            assert close(smooth_goodput(window, policy, params),
+            assert close(report.smooth_goodput_per_s,
                          oracles.smooth_goodput(reqs, kind, p, window.length,
                                                 alpha, penalty))
-            assert close(slo_attainment(window, policy),
+            assert close(report.slo_attainment,
                          oracles.attainment(reqs, kind, p))
-        gaps = [g for tl in group for g in tbt_series(tl)]
-        for q in (0.5, 0.9, 0.99):
+        # The TBT pool is the same under every policy.
+        gaps = [g for tl in group for g in oracles.tbt(list(tl.token_times))]
+        for label, q in PERCENTILE_LABELS:
             assert percentile(gaps, q) == oracles.nearest_rank(gaps, q)
+            assert close(report.tbt_percentiles[label],
+                         oracles.nearest_rank(gaps, q))
 
     elapsed = time.monotonic() - t0
     assert elapsed < budget_s
@@ -144,15 +137,14 @@ def test_criterion_2_smooth_goodput_identities():
         end = max(tl.token_times[-1] for tl in tls) + 1.0
         window = EvalWindow(0.0, end, tuple(tls))
 
+        values = [build_report(window, policy, BenefitParams(
+                      a, TokensEquivalent(0.05))).smooth_goodput_per_s
+                  for a in alphas]
         # alpha = 0 erases the penalty term entirely.
-        sg0 = smooth_goodput(window, policy,
-                             BenefitParams(0.0, TokensEquivalent(0.05)))
-        assert close(sg0, throughput(window))
+        tokens_per_s = sum(tl.num_tokens for tl in tls) / window.length
+        assert alphas[0] == 0.0 and close(values[0], tokens_per_s)
 
         # Monotone non-increasing in alpha.
-        values = [smooth_goodput(window, policy,
-                                 BenefitParams(a, TokensEquivalent(0.05)))
-                  for a in alphas]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
         # All-tokens-early windows: pace every token well inside its deadline.
@@ -165,11 +157,12 @@ def test_criterion_2_smooth_goodput_identities():
         e_end = max(tl.token_times[-1] for tl in early) + 1.0
         e_window = EvalWindow(0.0, e_end, tuple(early))
         e_policy = ReadingSpeed(0.05, 1.0)
-        assert all(meets_slo(tl, e_policy) for tl in early)
+        assert all(score(tl, e_policy).met_slo for tl in early)
+        e_tokens_per_s = sum(tl.num_tokens for tl in early) / e_window.length
         for a in alphas:
-            sg = smooth_goodput(e_window, e_policy,
-                                BenefitParams(a, TokensEquivalent(0.05)))
-            assert close(sg, throughput(e_window))
+            report = build_report(e_window, e_policy,
+                                  BenefitParams(a, TokensEquivalent(0.05)))
+            assert close(report.smooth_goodput_per_s, e_tokens_per_s)
 
     elapsed = time.monotonic() - t0
     assert elapsed < budget_s
@@ -242,14 +235,14 @@ def test_criterion_4_output_delay_indictment():
             tl = rec.generation_timeline()
             out = apply_output_delay(tl, delay)
             # (a) chained-deadline attainment can only improve
-            assert meets_slo(out, chained) >= meets_slo(tl, chained)
+            assert score(out, chained).met_slo >= score(tl, chained).met_slo
             # (c) TTFT unchanged
             assert out.token_times[0] == tl.token_times[0]
             # (d) real idle time never shrinks
-            assert user_idle_latency(out, pacing) >= \
-                user_idle_latency(tl, pacing) - 1e-12
-            gen_gaps.extend(tbt_series(tl))
-            rel_gaps.extend(tbt_series(out))
+            assert score(out, pacing).idle_latency >= \
+                score(tl, pacing).idle_latency - 1e-12
+            gen_gaps.extend(np.diff(tl.token_times))
+            rel_gaps.extend(np.diff(out.token_times))
         # (b) the delivered tail is never worse than the generated tail
         assert percentile(rel_gaps, 0.99) <= percentile(gen_gaps, 0.99)
 
@@ -358,7 +351,8 @@ def test_criterion_7_capacity_search():
         specs = generate(config.workload.with_rate(rate))
         trace = run(specs, config.engine, VllmLike())
         window = trimmed_window(trace.requests, 0.05, 0.05, False)
-        return slo_attainment(window, DEFAULT_POLICY)
+        return build_report(window, DEFAULT_POLICY,
+                            DEFAULT_BENEFIT).slo_attainment
 
     beyond = attainment_at(capacity + 0.1)
     assert beyond < threshold

@@ -5,8 +5,11 @@ import math
 import os
 import re
 import typing
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from servesim.config import (
     RECORDS,
@@ -217,3 +220,37 @@ def test_manifest_config_is_a_fixed_point():
     obj = experiment_to_config(config)
     assert experiment_to_config(experiment_from_config(obj)) == obj
     assert experiment_from_config(obj) == config
+
+
+def _float_fields():
+    """(valid record, float field) for every record a config holds."""
+    config = load_experiment(SWEEP_CONFIG)
+    bases = [SAMPLES[tag] for tag in RECORDS]
+    bases += [config.workload, config.engine, config.benefit]
+    for base in bases:
+        hints = typing.get_type_hints(type(base))
+        for f in fields(base):
+            if float in (typing.get_args(hints[f.name]) or (hints[f.name],)):
+                yield pytest.param(base, f.name,
+                                   id=f"{type(base).__name__}.{f.name}")
+
+
+# Every float field's lower bound is 0 or more, so negatives are out of range.
+@pytest.mark.parametrize("base, name", list(_float_fields()))
+@settings(max_examples=20, deadline=None)
+@given(st.floats(max_value=-1e-9))
+def test_every_float_field_rejects_nan_infinities_and_out_of_range(
+        base, name, negative):
+    for value in (math.nan, math.inf, -math.inf, negative):
+        with pytest.raises(ValueError):
+            replace(base, **{name: value})
+
+
+def test_integer_and_rate_bounds():
+    with pytest.raises(ValueError, match="need value >= 1"):
+        Constant(0)
+    config = load_experiment(SWEEP_CONFIG)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="rates: must be positive and "
+                                              "finite"):
+            replace(config, rates=(rate,))

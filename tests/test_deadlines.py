@@ -10,7 +10,7 @@ from servesim.deadlines import (
     TtftTbt,
     deadlines_for,
 )
-from servesim.metrics import meets_slo, peak_lateness, user_idle_latency
+from servesim.metrics import RequestMetrics, score
 from servesim.traces import TokenTimeline
 
 
@@ -45,24 +45,24 @@ def test_empty_timeline_errors():
     empty = TokenTimeline("e", 0.0, (), complete=False)
     with pytest.raises(ValueError, match="no output tokens"):
         deadlines_for(EndToEnd(1.0), empty)
-    with pytest.raises(ValueError):
-        meets_slo(empty, EndToEnd(1.0))
+    # A request with no tokens scores as the no-token record.
+    assert score(empty, EndToEnd(1.0)) == RequestMetrics("e", 0.0, 0, False)
 
 
 def test_meets_slo_examples():
     policy = ReadingSpeed(0.05, 0.05)
-    assert meets_slo(timeline(0.0, [0.04, 0.09]), policy)
-    assert not meets_slo(timeline(0.0, [0.06, 0.09]), policy)
-    assert meets_slo(timeline(0.0, [0.5]), EndToEnd(10.0))
+    assert score(timeline(0.0, [0.04, 0.09]), policy).met_slo
+    assert not score(timeline(0.0, [0.06, 0.09]), policy).met_slo
+    assert score(timeline(0.0, [0.5]), EndToEnd(10.0)).met_slo
 
 
 def test_incomplete_timeline_never_meets_slo():
     # Every token is on time, but the request was cut short: goodput and
-    # attainment do not count it, and neither does meets_slo.
+    # attainment do not count it, and neither does its record.
     cut = TokenTimeline("t", 0.0, (0.04, 0.09), complete=False)
-    policy = ReadingSpeed(0.05, 0.05)
-    assert user_idle_latency(cut, policy) == 0.0
-    assert not meets_slo(cut, policy)
+    record = score(cut, ReadingSpeed(0.05, 0.05))
+    assert record.idle_latency == 0.0
+    assert not record.met_slo
 
 
 def test_deadlines_match_oracle_on_random_timelines():
@@ -82,8 +82,8 @@ def test_deadlines_match_oracle_on_random_timelines():
             expected = oracles.deadlines(kind, params, arrival, times)
             got = deadlines_for(policy, tl).tolist()
             assert got == pytest.approx(expected, rel=1e-12)
-            assert meets_slo(tl, policy) == oracles.meets(kind, params,
-                                                          arrival, times)
+            assert score(tl, policy).met_slo == oracles.meets(
+                kind, params, arrival, times)
 
 
 def test_index_deadlines_ignore_generation_times():
@@ -102,9 +102,9 @@ def test_meets_slo_equivalent_to_zero_idle_latency():
         n = int(rng.integers(1, 20))
         rel = np.cumsum(rng.uniform(0.001, 0.12, size=n))
         tl = timeline(0.0, rel.tolist())
-        met = meets_slo(tl, policy)
-        assert met == (peak_lateness(tl, policy) <= 0)
-        assert met == (user_idle_latency(tl, policy) == 0.0)
+        record = score(tl, policy)
+        assert record.met_slo == (record.peak_lateness <= 0)
+        assert record.met_slo == (record.idle_latency == 0.0)
 
 
 def test_shifting_later_never_fixes_a_miss():
@@ -114,11 +114,11 @@ def test_shifting_later_never_fixes_a_miss():
             n = int(rng.integers(1, 15))
             rel = np.cumsum(rng.uniform(0.001, 0.2, size=n))
             tl = timeline(0.0, rel.tolist())
-            if meets_slo(tl, policy):
+            if score(tl, policy).met_slo:
                 continue
             delta = float(rng.uniform(0.01, 2.0))
             shifted = timeline(0.0, (rel + delta).tolist())
-            assert not meets_slo(shifted, policy)
+            assert not score(shifted, policy).met_slo
 
 
 def test_policy_config_accepts_tokens_per_second():

@@ -11,7 +11,7 @@ from servesim.delivery import (
     apply_output_delay,
     delay_trace,
 )
-from servesim.metrics import meets_slo, tbt_series, ttft, user_idle_latency
+from servesim.metrics import score
 from servesim.traces import RequestTrace, TokenTimeline
 
 
@@ -94,7 +94,8 @@ def test_output_delay_properties(tl, hold, first_token_delayed):
     assert all(r >= t for r, t in zip(rel, gen))
     assert all(b >= a for a, b in zip(rel, rel[1:]))
     if gen and not first_token_delayed:
-        assert ttft(out) == ttft(tl)
+        policy = TtftTbt(1.0, 0.1)
+        assert score(out, policy).ttft == score(tl, policy).ttft
     # After one pass r_i >= r_{i-1} + hold holds, so a second changes nothing.
     assert apply_output_delay(out, config) == out
 
@@ -104,7 +105,8 @@ def test_ttft_unchanged_without_first_token_delay():
     for _ in range(50):
         tl = random_timeline(rng)
         out = apply_output_delay(tl, DelayConfig(0.2))
-        assert ttft(out) == ttft(tl)
+        policy = TtftTbt(1.0, 0.1)
+        assert score(out, policy).ttft == score(tl, policy).ttft
 
 
 def test_delivered_tbt_above_hold_implies_generation_stall():
@@ -113,8 +115,8 @@ def test_delivered_tbt_above_hold_implies_generation_stall():
         tl = random_timeline(rng)
         hold = 0.25
         out = apply_output_delay(tl, DelayConfig(hold))
-        gen_gaps = tbt_series(tl)
-        for i, gap in enumerate(tbt_series(out)):
+        gen_gaps = np.diff(tl.token_times)
+        for i, gap in enumerate(np.diff(out.token_times)):
             if gap > hold + 1e-12:
                 assert gen_gaps[i] > hold
 
@@ -125,8 +127,8 @@ def test_delay_never_reduces_idle_latency():
     for _ in range(100):
         tl = random_timeline(rng)
         out = apply_output_delay(tl, DelayConfig(0.1))
-        assert user_idle_latency(out, policy) >= \
-            user_idle_latency(tl, policy) - 1e-12
+        assert score(out, policy).idle_latency >= \
+            score(tl, policy).idle_latency - 1e-12
 
 
 def test_delay_never_hurts_ttft_tbt_attainment():
@@ -140,8 +142,8 @@ def test_delay_never_hurts_ttft_tbt_attainment():
     for _ in range(200):
         tl = random_timeline(rng)
         out = apply_output_delay(tl, DelayConfig(0.25))
-        before = meets_slo(tl, policy)
-        after = meets_slo(out, policy)
+        before = score(tl, policy).met_slo
+        after = score(out, policy).met_slo
         assert after >= before
         flips += int(after and not before)
     assert flips > 0  # the trick actually flips some requests to "meeting"

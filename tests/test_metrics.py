@@ -12,19 +12,9 @@ from servesim.metrics import (
     IndicatorPenalty,
     LinearSeconds,
     TokensEquivalent,
-    benefit,
     build_report,
-    e2e_latency,
-    goodput,
-    peak_lateness,
     percentile,
-    slo_attainment,
-    smooth_goodput,
-    tbt_series,
-    throughput,
-    tpot,
-    ttft,
-    user_idle_latency,
+    score,
     window_from_traces,
 )
 from servesim.traces import TokenTimeline, read_trace
@@ -44,44 +34,57 @@ def fixture_records():
 # ---------------------------------------------------------------------------
 # Scalar metrics.
 
+# The latency fields of a record do not depend on the deadline policy.
+POLICY = EndToEnd(100.0)
+
 
 def test_ttft_basic():
-    assert ttft(TokenTimeline("a", 10.0, (10.4, 11.0))) == pytest.approx(0.4)
-    assert ttft(TokenTimeline("b", 0.0, (0.0,))) == 0.0
+    assert score(TokenTimeline("a", 10.0, (10.4, 11.0)),
+                 POLICY).ttft == pytest.approx(0.4)
+    assert score(TokenTimeline("b", 0.0, (0.0,)), POLICY).ttft == 0.0
 
 
 def test_tbt_series_basic():
     tl = TokenTimeline("a", 0.0, (1.0, 1.1, 1.4))
-    assert tbt_series(tl) == pytest.approx([0.1, 0.3])
-    assert tbt_series(TokenTimeline("b", 0.0, (5.0,))) == []
+    report = build_report(EvalWindow(0.0, 2.0, (tl,)), POLICY,
+                          BenefitParams())
+    assert report.tbt_percentiles["p50"] == pytest.approx(0.1)
+    assert report.tbt_percentiles["p99"] == pytest.approx(0.3)
+    assert report.per_request[0].max_tbt == pytest.approx(0.3)
+    one = TokenTimeline("b", 0.0, (1.5,))
+    report = build_report(EvalWindow(0.0, 2.0, (one,)), POLICY,
+                          BenefitParams())
+    assert report.tbt_percentiles == {}
+    assert report.per_request[0].max_tbt is None
 
 
 def test_tpot_basic():
-    assert tpot(TokenTimeline("a", 0.0, (0.0, 0.2, 0.4))) == pytest.approx(0.2)
-    assert tpot(TokenTimeline("b", 0.0, (1.0, 1.5))) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="tpot undefined"):
-        tpot(TokenTimeline("c", 0.0, (1.0,)))
+    assert score(TokenTimeline("a", 0.0, (0.0, 0.2, 0.4)),
+                 POLICY).tpot == pytest.approx(0.2)
+    assert score(TokenTimeline("b", 0.0, (1.0, 1.5)),
+                 POLICY).tpot == pytest.approx(0.5)
+    assert score(TokenTimeline("c", 0.0, (1.0,)), POLICY).tpot is None
 
 
 def test_e2e_basic():
-    assert e2e_latency(TokenTimeline("a", 10.0, (10.4, 12.0))) == pytest.approx(2.0)
-    assert e2e_latency(TokenTimeline("b", 0.0, (0.0,))) == 0.0
+    assert score(TokenTimeline("a", 10.0, (10.4, 12.0)),
+                 POLICY).e2e == pytest.approx(2.0)
+    assert score(TokenTimeline("b", 0.0, (0.0,)), POLICY).e2e == 0.0
 
 
 def test_scalar_metrics_match_fixture_oracle(fixture_records):
     for rec in fixture_records:
         tl = rec.generation_timeline()
         times = list(tl.token_times)
-        assert ttft(tl) == pytest.approx(
+        r = score(tl, POLICY)
+        assert r.ttft == pytest.approx(
             oracles.ttft(tl.arrival, times), rel=1e-12)
-        assert e2e_latency(tl) == pytest.approx(
+        assert r.e2e == pytest.approx(
             oracles.e2e(tl.arrival, times), rel=1e-12)
-        assert tbt_series(tl) == pytest.approx(oracles.tbt(times), rel=1e-12)
-        if len(times) >= 2:
-            assert tpot(tl) == pytest.approx(oracles.tpot(times), rel=1e-12)
-            assert tpot(tl) == pytest.approx(np.mean(tbt_series(tl)), rel=1e-12)
-        assert max(tbt_series(tl)) == pytest.approx(
-            max(oracles.tbt(times)), rel=1e-12)
+        assert len(times) >= 2
+        assert r.tpot == pytest.approx(oracles.tpot(times), rel=1e-12)
+        assert r.tpot == pytest.approx(np.mean(oracles.tbt(times)), rel=1e-12)
+        assert r.max_tbt == pytest.approx(max(oracles.tbt(times)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +93,15 @@ def test_scalar_metrics_match_fixture_oracle(fixture_records):
 
 def test_idle_latency_clamps_early_requests():
     tl = timeline(0.0, [0.04, 0.09, 0.14])
-    policy = ReadingSpeed(0.05, 0.05)
-    assert user_idle_latency(tl, policy) == 0.0
-    assert peak_lateness(tl, policy) < 0
+    record = score(tl, ReadingSpeed(0.05, 0.05))
+    assert record.idle_latency == 0.0
+    assert record.peak_lateness < 0
 
 
 def test_idle_latency_max_of_lateness():
     tl = timeline(0.0, [0.5, 0.6, 0.7])
     policy = ReadingSpeed(0.1, 0.1)  # deadlines 0.1, 0.2, 0.3
-    assert user_idle_latency(tl, policy) == pytest.approx(0.4, abs=1e-12)
+    assert score(tl, policy).idle_latency == pytest.approx(0.4, abs=1e-12)
 
 
 def test_idle_latency_matches_loop_oracle():
@@ -108,24 +111,24 @@ def test_idle_latency_matches_loop_oracle():
     tl = timeline(0.0, rel.tolist())
     expected = oracles.idle_latency("reading_speed", (0.05, 0.05), 0.0,
                                     list(tl.token_times))
-    assert user_idle_latency(tl, policy) == pytest.approx(expected, rel=1e-12)
+    assert score(tl, policy).idle_latency == pytest.approx(expected, rel=1e-12)
 
 
 def test_benefit_examples():
     policy = ReadingSpeed(0.05, 0.05)
     early = timeline(0.0, [0.04 * (i + 1) for i in range(100)])
-    assert benefit(early, policy, BenefitParams(5.0, LinearSeconds(1.0))) == 100.0
+    linear = BenefitParams(5.0, LinearSeconds(1.0))
+    assert score(early, policy, linear).benefit == 100.0
 
     # Last token 3 s after its pace point, i.e. 2 s past its deadline.
     late = timeline(0.0, [0.04 * (i + 1) + (3.0 if i == 99 else 0.0)
                           for i in range(100)])
-    assert benefit(late, policy,
-                   BenefitParams(5.0, LinearSeconds(1.0))) == pytest.approx(90.0)
+    assert score(late, policy, linear).benefit == pytest.approx(90.0)
     # Tokens-equivalent penalty: one second idle is 20 tokens of reading lost.
     one_second_late = timeline(0.0, [0.05 * (i + 1) + (1.0 if i == 99 else 0.0)
                                      for i in range(100)])
-    got = benefit(one_second_late, policy,
-                  BenefitParams(5.0, TokensEquivalent(0.05)))
+    got = score(one_second_late, policy,
+                BenefitParams(5.0, TokensEquivalent(0.05))).benefit
     idle = oracles.idle_latency("reading_speed", (0.05, 0.05), 0.0,
                                 list(one_second_late.token_times))
     assert got == pytest.approx(100 - 5.0 * (idle / 0.05), rel=1e-12)
@@ -135,8 +138,8 @@ def test_benefit_examples():
 def test_benefit_may_go_negative():
     policy = ReadingSpeed(0.05, 0.05)
     tl = timeline(0.0, [10.0, 10.05])
-    value = benefit(tl, policy, BenefitParams(5.0, TokensEquivalent(0.05)))
-    assert value < 0
+    params = BenefitParams(5.0, TokensEquivalent(0.05))
+    assert score(tl, policy, params).benefit < 0
 
 
 def test_penalties_zero_at_or_below_zero_idle():
@@ -155,11 +158,13 @@ def test_goodput_examples():
     policy = ReadingSpeed(0.05, 0.05)
     meets = timeline(0.0, [0.04 * (i + 1) for i in range(10)], rid="ok")
     misses = timeline(1.0, [3.0 + 0.05 * i for i in range(10)], rid="late")
-    window = EvalWindow(0.0, 5.0, (meets, misses))
-    assert goodput(window, policy) == pytest.approx(2.0)
-    assert goodput(window, policy, per_request=True) == pytest.approx(0.2)
-    none_meet = EvalWindow(0.0, 5.0, (misses,))
-    assert goodput(none_meet, policy) == 0.0
+    report = build_report(EvalWindow(0.0, 5.0, (meets, misses)), policy,
+                          BenefitParams())
+    assert report.goodput_tokens_per_s == pytest.approx(2.0)
+    assert report.goodput_requests_per_s == pytest.approx(0.2)
+    none_meet = build_report(EvalWindow(0.0, 5.0, (misses,)), policy,
+                             BenefitParams())
+    assert none_meet.goodput_tokens_per_s == 0.0
 
 
 def test_window_validation():
@@ -174,9 +179,7 @@ def test_attainment_examples():
     meets = timeline(0.0, [0.04], rid="ok")
     misses = timeline(0.0, [0.5], rid="late")
     window = EvalWindow(0.0, 1.0, (meets, misses))
-    assert slo_attainment(window, policy) == 0.5
-    with pytest.raises(ValueError):
-        slo_attainment(EvalWindow(0.0, 1.0, ()), policy)
+    assert build_report(window, policy, BenefitParams()).slo_attainment == 0.5
 
 
 def test_smooth_goodput_alpha_zero_is_throughput():
@@ -189,9 +192,12 @@ def test_smooth_goodput_alpha_zero_is_throughput():
         tls.append(timeline(arrival, rel.tolist(), rid=f"r{i}"))
     window = EvalWindow(0.0, 10.0, tuple(tls))
     params = BenefitParams(0.0, TokensEquivalent(0.05))
+    tokens_per_s = sum(tl.num_tokens for tl in tls) / window.length
     for policy in (ReadingSpeed(0.05), EndToEnd(2.0), TtftTbt(0.5, 0.1)):
-        assert smooth_goodput(window, policy, params) == pytest.approx(
-            throughput(window), rel=1e-12)
+        report = build_report(window, policy, params)
+        assert report.throughput_tokens_per_s == tokens_per_s
+        assert report.smooth_goodput_per_s == pytest.approx(
+            tokens_per_s, rel=1e-12)
 
 
 def test_smooth_goodput_fixture_oracle(fixture_records):
@@ -201,12 +207,13 @@ def test_smooth_goodput_fixture_oracle(fixture_records):
     reqs = [(tl.arrival, list(tl.token_times), tl.complete)
             for tl in window.requests]
     penalty = lambda idle: idle / 0.05  # noqa: E731
-    assert smooth_goodput(window, policy, params) == pytest.approx(
+    report = build_report(window, policy, params)
+    assert report.smooth_goodput_per_s == pytest.approx(
         oracles.smooth_goodput(reqs, "reading_speed", (0.05, 0.05), 2.0,
                                5.0, penalty), rel=1e-12)
-    assert goodput(window, policy) == pytest.approx(
+    assert report.goodput_tokens_per_s == pytest.approx(
         oracles.goodput(reqs, "reading_speed", (0.05, 0.05), 2.0), rel=1e-12)
-    assert slo_attainment(window, policy) == pytest.approx(
+    assert report.slo_attainment == pytest.approx(
         oracles.attainment(reqs, "reading_speed", (0.05, 0.05)), rel=1e-12)
 
 
@@ -219,8 +226,8 @@ def test_smooth_goodput_monotone_in_alpha():
         rel = np.cumsum(rng.uniform(0.01, 0.2, size=n))
         tls.append(timeline(float(rng.uniform(0, 4)), rel.tolist(), rid=f"r{i}"))
     window = EvalWindow(0.0, 5.0, tuple(tls))
-    values = [smooth_goodput(window, policy,
-                             BenefitParams(a, TokensEquivalent(0.05)))
+    values = [build_report(window, policy, BenefitParams(
+                  a, TokensEquivalent(0.05))).smooth_goodput_per_s
               for a in (0.0, 1.0, 2.0, 5.0, 10.0)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -232,8 +239,8 @@ def test_translation_covariance_of_lateness():
         base = timeline(0.0, rel.tolist())
         delta = 0.7
         shifted = timeline(0.0, (rel + delta).tolist())
-        assert peak_lateness(shifted, policy) == pytest.approx(
-            peak_lateness(base, policy) + delta, rel=1e-12)
+        assert score(shifted, policy).peak_lateness == pytest.approx(
+            score(base, policy).peak_lateness + delta, rel=1e-12)
 
 
 def test_window_clipping_gives_partial_credit():
@@ -245,10 +252,11 @@ def test_window_clipping_gives_partial_credit():
     clipped = window.requests[1]
     assert clipped.num_tokens == 2 and not clipped.complete
     # Clipped requests are excluded from goodput but count in smooth goodput.
-    assert goodput(window, policy) == pytest.approx(3 / 6.0)
-    params = BenefitParams(5.0, LinearSeconds(1.0))
-    assert smooth_goodput(window, policy, params) == pytest.approx((3 + 2) / 6.0)
-    assert slo_attainment(window, policy) == 0.5
+    report = build_report(window, policy,
+                          BenefitParams(5.0, LinearSeconds(1.0)))
+    assert report.goodput_tokens_per_s == pytest.approx(3 / 6.0)
+    assert report.smooth_goodput_per_s == pytest.approx((3 + 2) / 6.0)
+    assert report.slo_attainment == 0.5
 
 
 def test_percentile_nearest_rank():

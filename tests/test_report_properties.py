@@ -1,7 +1,8 @@
-"""build_report against the brute-force oracles on random windows."""
+"""build_report and score against the brute-force oracles on random
+windows."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,9 +14,7 @@ from servesim.metrics import (
     LinearSeconds,
     TokensEquivalent,
     build_report,
-    goodput,
-    slo_attainment,
-    smooth_goodput,
+    score,
 )
 from servesim.traces import TokenTimeline
 
@@ -136,10 +135,23 @@ def test_build_report_matches_oracles(window, policy_case, alpha, penalty_case):
              for a, times, _ in reqs]
     assert report.mean_idle_latency == close(sum(idles) / len(idles))
 
-    # The public aggregates are the report's, bit for bit.
-    assert goodput(window, policy) == report.goodput_tokens_per_s
-    assert goodput(window, policy, per_request=True) == \
-        report.goodput_requests_per_s
-    assert smooth_goodput(window, policy, benefit_params) == \
-        report.smooth_goodput_per_s
-    assert slo_attainment(window, policy) == report.slo_attainment
+
+# Empty (first token past the end), one-token and clipped requests.
+_EDGES = EvalWindow(START, END, (
+    TokenTimeline("empty", 5.0, (6.5,)).clipped(END),
+    TokenTimeline("one", 2.0, (2.3,)),
+    TokenTimeline("clipped", 4.0, (4.5, 5.5, 6.5)).clipped(END)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows(), st.tuples(budgets, budgets), st.floats(0.0, 10.0),
+       penalties)
+@example(_EDGES, (0.1, 0.2), 5.0, (LinearSeconds(1.0), None))
+def test_a_request_scores_the_same_alone_and_in_a_window(
+        window, budget_pair, alpha, penalty_case):
+    params = BenefitParams(alpha, penalty_case[0])
+    for policy in (ReadingSpeed(*budget_pair), EndToEnd(budget_pair[0] * 5),
+                   TtftTbt(*budget_pair)):
+        report = build_report(window, policy, params)
+        alone = [score(tl, policy, params) for tl in window.requests]
+        assert alone == list(report.per_request)

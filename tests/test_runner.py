@@ -269,8 +269,12 @@ def test_capacity_threshold_validation():
     config = small_config(rates=(1.0,))
     with pytest.raises(ConfigError):
         capacity_search(config, 0.0, (1.0, 2.0))
-    with pytest.raises(ConfigError):
-        capacity_search(config, 0.9, (2.0, 1.0))
+    # An infinite bracket_hi used to be probed, and failed only after the
+    # bracket-minimum simulation, on an empty window.
+    for bracket in ((0.5, math.inf), (0.0, 1.0), (2.0, 1.0), (1.0, 1.0),
+                    (math.nan, 2.0), (1.0, math.nan)):
+        with pytest.raises(ConfigError, match=r"^bracket \("):
+            capacity_search(config, 0.9, bracket)
     # A NaN resolution ends bisection at once (hi - lo > nan is False), and
     # would report the bracket minimum after its two endpoint probes.
     for resolution in (0.0, -0.1, math.nan, math.inf):
@@ -379,6 +383,12 @@ def test_cli_capacity(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == {"type": "ConfigError", "message":
                               "resolution must be positive and finite"}
+    assert run_cli(["capacity", "--config", str(path), "--threshold", "1.0",
+                    "--bracket-lo", "1.0", "--bracket-hi", "inf"]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == {"type": "ConfigError", "message":
+                              "bracket (1, inf): need 0 < bracket_lo < "
+                              "bracket_hi < inf"}
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):
