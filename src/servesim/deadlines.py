@@ -27,8 +27,6 @@ from typing import Union
 
 import numpy as np
 
-from .traces import TokenTimeline
-
 
 @dataclass(frozen=True)
 class TtftTbt:
@@ -82,24 +80,34 @@ class ReadingSpeed:
 DeadlinePolicy = Union[TtftTbt, EndToEnd, ReadingSpeed]
 
 
-def deadlines_for(policy: DeadlinePolicy, timeline: TokenTimeline) -> np.ndarray:
-    """Deadlines in seconds from arrival, one per token of ``timeline``.
+def deadlines_for(policy: DeadlinePolicy, rel, starts=(0,)) -> np.ndarray:
+    """Deadlines in seconds from arrival, one per token of ``rel``.
 
-    The series is a read-only float array.  Raises ValueError on an empty
-    timeline (a request with no output tokens has no deadlines to evaluate).
+    ``rel`` holds token times measured from their request's arrival, the
+    requests laid end to end; ``starts`` indexes each request's first token
+    (the default is one request).  The series is a read-only float array.
+    Raises ValueError unless every request has a token: a request with no
+    output tokens has no deadlines to evaluate.
     """
-    n = timeline.num_tokens
-    if n == 0:
-        raise ValueError(f"{timeline.request_id}: no output tokens")
+    rel = np.asarray(rel, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    n = len(rel)
+    bounds = np.append(starts, n)
+    counts = np.diff(bounds)
+    if bounds[0] != 0 or not (counts > 0).all():
+        raise ValueError("a request with no output tokens has no deadlines")
     if isinstance(policy, ReadingSpeed):
-        d = policy.first_token_allowance + policy.per_token_budget * np.arange(n, dtype=float)
+        # allowance + budget * k, k the index of the token in its request.
+        d = np.arange(n, dtype=float)
+        d -= np.repeat(starts, counts)
+        d *= policy.per_token_budget
+        d += policy.first_token_allowance
     elif isinstance(policy, EndToEnd):
         d = np.full(n, policy.e2e_budget, dtype=float)
     elif isinstance(policy, TtftTbt):
-        rel = np.asarray(timeline.token_times) - timeline.arrival
         d = np.empty(n)
-        d[0] = policy.ttft_budget
-        d[1:] = rel[:-1] + policy.tbt_budget
+        np.add(rel[:-1], policy.tbt_budget, out=d[1:])
+        d[starts] = policy.ttft_budget
     else:
         raise TypeError(f"unknown deadline policy: {policy!r}")
     d.flags.writeable = False

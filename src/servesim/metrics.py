@@ -1,8 +1,9 @@
 """Request-level and system-level serving metrics.
 
-Two entry points: :func:`score` scores one request's
-:class:`~servesim.traces.TokenTimeline`, and :func:`build_report` scores every
-request of an evaluation window with it and aggregates the records.
+Two entry points: :func:`build_report` scores every request of an
+evaluation window and aggregates the records, and :func:`score` gives one
+request's :class:`~servesim.traces.TokenTimeline` the record it would get in
+a window.  Both run the same pass.
 
 A request's record holds TTFT, TPOT, end-to-end latency, the largest TBT gap
 and the peak lateness: the most any token ran past its deadline (negative
@@ -21,6 +22,17 @@ incomplete request never counts toward goodput or attainment, and it is
 scored on the tokens it received only; with none, its idle latency and
 benefit are 0.  Tokens never delivered are not charged, so cutting a late
 request short can raise its benefit and smooth goodput (ROADMAP item 1).
+
+Flat layout: a window's token times are one float array, its requests end
+to end, and ``starts`` indexes each first token.  One deadline series
+covers the window; each per-request value is one whole-window numpy
+operation (a gather at the first and last tokens, or a
+``np.maximum.reduceat`` over each request's slice), not numpy calls per
+request.  The values are bit for bit those of scoring each request alone
+(``tests/oracles.py`` keeps that reference), because the element-wise
+operations keep their order, ``(times - arrival) - deadline``, and the
+aggregates are still taken over the records in window order: ``np.mean``,
+the nearest rank, and a left-to-right ``+=`` for the benefit total.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -124,39 +137,8 @@ class RequestMetrics:
 
 def score(timeline: TokenTimeline, policy: DeadlinePolicy,
           params: BenefitParams = BenefitParams()) -> RequestMetrics:
-    """One request's record, as :func:`build_report` lists it.
-
-    A non-empty timeline gets one deadline series.  ``lateness <= 0`` is
-    exactly "every token at or before its deadline" for finite doubles;
-    only a fully delivered request attains its SLO.
-    """
-    return _score(timeline, policy, params)[0]
-
-
-def _score(timeline: TokenTimeline, policy: DeadlinePolicy,
-           params: BenefitParams) -> tuple[RequestMetrics, np.ndarray]:
-    """The record and the token gaps, which build_report pools, from one
-    conversion of the token times."""
-    n = timeline.num_tokens
-    if not n:
-        return RequestMetrics(timeline.request_id, timeline.arrival, 0,
-                              timeline.complete), np.empty(0)
-    times = timeline.token_times
-    array = np.asarray(times)
-    gaps = np.diff(array)
-    lateness = float(np.max(array - timeline.arrival
-                            - deadlines_for(policy, timeline)))
-    idle = max(0.0, lateness)
-    return RequestMetrics(
-        timeline.request_id, timeline.arrival, n, timeline.complete,
-        ttft=times[0] - timeline.arrival,
-        tpot=(times[-1] - times[0]) / (n - 1) if n >= 2 else None,
-        e2e=times[-1] - timeline.arrival,
-        max_tbt=float(gaps.max()) if n >= 2 else None,
-        idle_latency=idle,
-        peak_lateness=lateness,
-        benefit=n - params.alpha * params.penalty(idle),
-        met_slo=timeline.complete and lateness <= 0.0), gaps
+    """One request's record, as :func:`build_report` lists it."""
+    return _score_window((timeline,), policy, params)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +192,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     No interpolation, so results are reproducible bit-for-bit across
     implementations.
     """
-    if not values:
+    if not len(values):
         raise ValueError("percentile of empty list")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
@@ -264,24 +246,90 @@ class MetricsReport:
 PERCENTILE_LABELS = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
 
 
-def _percentiles(pool) -> dict[str, float]:
-    ordered = np.sort(pool)
+def _percentiles(ordered) -> dict[str, float]:
+    """Nearest-rank percentiles of an already sorted pool."""
     return {label: float(_nearest_rank(ordered, q))
             for label, q in PERCENTILE_LABELS} if len(ordered) else {}
 
 
+def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
+                  params: BenefitParams
+                  ) -> tuple[list[RequestMetrics], dict[str, float]]:
+    """Every request's record, in order, and the TBT percentiles of them all.
+
+    The token times go into one flat array, the requests end to end; each
+    per-request value is a whole-window numpy operation on it, and at most
+    three token-length arrays are alive at once.
+    """
+    counts = np.fromiter((len(tl.token_times) for tl in requests), np.intp,
+                         len(requests))
+    ends = np.cumsum(counts)
+    scored = counts > 0
+    n = counts[scored]
+    # The first token of each request that has one.
+    starts = (ends - counts)[scored]
+    times = np.fromiter(chain.from_iterable(tl.token_times for tl in requests),
+                        float, int(ends[-1]))
+    arrivals = np.fromiter((tl.arrival for tl in requests), float,
+                           len(requests))
+    first, last = times[starts], times[ends[scored] - 1]
+    ttft = (first - arrivals[scored]).tolist()
+    e2e = (last - arrivals[scored]).tolist()
+    several = n >= 2
+    tpot = ((last - first)[several] / (n[several] - 1)).tolist()
+
+    # Drop the gap from each request's last token to the next one's first:
+    # the k-th scored request's gaps then start at starts[k] - k.
+    gaps = np.delete(np.diff(times), starts[1:] - 1)
+    max_tbt = np.maximum.reduceat(
+        gaps, (starts - np.arange(len(starts)))[several]).tolist()
+    gaps.sort()
+    tbt_percentiles = _percentiles(gaps)
+    del gaps
+
+    # Lateness in place, element-wise (times - arrival) - deadline.
+    rel = np.repeat(arrivals, counts)
+    np.subtract(times, rel, out=rel)
+    del times
+    np.subtract(rel, deadlines_for(policy, rel, starts), out=rel)
+    lateness = np.maximum.reduceat(rel, starts).tolist()
+    del rel
+
+    records = []
+    per_request = zip(ttft, e2e, lateness)
+    per_gap = zip(tpot, max_tbt)
+    for tl, k in zip(requests, counts.tolist()):
+        if not k:
+            records.append(RequestMetrics(tl.request_id, tl.arrival, 0,
+                                          tl.complete))
+            continue
+        ttft_k, e2e_k, late = next(per_request)
+        tpot_k, tbt_k = next(per_gap) if k >= 2 else (None, None)
+        idle = max(0.0, late)
+        records.append(RequestMetrics(
+            tl.request_id, tl.arrival, k, tl.complete,
+            ttft=ttft_k, tpot=tpot_k, e2e=e2e_k, max_tbt=tbt_k,
+            idle_latency=idle, peak_lateness=late,
+            benefit=k - params.alpha * params.penalty(idle),
+            # For finite doubles, "every token at or before its deadline";
+            # only a fully delivered request attains its SLO.
+            met_slo=tl.complete and late <= 0.0))
+    return records, tbt_percentiles
+
+
 def build_report(window: EvalWindow, policy: DeadlinePolicy,
                  params: BenefitParams) -> MetricsReport:
-    """Score every request once, in window order, then aggregate the records.
+    """Score every request in one pass over the window, then aggregate.
 
-    Throughput, both goodputs, smooth goodput and attainment are read off
-    the records.  Each percentile pool is sorted once, the TBT pool as one
-    float array.
+    One deadline series covers the whole window.  Each record holds the
+    values the per-request rule gives, bit for bit: the element-wise order
+    is ``(times - arrival) - deadline``, and a peak or a gap maximum is a
+    ``np.maximum.reduceat`` over each request's slice.  Throughput, both
+    goodputs, smooth goodput and attainment are read off the records.
     """
     if not window.requests:
         raise ValueError("cannot report on an empty window")
-    records, gaps = zip(*[_score(tl, policy, params)
-                          for tl in window.requests])
+    records, tbt_percentiles = _score_window(window.requests, policy, params)
     # Left to right, as a plain loop: sum() compensates float rounding from
     # Python 3.12 on.  A no-token record adds an exact 0.0.
     total_benefit = 0.0
@@ -293,14 +341,14 @@ def build_report(window: EvalWindow, policy: DeadlinePolicy,
     return MetricsReport(
         window_start=window.start,
         window_end=window.end,
-        per_request=records,
+        per_request=tuple(records),
         throughput_tokens_per_s=sum(r.n_tokens for r in records) / length,
         goodput_tokens_per_s=sum(met) / length,
         goodput_requests_per_s=len(met) / length,
         smooth_goodput_per_s=total_benefit / length,
         slo_attainment=len(met) / len(records),
-        ttft_percentiles=_percentiles(ttfts),
-        tbt_percentiles=_percentiles(np.concatenate(gaps)),
+        ttft_percentiles=_percentiles(np.sort(ttfts)),
+        tbt_percentiles=tbt_percentiles,
         mean_ttft=float(np.mean(ttfts)) if ttfts else float("nan"),
         mean_idle_latency=float(np.mean([r.idle_latency for r in records])),
     )

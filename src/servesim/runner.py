@@ -146,7 +146,8 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
     """
     delivery = rec.delivery_timeline()
     scored = delivery if use_delivery else rec.generation_timeline()
-    deadlines = deadlines_for(policy, scored).tolist()
+    deadlines = deadlines_for(
+        policy, np.subtract(scored.token_times, scored.arrival)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["token_index", "generated_s", "delivered_s",

@@ -112,6 +112,10 @@ class Concatenated:
     path: str
     target_mean_prompt_len: int
 
+    def __post_init__(self):
+        if not self.target_mean_prompt_len >= 1:
+            raise ValueError("target_mean_prompt_len must be >= 1")
+
 
 LengthSource = Union[Synthetic, DatasetFile, Concatenated]
 

@@ -4,7 +4,9 @@ Everything here is written as plain Python loops, deliberately sharing no
 code path with the package implementation, so the two can cross-check each
 other.  Keep it dumb.
 
-The artifact writers at the end are the reference for the package's: one
+The per-request numpy scorer after ``nearest_rank`` is the bit-exact
+reference for ``build_report``, which scores a whole window at once.  The
+artifact writers at the end are the reference for the package's: one
 ``json.dumps`` per trace record, one ``csv.writer`` row per iteration and
 one ``json.dump(indent=2)`` per report.
 """
@@ -12,6 +14,8 @@ one ``json.dump(indent=2)`` per report.
 import csv
 import json
 import math
+
+import numpy as np
 
 
 def ttft(arrival, times):
@@ -117,6 +121,61 @@ def nearest_rank(values, q):
     if rank < 1:
         rank = 1
     return ordered[rank - 1]
+
+
+def deadline_series(policy, arrival, times):
+    """One request's deadlines from arrival, as a float array."""
+    n = len(times)
+    kind = type(policy).__name__
+    if kind == "ReadingSpeed":
+        return (policy.first_token_allowance
+                + policy.per_token_budget * np.arange(n, dtype=float))
+    if kind == "EndToEnd":
+        return np.full(n, policy.e2e_budget, dtype=float)
+    rel = np.asarray(times) - arrival
+    d = np.empty(n)
+    d[0] = policy.ttft_budget
+    d[1:] = rel[:-1] + policy.tbt_budget
+    return d
+
+
+def score_timeline(timeline, policy, params):
+    """One request's record as a dict of RequestMetrics fields, and its token
+    gaps, each from numpy calls on this request alone."""
+    n = timeline.num_tokens
+    record = {"request_id": timeline.request_id, "arrival": timeline.arrival,
+              "n_tokens": n, "complete": timeline.complete,
+              "ttft": None, "tpot": None, "e2e": None, "max_tbt": None,
+              "idle_latency": 0.0, "peak_lateness": None, "benefit": 0.0,
+              "met_slo": False}
+    if not n:
+        return record, np.empty(0)
+    times = timeline.token_times
+    array = np.asarray(times)
+    gaps = np.diff(array)
+    lateness = float(np.max(array - timeline.arrival
+                            - deadline_series(policy, timeline.arrival,
+                                              times)))
+    idle = max(0.0, lateness)
+    record.update(
+        ttft=times[0] - timeline.arrival,
+        tpot=(times[-1] - times[0]) / (n - 1) if n >= 2 else None,
+        e2e=times[-1] - timeline.arrival,
+        max_tbt=float(gaps.max()) if n >= 2 else None,
+        idle_latency=idle,
+        peak_lateness=lateness,
+        benefit=n - params.alpha * params.penalty(idle),
+        met_slo=timeline.complete and lateness <= 0.0)
+    return record, gaps
+
+
+def tbt_percentiles(gaps):
+    """Nearest-rank p50/p90/p99 of the pooled gaps of every request."""
+    ordered = np.sort(np.concatenate(gaps))
+    if not len(ordered):
+        return {}
+    return {label: float(ordered[max(1, math.ceil(q * len(ordered))) - 1])
+            for label, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))}
 
 
 def _record_to_obj(rec):

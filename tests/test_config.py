@@ -173,6 +173,10 @@ BAD_VALUES = [
      "variants[3].delivery.mode: expected one of"),
     (("variants", 1, "scheduler", "chunk_tokens"), 0,
      "variants[1].scheduler: chunk_tokens must be >= 1"),
+    (("workload", "length_source"),
+     {"type": "concatenated", "path": "lengths.jsonl",
+      "target_mean_prompt_len": 0},
+     "workload.length_source: target_mean_prompt_len must be >= 1"),
     (("deadline_policy", "per_token_budget_s"), 0.05,
      "deadline_policy: give per_token_budget_s or tokens_per_second"),
     (("deadline_policy", "tokens_per_second"), -20,
@@ -249,6 +253,9 @@ def test_every_float_field_rejects_nan_infinities_and_out_of_range(
 def test_integer_and_rate_bounds():
     with pytest.raises(ValueError, match="need value >= 1"):
         Constant(0)
+    for mean in (0, -5):
+        with pytest.raises(ValueError, match="target_mean_prompt_len"):
+            Concatenated("lengths.jsonl", mean)
     config = load_experiment(SWEEP_CONFIG)
     for rate in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="rates: must be positive and "

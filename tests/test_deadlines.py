@@ -18,9 +18,13 @@ def timeline(arrival, rel_times, rid="t"):
     return TokenTimeline(rid, arrival, tuple(arrival + t for t in rel_times))
 
 
+def series_for(policy, tl):
+    """The one-request deadline series of ``tl``."""
+    return deadlines_for(policy, np.subtract(tl.token_times, tl.arrival))
+
+
 def test_reading_speed_ramp():
-    tl = timeline(0.0, [0.01, 0.02, 0.03])
-    series = deadlines_for(ReadingSpeed(0.05, 0.05), tl)
+    series = deadlines_for(ReadingSpeed(0.05, 0.05), [0.01, 0.02, 0.03])
     assert series.tolist() == pytest.approx([0.05, 0.10, 0.15], abs=1e-12)
 
 
@@ -30,23 +34,35 @@ def test_reading_speed_defaults_allowance_to_budget():
 
 
 def test_end_to_end_constant():
-    tl = timeline(3.0, [1.0, 2.0, 3.0, 4.0])
-    series = deadlines_for(EndToEnd(10.0), tl)
+    series = deadlines_for(EndToEnd(10.0), [1.0, 2.0, 3.0, 4.0])
     assert series.tolist() == [10.0, 10.0, 10.0, 10.0]
 
 
 def test_ttft_tbt_chains_off_previous_token():
-    tl = timeline(0.0, [0.5, 0.9, 2.0])
-    series = deadlines_for(TtftTbt(1.0, 0.2), tl)
+    series = deadlines_for(TtftTbt(1.0, 0.2), [0.5, 0.9, 2.0])
     assert series.tolist() == pytest.approx([1.0, 0.7, 1.1], abs=1e-12)
 
 
 def test_empty_timeline_errors():
     empty = TokenTimeline("e", 0.0, (), complete=False)
     with pytest.raises(ValueError, match="no output tokens"):
-        deadlines_for(EndToEnd(1.0), empty)
+        deadlines_for(EndToEnd(1.0), [])
     # A request with no tokens scores as the no-token record.
     assert score(empty, EndToEnd(1.0)) == RequestMetrics("e", 0.0, 0, False)
+
+
+def test_a_window_series_is_its_requests_series_end_to_end():
+    rng = np.random.default_rng(5)
+    parts = [np.cumsum(rng.uniform(0.0, 0.3, size=k)) for k in (3, 1, 6, 2)]
+    starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+    for policy in (ReadingSpeed(0.07, 0.2), EndToEnd(6.0), TtftTbt(0.8, 0.1)):
+        whole = deadlines_for(policy, np.concatenate(parts), starts)
+        alone = np.concatenate([deadlines_for(policy, p) for p in parts])
+        assert whole.tobytes() == alone.tobytes()
+        # Every request needs a token, and every token a request.
+        for bad in ([0, 3, 3, 4, 10], [1, 4, 10], [0, 3, 12], []):
+            with pytest.raises(ValueError, match="no output tokens"):
+                deadlines_for(policy, np.concatenate(parts), bad)
 
 
 def test_meets_slo_examples():
@@ -80,7 +96,7 @@ def test_deadlines_match_oracle_on_random_timelines():
         ]
         for policy, kind, params in cases:
             expected = oracles.deadlines(kind, params, arrival, times)
-            got = deadlines_for(policy, tl).tolist()
+            got = series_for(policy, tl).tolist()
             assert got == pytest.approx(expected, rel=1e-12)
             assert score(tl, policy).met_slo == oracles.meets(
                 kind, params, arrival, times)
@@ -91,8 +107,8 @@ def test_index_deadlines_ignore_generation_times():
     fast = timeline(1.0, [0.01, 0.02, 0.03])
     slow = timeline(1.0, [1.0, 5.0, 9.0])
     for policy in (ReadingSpeed(0.07, 0.2), EndToEnd(6.0)):
-        assert (deadlines_for(policy, fast).tolist()
-                == deadlines_for(policy, slow).tolist())
+        assert (series_for(policy, fast).tolist()
+                == series_for(policy, slow).tolist())
 
 
 def test_meets_slo_equivalent_to_zero_idle_latency():

@@ -263,11 +263,14 @@ def test_percentile_nearest_rank():
     assert percentile([1, 2, 3, 4], 0.5) == 2
     assert percentile([1, 2, 3, 4], 1.0) == 4
     assert percentile([3, 1, 2], 0.0) == 1
+    assert percentile(np.array([1.0, 2.0, 3.0]), 0.5) == 2.0
     values = list(np.random.default_rng(2).uniform(0, 1, size=137))
     for q in (0.1, 0.5, 0.9, 0.99):
         assert percentile(values, q) == oracles.nearest_rank(values, q)
     with pytest.raises(ValueError):
         percentile([], 0.5)
+    with pytest.raises(ValueError):
+        percentile(np.empty(0), 0.5)
     with pytest.raises(ValueError):
         percentile([1.0], 1.5)
 
@@ -312,24 +315,27 @@ def test_report_consistent_with_per_request_records(fixture_records):
 
 def test_report_derives_one_deadline_series_per_request(fixture_records,
                                                        monkeypatch):
+    # One series covers the whole window: one call, one segment per request
+    # with tokens, and none for the request that has no token.
     called = []
 
-    def counted(policy, tl):
-        called.append(tl.request_id)
-        return deadlines_for(policy, tl)
+    def counted(policy, rel, starts):
+        called.append((len(rel), list(starts)))
+        return deadlines_for(policy, rel, starts)
 
     monkeypatch.setattr(servesim.metrics, "deadlines_for", counted)
     late = timeline(1.9, [0.5], rid="spill").clipped(2.0)
     window = window_from_traces(fixture_records, 0.0, 2.0)
-    window = EvalWindow(0.0, 2.0, window.requests + (late,))
+    window = EvalWindow(0.0, 2.0, window.requests[:1] + (late,)
+                        + window.requests[1:])
     assert late.num_tokens == 0
     build_report(window, TtftTbt(0.5, 0.1), BenefitParams())
-    assert called == [tl.request_id for tl in window.requests if tl.num_tokens]
+    counts = [tl.num_tokens for tl in window.requests if tl.num_tokens]
+    assert called == [(sum(counts), [0, counts[0], counts[0] + counts[1]])]
 
 
 def test_deadline_series_is_a_read_only_array():
-    tl = timeline(2.0, [0.1, 0.4, 0.45])
-    values = deadlines_for(TtftTbt(1.0, 0.2), tl)
+    values = deadlines_for(TtftTbt(1.0, 0.2), [0.1, 0.4, 0.45])
     assert values.dtype == float and not values.flags.writeable
 
 

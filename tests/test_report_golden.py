@@ -13,9 +13,10 @@ import os
 
 import pytest
 
-from servesim.deadlines import ReadingSpeed, TtftTbt
+from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt
 from servesim.metrics import (
     BenefitParams,
+    IndicatorPenalty,
     LinearSeconds,
     TokensEquivalent,
     build_report,
@@ -37,6 +38,8 @@ CASES = {
                  True),
     "reading_speed": (ReadingSpeed(0.035, 0.4),
                       BenefitParams(2.0, TokensEquivalent(0.035)), False),
+    "end_to_end": (EndToEnd(1.5),
+                   BenefitParams(1.3, IndicatorPenalty(0.25, 0.7)), False),
 }
 
 

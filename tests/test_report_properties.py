@@ -1,5 +1,7 @@
 """build_report and score against the brute-force oracles on random
-windows."""
+windows, and bit for bit against the per-request reference scorer."""
+
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from servesim.metrics import (
     EvalWindow,
     IndicatorPenalty,
     LinearSeconds,
+    RequestMetrics,
     TokensEquivalent,
     build_report,
     score,
@@ -136,6 +139,34 @@ def test_build_report_matches_oracles(window, policy_case, alpha, penalty_case):
     assert report.mean_idle_latency == close(sum(idles) / len(idles))
 
 
+# Arbitrary arrivals, offsets and gaps next to exact ties, so that any
+# rounding the window pass does differently from the reference shows.
+rough_gaps = st.lists(st.one_of(st.sampled_from([0.0, 0.05]),
+                                st.floats(0.0, 1.5)), max_size=12)
+
+
+@st.composite
+def rough_windows(draw):
+    requests = []
+    for i in range(draw(st.integers(1, 12))):
+        arrival = draw(st.one_of(arrivals,
+                                 st.floats(START, END, exclude_max=True)))
+        times = [arrival + draw(st.floats(0.0, 6.0))]
+        for gap in draw(rough_gaps):
+            times.append(times[-1] + gap)
+        requests.append(
+            TokenTimeline(f"r{i:02d}", arrival, tuple(times)).clipped(END))
+    return EvalWindow(START, END, tuple(requests))
+
+
+FIELDS = [f.name for f in fields(RequestMetrics)]
+
+
+def field_reprs(record):
+    """Each field's repr: -0.0 and 0.0, or two NaNs, differ here."""
+    return {name: repr(getattr(record, name)) for name in FIELDS}
+
+
 # Empty (first token past the end), one-token and clipped requests.
 _EDGES = EvalWindow(START, END, (
     TokenTimeline("empty", 5.0, (6.5,)).clipped(END),
@@ -143,15 +174,26 @@ _EDGES = EvalWindow(START, END, (
     TokenTimeline("clipped", 4.0, (4.5, 5.5, 6.5)).clipped(END)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(windows(), st.tuples(budgets, budgets), st.floats(0.0, 10.0),
+@settings(max_examples=300, deadline=None)
+@given(rough_windows(), st.tuples(budgets, budgets), st.floats(0.0, 10.0),
        penalties)
 @example(_EDGES, (0.1, 0.2), 5.0, (LinearSeconds(1.0), None))
+@example(_EDGES, (0.1, 0.2), 5.0, (TokensEquivalent(0.05), None))
+@example(_EDGES, (0.1, 0.2), 5.0, (IndicatorPenalty(0.1, 2.0), None))
 def test_a_request_scores_the_same_alone_and_in_a_window(
         window, budget_pair, alpha, penalty_case):
+    """Under every policy, each record and the TBT percentiles equal the
+    per-request reference scorer bit for bit, and ``score`` gives a request
+    the record its window gives it."""
     params = BenefitParams(alpha, penalty_case[0])
     for policy in (ReadingSpeed(*budget_pair), EndToEnd(budget_pair[0] * 5),
                    TtftTbt(*budget_pair)):
         report = build_report(window, policy, params)
-        alone = [score(tl, policy, params) for tl in window.requests]
-        assert alone == list(report.per_request)
+        expected, gaps = zip(*[oracles.score_timeline(tl, policy, params)
+                               for tl in window.requests])
+        for tl, got, want in zip(window.requests, report.per_request,
+                                 expected):
+            assert field_reprs(got) == {k: repr(v) for k, v in want.items()}
+            assert field_reprs(score(tl, policy, params)) == field_reprs(got)
+        assert (repr(report.tbt_percentiles)
+                == repr(oracles.tbt_percentiles(gaps)))

@@ -4,6 +4,7 @@ import math
 import os
 import typing
 
+import numpy as np
 import pytest
 
 from servesim.deadlines import ReadingSpeed, deadlines_for
@@ -188,7 +189,9 @@ def test_timeline_plot_deadlines_follow_the_scored_timeline(fixtures_dir,
     rec = records[plot.stem[len("timeline_held_rate3_"):]]
     chained = {
         timeline: [repr(rec.arrival + d)
-                   for d in deadlines_for(config.policy, tl).tolist()]
+                   for d in deadlines_for(
+                       config.policy,
+                       np.subtract(tl.token_times, tl.arrival)).tolist()]
         for timeline, tl in (("delivery", rec.delivery_timeline()),
                              ("generation", rec.generation_timeline()))}
     assert chained["delivery"] != chained["generation"]
