@@ -39,18 +39,21 @@ class DelayConfig:
             raise ValueError("hold budget must be positive and finite")
 
 
+def _pace(timeline: TokenTimeline, config: DelayConfig) -> tuple[float, ...]:
+    """The release instants of ``timeline``'s tokens at the hold cadence."""
+    hold = config.hold_s
+    # From -inf the first release is max(t_1, -inf) = t_1: it passes through.
+    prev = timeline.arrival if config.first_token_delayed else -math.inf
+    # prev := max(t, prev + hold), without a call per token.
+    return tuple([prev := (prev + hold if prev + hold > t else t)
+                  for t in timeline.token_times])
+
+
 def apply_output_delay(timeline: TokenTimeline, config: DelayConfig,
                        ) -> TokenTimeline:
     """Delivery timeline produced by pacing ``timeline`` at the hold cadence."""
-    hold = config.hold_s
-    releases: list[float] = []
-    # From -inf the first release is max(t_1, -inf) = t_1: it passes through.
-    prev = timeline.arrival if config.first_token_delayed else -math.inf
-    for t in timeline.token_times:
-        prev = max(t, prev + hold)
-        releases.append(prev)
     return TokenTimeline(timeline.request_id, timeline.arrival,
-                         tuple(releases), timeline.complete)
+                         _pace(timeline, config), timeline.complete)
 
 
 def delay_trace(records, config: DelayConfig) -> list[RequestTrace]:
@@ -59,6 +62,5 @@ def delay_trace(records, config: DelayConfig) -> list[RequestTrace]:
     The cadence paces the record's delivery timeline (its generation
     timeline when it has none), so stacking transforms composes.
     """
-    return [replace(rec, delivery_times=apply_output_delay(
-                rec.delivery_timeline(), config).token_times)
+    return [replace(rec, delivery_times=_pace(rec.delivery_timeline(), config))
             for rec in records]

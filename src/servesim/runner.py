@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -95,6 +96,13 @@ def _summary_row(cell: CellResult) -> list[str]:
     ]
 
 
+def _write_summary(path, cells: list[CellResult]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(SUMMARY_HEADER)
+        writer.writerows(map(_summary_row, cells))
+
+
 @dataclass
 class SweepResult:
     cells: list[CellResult]
@@ -159,14 +167,6 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
                              repr(rec.arrival)])
 
 
-def _worst_idle_request(report: MetricsReport) -> str | None:
-    worst = None
-    for r in report.per_request:
-        if worst is None or r.idle_latency > worst.idle_latency:
-            worst = r
-    return worst.request_id if worst else None
-
-
 # ---------------------------------------------------------------------------
 # Experiment execution.
 
@@ -229,32 +229,23 @@ def run_experiment(config: ExperimentConfig,
                     track(os.path.join(cell_dir, "report.csv")), report)
                 _write_tbt_cdf(track(os.path.join(
                     out_dir, "plots", f"tbt_cdf_{stem}.csv")), records)
-                worst = _worst_idle_request(report)
+                # Ties pick the first, as max keeps it.
+                worst = max(report.per_request, default=None,
+                            key=attrgetter("idle_latency"))
                 if worst is not None:
-                    rec = next(r for r in records if r.request_id == worst)
+                    rid = worst.request_id
+                    rec = next(r for r in records if r.request_id == rid)
                     _write_token_timeline(track(os.path.join(
-                        out_dir, "plots", f"timeline_{stem}_{worst}.csv")),
+                        out_dir, "plots", f"timeline_{stem}_{rid}.csv")),
                         rec, config.policy, config.use_delivery)
             cells.append(cell)
 
     if out_dir:
-        summary_path = os.path.join(out_dir, "summary.csv")
-        with open(summary_path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(SUMMARY_HEADER)
-            for cell in cells:
-                writer.writerow(_summary_row(cell))
-        track(summary_path)
+        _write_summary(track(os.path.join(out_dir, "summary.csv")), cells)
         for variant in config.variants:
-            path = os.path.join(out_dir, "plots",
-                                f"rate_sweep_{variant.name}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as f:
-                writer = csv.writer(f)
-                writer.writerow(SUMMARY_HEADER)
-                for cell in cells:
-                    if cell.variant == variant.name:
-                        writer.writerow(_summary_row(cell))
-            track(path)
+            _write_summary(track(os.path.join(
+                out_dir, "plots", f"rate_sweep_{variant.name}.csv")),
+                [cell for cell in cells if cell.variant == variant.name])
         manifest = {
             "config": experiment_to_config(config),
             "artifacts": sorted(artifacts),

@@ -12,6 +12,10 @@ absolute seconds from run start.  A record may additionally carry
 release) separated delivery from generation; each delivery instant is never
 earlier than the matching generation instant.
 
+The ``RequestTrace`` constructor checks both timelines with one rule,
+``_check_timeline``, so it rejects exactly what ``read_trace`` rejects; a
+record's timeline views and their clipped prefixes are not checked again.
+
 Timestamps are serialized with Python's shortest round-trip float repr, so a
 load/save cycle is byte-stable and value-lossless at full double precision.
 The members of a decode batch share its end instant, so ``write_trace``
@@ -28,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -37,11 +41,14 @@ class TraceFormatError(ValueError):
 
 
 def _check_timeline(request_id: str, arrival: float,
-                    times: tuple[float, ...], complete: bool) -> None:
+                    times: tuple[float, ...], complete: bool,
+                    floor: tuple[float, ...] | None = None) -> None:
     """Raise ValueError unless ``times`` is a timeline a metric can score.
 
     The arrival is ``>= 0``, the times are finite and non-decreasing from
-    it, and a complete timeline holds at least one token.
+    it, and a complete timeline holds at least one token.  A delivery
+    timeline takes its generation times as ``floor``: one delivery per
+    token, none before the token was generated.
     """
     # Written as not(>=) so that NaN fails the checks.
     if not (arrival >= 0.0):
@@ -51,15 +58,19 @@ def _check_timeline(request_id: str, arrival: float,
     prev = arrival
     for t in times:
         if not (t >= prev):
+            prev = math.nan
             break
         prev = t
-    else:
-        # Every time lies in [arrival, prev], prev being the last token (or
-        # the arrival), so one check keeps them all finite.
-        if math.isfinite(prev):
-            return
-    raise ValueError(f"{request_id}: times must be finite, non-decreasing "
-                     f"and not precede arrival")
+    # Every time lies in [arrival, prev], prev being the last token or the
+    # arrival (NaN once one is out of order), so one check keeps them finite.
+    if not math.isfinite(prev):
+        raise ValueError(f"{request_id}: times must be finite, non-decreasing "
+                         f"and not precede arrival")
+    if floor is not None:
+        if len(floor) != len(times):
+            raise ValueError(f"{request_id}: delivery/generation length mismatch")
+        if not all(map(ge, times, floor)):
+            raise ValueError(f"{request_id}: delivery precedes generation")
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,15 @@ class TokenTimeline:
         kept = bisect.bisect_right(self.token_times, end)
         if kept == len(self.token_times):
             return self
-        return TokenTimeline(self.request_id, self.arrival,
-                             self.token_times[:kept], False)
+        return _view(self, self.token_times[:kept], False)
+
+
+def _view(of, times: tuple[float, ...], complete: bool) -> TokenTimeline:
+    """A TokenTimeline of ``of``'s checked times, not checked again."""
+    view = object.__new__(TokenTimeline)
+    view.__dict__.update(request_id=of.request_id, arrival=of.arrival,
+                         token_times=times, complete=complete)
+    return view
 
 
 @dataclass(frozen=True)
@@ -109,26 +127,19 @@ class RequestTrace:
     delivery_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _check_timeline(self.request_id, self.arrival, self.token_times,
+                        self.completed)
         if self.delivery_times is not None:
-            if len(self.delivery_times) != len(self.token_times):
-                raise ValueError(
-                    f"{self.request_id}: delivery/generation length mismatch"
-                )
-            for g, d in zip(self.token_times, self.delivery_times):
-                if not (d >= g):
-                    raise ValueError(
-                        f"{self.request_id}: delivery precedes generation"
-                    )
+            _check_timeline(self.request_id, self.arrival, self.delivery_times,
+                            self.completed, self.token_times)
 
     def generation_timeline(self) -> TokenTimeline:
-        return TokenTimeline(
-            self.request_id, self.arrival, self.token_times, self.completed
-        )
+        return _view(self, self.token_times, self.completed)
 
     def delivery_timeline(self) -> TokenTimeline:
         """Delivery-side timeline; falls back to generation instants."""
         times = self.delivery_times if self.delivery_times is not None else self.token_times
-        return TokenTimeline(self.request_id, self.arrival, times, self.completed)
+        return _view(self, times, self.completed)
 
 
 class IterationRecord(NamedTuple):
@@ -166,7 +177,7 @@ _FLOAT = {float}
 
 
 class _NumberTexts(dict):
-    """Each float's JSON text, made on its first miss as ``json.dumps`` does.
+    """Each float's JSON text, its ``repr``: a record's times are finite.
 
     Only nonzero floats are kept: ``-0.0 == 0.0`` and ``1 == 1.0`` would
     share a key but not a text.  The map is emptied when it is full.
@@ -175,7 +186,7 @@ class _NumberTexts(dict):
     def __missing__(self, x: float) -> str:
         if not x:
             return json.dumps(x)
-        text = float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+        text = float.__repr__(x)
         if len(self) >= _MAX_TEXTS:
             self.clear()
         self[x] = text
@@ -261,19 +272,13 @@ def _read_jsonl(path, parse) -> list:
 
 
 def _parse_trace_record(obj: dict) -> RequestTrace:
-    request_id = _field(obj, "request_id", (str,))
-    arrival = float(_field(obj, "arrival_s", _NUMBER))
-    completed = _field(obj, "completed", (bool,))
-    # Both timelines are checked here, not by every RequestTrace: the engine
-    # builds its records in order.
-    token_times = tuple(map(float, _times(obj, "token_times_s")))
-    _check_timeline(request_id, arrival, token_times, completed)
-    delivery = obj.get("delivery_times_s")
-    if delivery is not None:
-        delivery = tuple(map(float, _times(obj, "delivery_times_s")))
-        _check_timeline(request_id, arrival, delivery, completed)
-    return RequestTrace(request_id, arrival, token_times,
-                        _field(obj, "prompt_len", (int,)), completed, delivery)
+    delivery = (None if obj.get("delivery_times_s") is None
+                else tuple(map(float, _times(obj, "delivery_times_s"))))
+    return RequestTrace(_field(obj, "request_id", (str,)),
+                        float(_field(obj, "arrival_s", _NUMBER)),
+                        tuple(map(float, _times(obj, "token_times_s"))),
+                        _field(obj, "prompt_len", (int,)),
+                        _field(obj, "completed", (bool,)), delivery)
 
 
 def read_trace(path) -> list[RequestTrace]:

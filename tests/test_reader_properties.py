@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from servesim.config import ConfigError, load_experiment
-from servesim.traces import TraceFormatError, read_trace
+from servesim.traces import TraceFormatError, read_trace, write_trace
 from servesim.workload import load_dataset_lengths, load_workload
 
 # Integers past the double range overflow float(); NaN and infinities are
@@ -63,6 +63,11 @@ def test_readers_load_or_name_the_line(reader, values):
             assert ": line " in str(exc)
         else:
             assert len(loaded) == len(values)
+            if reader is read_trace:
+                # Every trace that loads can be written and read back equal.
+                again = os.path.join(tmp, "again.jsonl")
+                write_trace(again, loaded)
+                assert read_trace(again) == loaded
 
 
 SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "configs",

@@ -1,10 +1,11 @@
 """Load/save cycles are byte-stable: traces, workloads and configs."""
 
 import json
+import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from servesim.config import (
@@ -80,6 +81,31 @@ def _cycle_bytes(write, read, items) -> tuple[bytes, bytes]:
 def test_trace_cycle_is_byte_stable(records):
     first, second = _cycle_bytes(write_trace, read_trace, records)
     assert first == second
+
+
+# Arbitrary floats, NaN and infinities included, in any order; sorted lists
+# too, so that many records are accepted.
+any_times = st.lists(st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf,
+                                      -math.inf]) | st.floats(), max_size=5)
+any_times = any_times | any_times.map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), any_times, st.booleans(), st.none() | any_times)
+@example(0.0, [0.5, 1.0], True, [0.5, 2.0])
+def test_record_is_rejected_or_read_back_equal(arrival, token_times,
+                                               completed, delivery):
+    """Any times at all: the record is refused at construction, or it is
+    written and read back equal."""
+    try:
+        rec = RequestTrace("a", arrival, tuple(token_times), 4, completed,
+                           None if delivery is None else tuple(delivery))
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.jsonl")
+        write_trace(path, [rec])
+        assert read_trace(path) == [rec]
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,11 @@ import os
 
 import pytest
 
+from servesim import traces
+from servesim.delivery import DelayConfig, delay_trace
+from servesim.engine import EngineConfig, run
+from servesim.metrics import window_from_traces
+from servesim.schedulers import DecodePrepone
 from servesim.traces import (
     RequestTrace,
     TokenTimeline,
@@ -10,6 +15,7 @@ from servesim.traces import (
     read_trace,
     write_trace,
 )
+from servesim.workload import Synthetic, UniformInt, WorkloadConfig, generate
 
 
 def test_timeline_rejects_decreasing_times():
@@ -55,7 +61,8 @@ def test_timeline_rejects_nan_and_infinite_times(arrival, times):
 
 
 def test_delivery_rejects_nan():
-    with pytest.raises(ValueError, match="delivery precedes generation"):
+    # The timeline rule is checked before the generation floor.
+    with pytest.raises(ValueError, match="must be finite"):
         RequestTrace("x", 0.0, (1.0, 2.0), 8, True,
                      delivery_times=(1.0, math.nan))
 
@@ -63,6 +70,68 @@ def test_delivery_rejects_nan():
 def test_delivery_never_precedes_generation():
     with pytest.raises(ValueError):
         RequestTrace("x", 0.0, (1.0, 2.0), 8, True, delivery_times=(1.0, 1.9))
+    # One delivery per token.
+    for delivery in [(1.0,), (1.0, 2.0, 3.0)]:
+        with pytest.raises(ValueError, match="length mismatch"):
+            RequestTrace("x", 0.0, (1.0, 2.0), 8, True, delivery)
+
+
+@pytest.mark.parametrize("arrival,times,completed", [
+    (0.0, (2.0, 1.0), True),
+    (0.0, (1.0, math.nan), True),
+    (math.nan, (1.0, 2.0), True),
+    (0.0, (), True),
+], ids=["decreasing", "nan_time", "nan_arrival", "complete_empty"])
+def test_record_rejects_what_the_reader_rejects(arrival, times, completed):
+    with pytest.raises(ValueError):
+        RequestTrace("a", arrival, times, 2, completed)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The number of ``_check_timeline`` calls made so far."""
+    calls = []
+    check = traces._check_timeline
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(traces, "_check_timeline", counted)
+    return calls
+
+
+def _timelines(records) -> int:
+    return sum(1 + (rec.delivery_times is not None) for rec in records)
+
+
+def test_each_timeline_is_checked_once(tmp_path, check_calls):
+    eng = EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
+                       decode_per_seq_s=0.02, max_batch_tokens=2048,
+                       max_running_seqs=64, kv_capacity_tokens=100_000)
+    specs = generate(WorkloadConfig(6.0, 30, 3, Synthetic(
+        UniformInt(20, 400), UniformInt(1, 30))))
+    records = run(specs, eng, DecodePrepone(n=2)).requests
+    assert any(rec.delivery_times is not None for rec in records)
+    assert any(rec.delivery_times is None for rec in records)
+    assert len(check_calls) == _timelines(records)
+
+    del check_calls[:]
+    delayed = delay_trace(records, DelayConfig(0.05))
+    assert len(check_calls) == 2 * len(delayed)
+
+    path = tmp_path / "t.jsonl"
+    write_trace(path, records)
+    del check_calls[:]
+    assert read_trace(path) == records
+    assert len(check_calls) == _timelines(records)
+
+    del check_calls[:]
+    end = records[len(records) // 2].token_times[-1]
+    for use_delivery in (False, True):
+        window = window_from_traces(delayed, 0.0, end, use_delivery)
+        assert any(not tl.complete for tl in window.requests)
+    assert check_calls == []
 
 
 def test_trace_roundtrip(tmp_path, fixtures_dir):

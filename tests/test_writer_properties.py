@@ -9,6 +9,7 @@ per iteration and ``json.dump(indent=2)`` per report.
 import math
 import os
 import tempfile
+from itertools import accumulate
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,11 +24,6 @@ from servesim.traces import (
     write_trace,
 )
 
-# Numbers that compare equal but print apart (-0.0 == 0.0, 1 == 1.0 == True),
-# and the ones JSON spells out.
-SPECIAL = [0.0, -0.0, 0, 1, 1.0, -1.0, True, False, 0.5, 1e-7, 1e16,
-           math.nan, math.inf, -math.inf]
-numbers = st.sampled_from(SPECIAL) | st.floats() | st.integers(-2**70, 2**70)
 floats = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf,
                           -math.inf]) | st.floats()
 # Characters that csv quotes, the id separator and non-ASCII text.
@@ -44,24 +40,35 @@ def assert_same_bytes(write, reference, value):
             assert f.read() == g.read()
 
 
+# What a record may hold: non-negative finite numbers, equal ones that print
+# apart among them.
+TIMES = [0.0, -0.0, 0, 1, 1.0, True, False, 0.5, 1e-7, 1e16]
+times = (st.sampled_from(TIMES) | st.floats(0.0, allow_infinity=False)
+         | st.integers(0, 2**70))
+
+
 @st.composite
 def traces(draw):
     # Records draw their times from a shared pool, as batch-mates share
-    # their iterations' ends.
-    pool = draw(st.lists(numbers, min_size=1, max_size=8))
-    values = st.sampled_from(pool) | numbers
+    # their iterations' ends.  Each draws an arrival and its token times in
+    # order, so the constructor accepts it.
+    pool = draw(st.lists(times, min_size=1, max_size=8))
+    values = st.sampled_from(pool) | times
     records = []
     for request_id in draw(st.lists(ids, max_size=6)):
-        times = tuple(draw(st.lists(values, max_size=8)))
+        arrival, *token_times = sorted(draw(st.lists(values, min_size=1,
+                                                     max_size=9)))
         delivery = None
-        if draw(st.booleans()) and all(t == t for t in times):
-            delivery = tuple(
-                t if h is None else t + h
-                for t, h in zip(times, draw(st.lists(
-                    st.sampled_from([None, 0, 3, 2**60]),
-                    min_size=len(times), max_size=len(times)))))
-        records.append(RequestTrace(request_id, draw(numbers), times,
-                                    draw(st.integers()), draw(st.booleans()),
+        if draw(st.booleans()):
+            delivery = tuple(accumulate(
+                (t if h is None else t + h
+                 for t, h in zip(token_times, draw(st.lists(
+                     st.sampled_from([None, 0, 3, 2**60]),
+                     min_size=len(token_times), max_size=len(token_times))))),
+                max))
+        records.append(RequestTrace(request_id, arrival, tuple(token_times),
+                                    draw(st.integers()),
+                                    bool(token_times) and draw(st.booleans()),
                                     delivery))
     return records
 
