@@ -6,35 +6,55 @@ one token per decoding member and the first token of any request whose prefill
 just completed.  Admission reserves the request's full final KV footprint, so
 a running request can never run out of cache (there is no preemption).
 
-A plan's ``release_s`` holds its decode tokens back until that instant, which
-may not precede the batch's end.  The loop keeps one ``(decode_ids, end,
-release)`` entry per held batch and builds the delivery times from them once
-the run is over; a request with no held token has none.
+The decode set: the loop keeps the DECODING members of ``running`` (in
+``running`` order) and publishes them with their ids on the ``QueueState``
+whenever they change.  A last token removes its request with ``list.remove``.
+Requests whose prefill completes are appended when they are the last admitted,
+as under every built-in policy; otherwise the set is rebuilt from ``running``,
+whose order holds even when a callable's prefills complete out of admission
+order.  Between changes the built-in planners return the published id tuple
+itself.
+
+The decode clock: every batch that decodes appends its end to one list of
+decode-step ends, and its delivery instant to a parallel list: the plan's
+``release_s``, which may not precede the end, or else the end.  A request
+keeps the decode-step index at which its open slice of these lists starts.
+Every plan of a built-in policy decodes the whole published set or none of
+it, so such a request emits at every later decode step until it finishes,
+and a heap of finish indices gives the next finish without a per-member
+scan.  When a request finishes, its token times are built once: its first
+token followed by its slices of the end list, and, only if a held step falls
+inside one of its slices, its delivery times from the same slices of the
+delivery list.  ``RequestState.emitted`` is still exact at every scheduler
+call, since schedulers read it.
+
+The one-identity rule: a plan takes the clock path only when its
+``decode_ids`` is the very tuple the engine last published, which needs no
+member check.  Any other plan (a callable's subset, an equal copy, or a tuple
+a callable published itself with ``set_decoding``) is checked with set
+operations and scanned member by member: the scan closes the slices of the
+members it skips and reopens them when they decode again, and the heap is
+rebuilt before the clock path next runs.
 
 Decode runs: when a built-in policy plans a plain decode batch (no prefill,
 no release instant; a prepone phase in flight always plans one or the
 other), the same batch would be planned again at every iteration until a
 member emits its last token or the clock reaches the next arrival.  The loop
 runs such a batch for that many iterations from one policy call and one plan
-check: it advances the clock by the same sequential additions, emits each
-member's tokens with one ``list.extend`` and logs one record per iteration.
-Every other batch, and every batch of a custom callable, is a run of one
-iteration.
-
-The decode set: the loop keeps the DECODING members of ``running`` (in
-``running`` order) and publishes them with their ids on the ``QueueState``
-whenever they change.  A last token removes its request with ``list.remove``;
-a completed prefill rebuilds the set from ``running``, whose order holds even
-when a callable's prefills complete out of admission order.  Between changes
-the built-in planners return the published id tuple itself, and the plan
-check tests the members against the set of decodable ids with set
-operations, walking them one by one only to name a culprit.
+check.  ``itertools.accumulate`` adds the duration sequentially, exactly as
+one iteration at a time would advance the clock, and the run's ends and log
+records are built at C level.  Every other batch, and every batch of a custom
+callable, is a run of one iteration.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import partial
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, repeat, takewhile
+from operator import gt
 from typing import Callable, Sequence
 
 from ..schedulers import (
@@ -82,8 +102,13 @@ def validate_workload(workload: Sequence[RequestSpec], engine: EngineConfig,
 
 
 def _validate_plan(plan: BatchPlan, state: QueueState,
-                   by_id: dict[str, RequestState], decodable: set[str],
-                   prefill_tokens: int) -> None:
+                   by_id: dict[str, RequestState],
+                   published: tuple[str, ...], prefill_tokens: int) -> None:
+    """Raise SchedulerViolation unless ``plan`` can run on ``state``.
+
+    ``published`` is the decode set's id tuple as the engine last published
+    it; a plan that decodes that very tuple needs no member check.
+    """
     eng = state.engine
     seen: set[str] = set()
     admitted = 0
@@ -109,18 +134,21 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
             admitted += 1
             kv_needed += req.kv_reservation
     ids = plan.decode_ids
-    # Set operations check every member at once; only a plan that fails them
-    # walks its members, to name the first culprit.  The superset test
-    # already implies disjointness, as no prefill item passed above is
-    # decoding; the disjointness test keeps this check independent of that.
-    if not (len(set(ids)) == len(ids) and decodable.issuperset(ids)
-            and seen.isdisjoint(ids)):
-        for rid in ids:
-            if rid in seen:
-                raise SchedulerViolation(f"{rid}: appears twice in batch")
-            seen.add(rid)
-            if rid not in decodable:
-                raise SchedulerViolation(f"{rid}: not decodable")
+    # The published tuple holds decodable ids, once each.  Any other tuple is
+    # checked with set operations at once; only a plan that fails them walks
+    # its members, to name the first culprit.  The superset test already
+    # implies disjointness, as no prefill item passed above is decoding; the
+    # disjointness test keeps this check independent of that.
+    if ids is not published:
+        decodable = set(published)
+        if not (len(set(ids)) == len(ids) and decodable.issuperset(ids)
+                and seen.isdisjoint(ids)):
+            for rid in ids:
+                if rid in seen:
+                    raise SchedulerViolation(f"{rid}: appears twice in batch")
+                seen.add(rid)
+                if rid not in decodable:
+                    raise SchedulerViolation(f"{rid}: not decodable")
     batch_tokens = prefill_tokens + len(ids)
     if batch_tokens > eng.max_batch_tokens:
         raise SchedulerViolation(
@@ -130,6 +158,29 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
         raise SchedulerViolation("batch exceeds max_running_seqs")
     if state.kv_reserved + kv_needed > eng.kv_capacity_tokens:
         raise SchedulerViolation("batch exceeds kv_capacity_tokens")
+
+
+# Builds an IterationRecord from a 7-tuple without the named tuple's
+# Python-level __new__.
+_record = partial(tuple.__new__, IterationRecord)
+
+
+def _slices(series: list[float], first: float,
+            spans: Sequence[int]) -> tuple[float, ...]:
+    """``first``, then ``series[a:b]`` for each span ``a, b`` of ``spans``."""
+    times = [first]
+    for i in range(0, len(spans), 2):
+        times += series[spans[i]:spans[i + 1]]
+    return tuple(times)
+
+
+def _holds(held: list[int], spans: Sequence[int]) -> bool:
+    """Whether one of the ascending steps ``held`` lies in a span."""
+    for i in range(0, len(spans), 2):
+        j = bisect_left(held, spans[i])
+        if j < len(held) and held[j] < spans[i + 1]:
+            return True
+    return False
 
 
 def run(workload: Sequence[RequestSpec], engine: EngineConfig,
@@ -144,8 +195,9 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     validate_workload(workload, engine, scheduler)
     states = [RequestState(spec) for spec in workload]
     by_id = {s.spec.request_id: s for s in states}
-    gen: dict[str, list[float]] = {s.spec.request_id: [] for s in states}
-    held: list[tuple[tuple[str, ...], float, float]] = []
+    # Workload position: a request's slot in the trace, and the tie-break
+    # between equal finish indices.
+    rank = {rid: i for i, rid in enumerate(by_id)}
 
     builtin = isinstance(scheduler, (VllmLike, ChunkedPrefill, DecodePrepone))
     if builtin:
@@ -157,10 +209,10 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
 
     waiting: list[RequestState] = []
     running: list[RequestState] = []
-    # The DECODING members of running, in running order, and their ids.
+    # The DECODING members of running, in running order.
     decoding: list[RequestState] = []
-    decodable: set[str] = set()
     iterations: list[IterationRecord] = []
+    records: list[RequestTrace | None] = [None] * len(states)
     clock = 0.0
     kv_reserved = 0
     arrive_idx = 0
@@ -170,6 +222,23 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     # every request has arrived.
     arrivals = [s.spec.arrival for s in states] + [math.inf]
     qstate = QueueState(clock, waiting, running, kv_reserved, engine)
+    # The decode set's ids as the engine last published them.
+    published = qstate.decode_ids
+
+    # The decode clock, one entry per decode step: its end, its delivery
+    # instant, and the ascending steps whose release is after the end.
+    step_ends: list[float] = []
+    step_deliveries: list[float] = []
+    held: list[int] = []
+    # Per started request: its first token time, and its slices of the clock
+    # as start, stop, start, ...; an odd length leaves the last slice open.
+    first: dict[str, float] = {}
+    spans: dict[str, list[int]] = {}
+    # (finish index, rank) per decoding request: the clock length at which it
+    # emits its last token if it decodes at every step from now on.
+    heap: list[tuple[int, int]] = []
+    # Set when a scanned plan may have closed slices and staled the heap.
+    stale = False
 
     while finished < n:
         while arrivals[arrive_idx] <= clock:
@@ -187,37 +256,93 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             raise SchedulerViolation(
                 f"scheduler idle at t={clock} with work pending")
         prefill_tokens = plan.prefill_tokens
-        _validate_plan(plan, qstate, by_id, decodable, prefill_tokens)
+        ids = plan.decode_ids
+        _validate_plan(plan, qstate, by_id, published, prefill_tokens)
 
-        decode_seqs = len(plan.decode_ids)
-        duration = iteration_time(prefill_tokens, decode_seqs, engine)
-        queue_depth = len(waiting)
-        # A built-in policy's plain decode batch depends only on the queue,
-        # which stays the same until a member runs out of output or the next
-        # arrival is admitted, so it runs for up to m iterations at once.
-        members = list(map(by_id.__getitem__, plan.decode_ids))
+        step = len(step_ends)
+        clocked = ids is published
+        if clocked and stale:
+            # Reopen the slices a scanned plan closed, from this step on.
+            heap = []
+            for r in decoding:
+                rid = r.spec.request_id
+                heap.append((step + r.spec.output_len - r.emitted, rank[rid]))
+                sp = spans[rid]
+                if not len(sp) & 1:
+                    sp.append(step)
+            heapify(heap)
+            stale = False
+
+        duration = iteration_time(prefill_tokens, len(ids), engine)
         release = plan.release_s
-        m = 1
-        if builtin and not plan.prefill_items and release is None:
-            m = min([r.remaining_output for r in members])
-        # Iteration ends by sequential addition, exactly as one iteration at
-        # a time would advance the clock; the run stops at the first end that
-        # admits the next arrival.
-        end = clock + duration
-        if release is not None and release != end:
-            if not (release >= end):  # NaN fails too
-                raise SchedulerViolation(
-                    f"release at {release} precedes batch end {end}")
-            held.append((plan.decode_ids, end, release))
-        ends = [end]
-        while end < next_arrival and len(ends) < m:
-            end = end + duration
+        tail = (duration, prefill_tokens, len(ids),
+                tuple(i.request_id for i in plan.prefill_items), ids,
+                len(waiting))
+        if builtin and clocked and not plan.prefill_items and release is None:
+            # A built-in policy's plain decode batch depends only on the
+            # queue, which stays the same until a member runs out of output
+            # or the next arrival is admitted, so it runs for up to
+            # heap[0][0] - step iterations at once.  Its starts come by
+            # sequential addition, exactly as one iteration at a time would
+            # advance the clock; it keeps each iteration that starts before
+            # the next arrival, so it stops at the first end that admits it.
+            starts = list(takewhile(
+                partial(gt, next_arrival),
+                accumulate(repeat(duration, heap[0][0] - step - 1),
+                           initial=clock)))
+            m = len(starts)
+            ends = starts[1:]
+            end = starts[-1] + duration
             ends.append(end)
-        m = len(ends)
+            step_ends += ends
+            step_deliveries += ends
+            iterations += map(_record, zip(starts, *map(repeat, tail)))
+        else:
+            m = 1
+            end = clock + duration
+            hold = release is not None and release != end
+            if hold:
+                if not (release >= end):  # NaN fails too
+                    raise SchedulerViolation(
+                        f"release at {release} precedes batch end {end}")
+                if release == math.inf:
+                    raise SchedulerViolation(
+                        f"release at {release} is not finite")
+            if ids:
+                step_ends.append(end)
+                if hold:
+                    held.append(step)
+                    step_deliveries.append(release)
+                else:
+                    step_deliveries.append(end)
+            iterations.append(_record((clock, *tail)))
+        now = len(step_ends)
 
-        grew = shrank = False
+        done: list[RequestState] = []
+        if clocked:
+            # Every member of the published set decodes at every step.
+            for r in decoding:
+                r.emitted += m
+            while heap and heap[0][0] == now:
+                done.append(states[heappop(heap)[1]])
+        elif ids:
+            members = set(ids)
+            for r in decoding:
+                sp = spans[r.spec.request_id]
+                if r.spec.request_id in members:
+                    if not len(sp) & 1:
+                        sp.append(step)
+                    r.emitted += 1
+                    if r.emitted == r.spec.output_len:
+                        done.append(r)
+                elif len(sp) & 1:
+                    sp.append(step)
+            stale = True
+
+        started: list[RequestState] = []
         for item in plan.prefill_items:
-            req = by_id[item.request_id]
+            rid = item.request_id
+            req = by_id[rid]
             if req.phase == Phase.WAITING:
                 req.phase = Phase.PREFILLING
                 kv_reserved += req.kv_reservation
@@ -226,61 +351,54 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             req.prefill_done = item.end
             if req.prefill_done == req.spec.prompt_len:
                 # Prefill produces the request's first output token.
-                gen[item.request_id].append(end)
+                first[rid] = end
                 req.emitted = 1
-                if req.emitted == req.spec.output_len:
-                    req.phase = Phase.FINISHED
-                    kv_reserved -= req.kv_reservation
-                    running.remove(req)
-                    finished += 1
+                if req.spec.output_len == 1:
+                    done.append(req)
                 else:
                     req.phase = Phase.DECODING
-                    grew = True
+                    spans[rid] = [now]
+                    heappush(heap, (now + req.spec.output_len - 1, rank[rid]))
+                    started.append(req)
 
-        for rid, req in zip(plan.decode_ids, members):
-            gen[rid].extend(ends)
-            req.emitted += m
-            if req.emitted == req.spec.output_len:
-                req.phase = Phase.FINISHED
-                kv_reserved -= req.kv_reservation
-                running.remove(req)
+        shrank = False
+        for req in done:
+            rid = req.spec.request_id
+            sp = spans.pop(rid, ())  # none for a one-token request
+            if req.phase == Phase.DECODING:
+                sp.append(now)
                 decoding.remove(req)
-                finished += 1
                 shrank = True
-        if grew:
-            # Rebuilt from running, whose order holds even when a callable's
-            # prefills complete out of admission order.
-            decoding = [r for r in running if r.phase == Phase.DECODING]
-        if grew or shrank:
+            req.phase = Phase.FINISHED
+            kv_reserved -= req.kv_reservation
+            running.remove(req)
+            finished += 1
+            # One emission path: the token and the delivery times are the
+            # same slices of the two clock lists.
+            t0 = first.pop(rid)
+            delivery = (_slices(step_deliveries, t0, sp)
+                        if held and _holds(held, sp) else None)
+            try:
+                records[rank[rid]] = RequestTrace(
+                    rid, req.spec.arrival, _slices(step_ends, t0, sp),
+                    req.spec.prompt_len, True, delivery)
+            except ValueError as exc:
+                # Token times strictly increase from the arrival (base_s >
+                # 0), so only a held delivery timeline can be refused.
+                raise SchedulerViolation(
+                    f"{rid}: a held release reorders its tokens") from exc
+        if started:
+            if running[-len(started):] == started:
+                # The last admitted, as under every built-in policy: they
+                # follow every member in running.
+                decoding += started
+            else:
+                # Rebuilt from running, whose order holds even when a
+                # callable's prefills complete out of admission order.
+                decoding = [r for r in running if r.phase == Phase.DECODING]
+        if started or shrank:
             qstate.set_decoding(decoding)
-            decodable = set(qstate.decode_ids)
-
-        # One record per iteration, all sharing the plan's decode_ids tuple;
-        # tuple.__new__ skips the named tuple's Python-level __new__.
-        prefill_ids = tuple(i.request_id for i in plan.prefill_items)
-        decode_ids = plan.decode_ids
-        iterations.extend([
-            tuple.__new__(IterationRecord, (
-                start, duration, prefill_tokens, decode_seqs, prefill_ids,
-                decode_ids, queue_depth))
-            for start in [clock, *ends[:-1]]])
+            published = qstate.decode_ids
         clock = end
 
-    # A request's token times strictly increase (base_s > 0), so bisect
-    # finds the token a held batch generated at its end.
-    delivery: dict[str, list[float]] = {}
-    for decode_ids, end, release in held:
-        for rid in decode_ids:
-            times = delivery.get(rid)
-            if times is None:
-                times = delivery[rid] = gen[rid][:]
-            times[bisect_left(gen[rid], end)] = release
-    records = []
-    for s in states:
-        rid = s.spec.request_id
-        d = delivery.get(rid)
-        records.append(RequestTrace(
-            request_id=rid, arrival=s.spec.arrival, token_times=tuple(gen[rid]),
-            prompt_len=s.spec.prompt_len, completed=True,
-            delivery_times=None if d is None else tuple(d)))
     return SimTrace(requests=records, iterations=iterations)

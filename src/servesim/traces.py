@@ -56,14 +56,20 @@ def _check_timeline(request_id: str, arrival: float,
     if complete and not times:
         raise ValueError(f"{request_id}: complete timeline with no tokens")
     prev = arrival
-    for t in times:
-        if not (t >= prev):
-            prev = math.nan
-            break
-        prev = t
-    # Every time lies in [arrival, prev], prev being the last token or the
-    # arrival (NaN once one is out of order), so one check keeps them finite.
-    if not math.isfinite(prev):
+    try:
+        for t in times:
+            if not (t >= prev):
+                prev = math.nan
+                break
+            prev = t
+        # Every time lies in [arrival, prev], prev being the last token or
+        # the arrival (NaN once one is out of order), so one check keeps
+        # them finite.
+        finite = math.isfinite(prev)
+    except (TypeError, OverflowError):
+        # A time that is not a real number, or an int past the float range.
+        finite = False
+    if not finite:
         raise ValueError(f"{request_id}: times must be finite, non-decreasing "
                          f"and not precede arrival")
     if floor is not None:
@@ -145,9 +151,10 @@ class RequestTrace:
 class IterationRecord(NamedTuple):
     """One engine iteration: timing, batch composition, and queue depth.
 
-    A named tuple, not a dataclass: the engine builds one per iteration, and
-    a tuple builds several times faster.  The records of one decode run share
-    one ``decode_ids`` tuple.
+    A named tuple, not a dataclass: the engine builds a decode run's records
+    by mapping ``tuple.__new__`` over the run's start times, with no Python
+    call per record.  The records of one plan share its ``decode_ids``
+    tuple.
     """
 
     start: float

@@ -8,7 +8,9 @@ from servesim.schedulers import (
     BatchPlan,
     ChunkedPrefill,
     DecodePrepone,
+    Phase,
     PrefillItem,
+    RequestState,
     SchedulerViolation,
     VllmLike,
     next_batch,
@@ -205,6 +207,49 @@ def _decode_a_twice(state):
     return BatchPlan(decode_ids=("a", "b", "a"))
 
 
+def _decode_a_ghost_published_by_the_callable(state):
+    # The callable publishes a decode set of its own, with an unknown
+    # request, and decodes that tuple: it is not the engine's, so it is
+    # checked.
+    if not state.decoding:
+        return next_batch(VllmLike(), state)
+    ghost = RequestState(RequestSpec("ghost", 0.0, 1, 2), Phase.DECODING)
+    state.set_decoding([*state.decoding, ghost])
+    return BatchPlan(decode_ids=state.decode_ids)
+
+
+def _decode_a_finished_request_published_by_the_callable():
+    # As above with a finished request: a and b finish together, and c
+    # decodes after them beside a.
+    seen = {}
+
+    def schedule(state):
+        seen.update((r.spec.request_id, r) for r in state.running)
+        gone = [r for r in seen.values() if r.phase == Phase.FINISHED]
+        if not (state.decoding and gone):
+            return next_batch(VllmLike(), state)
+        state.set_decoding([*state.decoding, gone[0]])
+        return BatchPlan(decode_ids=state.decode_ids)
+    return schedule
+
+
+def _hold_the_first_decode_past_the_next(state):
+    # a's second token is held until 1.13 s, long after its third is
+    # generated and delivered at 0.23 s.
+    if not state.decoding:
+        return next_batch(VllmLike(), state)
+    if state.decoding[0].emitted == 1:
+        return BatchPlan(decode_ids=state.decode_ids,
+                         release_s=state.clock + 1.0)
+    return BatchPlan(decode_ids=state.decode_ids)
+
+
+def _hold_forever(state):
+    if not state.decoding:
+        return next_batch(VllmLike(), state)
+    return BatchPlan(decode_ids=state.decode_ids, release_s=math.inf)
+
+
 @pytest.mark.parametrize("engine, rogue, message", [
     (ENG, lambda s: BatchPlan(prefill_items=(PrefillItem("c", 0, 60),)),
      "c: scheduled before arrival"),
@@ -225,9 +270,17 @@ def _decode_a_twice(state):
     (ENG, lambda s: BatchPlan(prefill_items=(PrefillItem("a", 0, 60),),
                               decode_ids=("a",)),
      "a: appears twice in batch"),
+    (ENG, _decode_a_ghost_published_by_the_callable, "ghost: not decodable"),
+    (ENG, _decode_a_finished_request_published_by_the_callable(),
+     "a: not decodable"),
+    (ENG, _hold_the_first_decode_past_the_next,
+     "a: a held release reorders its tokens"),
+    (ENG, _hold_forever, "release at inf is not finite"),
 ], ids=["before_arrival", "not_prefillable", "prefill_span", "not_decodable",
         "batch_tokens", "running_seqs", "kv_capacity", "early_release",
-        "finished_decode", "duplicate_decode", "prefill_and_decode"])
+        "finished_decode", "duplicate_decode", "prefill_and_decode",
+        "published_ghost", "published_finished", "reordering_release",
+        "infinite_release"])
 def test_rogue_plan_diagnostics(engine, rogue, message):
     # Each request alone fits every engine above; only the plan breaks a rule.
     workload = [RequestSpec("a", 0.0, 60, 50), RequestSpec("b", 0.0, 60, 50),

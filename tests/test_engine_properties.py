@@ -1,11 +1,13 @@
 """Engine invariants on random small workloads, re-derived from the trace."""
 
+import dataclasses
 from bisect import bisect_left, bisect_right
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from servesim.engine import EngineConfig, run
+from servesim.engine import EngineConfig, iteration_time, pyloop, run
 from servesim.schedulers import (
     BatchPlan,
     ChunkedPrefill,
@@ -15,6 +17,7 @@ from servesim.schedulers import (
     VllmLike,
     next_batch,
 )
+from servesim.traces import RequestTrace
 from servesim.workload import RequestSpec
 
 MAX_PROMPT, MAX_OUTPUT = 120, 20
@@ -118,16 +121,96 @@ def test_engine_invariants(case):
     assert run(workload, engine, policy) == trace
 
 
+def _copied(plan):
+    """``plan`` with an equal decode tuple that is not the published one."""
+    return dataclasses.replace(plan, decode_ids=tuple(list(plan.decode_ids)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_decode_runs_match_the_per_iteration_loop(case):
     # The engine steps a built-in policy's plain decode batches a run at a
-    # time; a callable is asked for every iteration.  Wrapping the policy in
-    # a callable therefore gives the per-iteration loop as the reference,
-    # token, delivery and iteration records alike.
+    # time on its decode clock; a callable is asked for every iteration, and
+    # a copied decode tuple is scanned member by member.  Wrapping the policy
+    # in such a callable therefore gives the per-iteration loop as the
+    # reference, token, delivery and iteration records alike.
     workload, engine, policy = case
     assert run(workload, engine, policy) == \
-        run(workload, engine, lambda qs: next_batch(policy, qs))
+        run(workload, engine, lambda qs: _copied(next_batch(policy, qs)))
+
+
+def alternating_halves(policy, engine, pattern, holds, log):
+    """``policy``'s plans, with the decode set cut by ``pattern`` and held.
+
+    Call ``k`` decodes per ``pattern[k % len(pattern)]``: the whole
+    published tuple (``"all"``), an equal copy, or its even or odd half (the
+    whole tuple if that half is empty).  A decoding plan from
+    ``holds[k % len(holds)]`` ``h`` is released ``h * base_s`` after its
+    end; less than one iteration, so no later token overtakes it.  Each
+    call's clock and plan are appended to ``log``.
+    """
+    def schedule(state):
+        plan = next_batch(policy, state)
+        k = len(log)
+        ids, how = plan.decode_ids, pattern[k % len(pattern)]
+        if how == "copy":
+            ids = tuple(list(ids))
+        elif how != "all":
+            ids = ids[how == "odd"::2] or ids
+        hold, release = holds[k % len(holds)], None
+        if hold is not None and ids:
+            release = state.clock + iteration_time(
+                plan.prefill_tokens, len(ids), engine) + hold * engine.base_s
+        plan = BatchPlan(plan.prefill_items, ids, release)
+        log.append((state.clock, plan))
+        return plan
+    return schedule
+
+
+def replayed_requests(workload, engine, log):
+    """Each request's record, replayed from the plans one iteration each."""
+    specs = {s.request_id: s for s in workload}
+    gen = {rid: [] for rid in specs}
+    delivery = {rid: [] for rid in specs}
+    for clock, plan in log:
+        end = clock + iteration_time(plan.prefill_tokens,
+                                     len(plan.decode_ids), engine)
+        for item in plan.prefill_items:
+            if item.end == specs[item.request_id].prompt_len:
+                gen[item.request_id].append(end)
+                delivery[item.request_id].append(end)
+        for rid in plan.decode_ids:
+            gen[rid].append(end)
+            delivery[rid].append(end if plan.release_s is None
+                                 else plan.release_s)
+    return [RequestTrace(rid, s.arrival, tuple(gen[rid]), s.prompt_len, True,
+                         None if delivery[rid] == gen[rid]
+                         else tuple(delivery[rid]))
+            for rid, s in specs.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases().filter(lambda case: not isinstance(case[2], DecodePrepone)),
+       st.lists(st.sampled_from(["all", "copy", "even", "odd"]),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from([None, 0.0, 0.5]), min_size=1, max_size=4))
+def test_alternating_halves_match_a_replay_of_their_plans(case, pattern,
+                                                           holds):
+    # A callable that decodes part of the set closes the skipped members'
+    # slices of the decode clock and reopens them; the expected trace is
+    # replayed from its plans alone.
+    workload, engine, policy = case
+    log = []
+    trace = run(workload, engine,
+                alternating_halves(policy, engine, pattern, holds, log))
+    assert trace.requests == replayed_requests(workload, engine, log)
+    assert [(it.start, it.prefill_ids, it.decode_ids)
+            for it in trace.iterations] == [
+        (clock, tuple(i.request_id for i in plan.prefill_items),
+         plan.decode_ids) for clock, plan in log]
+    check_limits(trace, {s.request_id: s for s in workload}, engine)
+    run(workload, engine, checking_emitted(
+        alternating_halves(policy, engine, pattern, holds, []), trace))
 
 
 def checking_decode_set(schedule):
@@ -139,6 +222,38 @@ def checking_decode_set(schedule):
         assert state.decode_ids == tuple(r.spec.request_id for r in decoding)
         return schedule(state)
     return wrapped
+
+
+def checking_emitted(schedule, trace):
+    """``schedule``, asserting at every call that each running request's
+    ``emitted`` counts its tokens that ``trace`` generates by the clock."""
+    times = {rec.request_id: rec.token_times for rec in trace.requests}
+
+    def wrapped(state):
+        for r in state.running:
+            assert r.emitted == bisect_right(times[r.spec.request_id],
+                                             state.clock)
+        return schedule(state)
+    return wrapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_emitted_is_exact_at_every_scheduler_call(case):
+    workload, engine, policy = case
+    trace = run(workload, engine, policy)
+    # A built-in policy keeps its decode runs when the engine's next_batch
+    # is wrapped; a callable is asked for every iteration.
+    check = checking_emitted(lambda qs: next_batch(policy, qs), trace)
+    calls = []
+
+    def counted(policy, state):
+        calls.append(state.clock)
+        return check(state)
+    with mock.patch.object(pyloop, "next_batch", counted):
+        assert run(workload, engine, policy) == trace
+    assert calls
+    run(workload, engine, check)
 
 
 @settings(max_examples=200, deadline=None)

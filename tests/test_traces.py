@@ -81,9 +81,13 @@ def test_delivery_never_precedes_generation():
     (0.0, (1.0, math.nan), True),
     (math.nan, (1.0, 2.0), True),
     (0.0, (), True),
-], ids=["decreasing", "nan_time", "nan_arrival", "complete_empty"])
+    (0.0, (10**400,), True),
+    (0.0, ("x",), True),
+], ids=["decreasing", "nan_time", "nan_arrival", "complete_empty",
+        "int_past_float_range", "string_time"])
 def test_record_rejects_what_the_reader_rejects(arrival, times, completed):
-    with pytest.raises(ValueError):
+    # A ValueError that names the request, whatever the bad value's type.
+    with pytest.raises(ValueError, match="^a: "):
         RequestTrace("a", arrival, times, 2, completed)
 
 
