@@ -17,24 +17,25 @@ itself.
 
 The decode clock: every batch that decodes appends its end to one list of
 decode-step ends, and its delivery instant to a parallel list: the plan's
-``release_s``, which may not precede the end, or else the end.  A request
-keeps the decode-step index at which its open slice of these lists starts.
-Every plan of a built-in policy decodes the whole published set or none of
-it, so such a request emits at every later decode step until it finishes,
-and a heap of finish indices gives the next finish without a per-member
-scan.  When a request finishes, its token times are built once: its first
-token followed by its slices of the end list, and, only if a held step falls
-inside one of its slices, its delivery times from the same slices of the
-delivery list.  ``RequestState.emitted`` is still exact at every scheduler
-call, since schedulers read it.
+``release_s``, which may not precede the end, or else the end.  A decoding
+request keeps its slices of these lists, the runs of steps at which it
+decodes; the last slice stays open while it decodes at every step.  A plan
+decodes the whole set when its ``decode_ids`` is the tuple the engine last
+published or equal to it (a tuple a callable publishes itself with
+``set_decoding`` does not count); every built-in plan that decodes does.
+Such a plan needs no member check; any other is checked with set
+operations.  A plan that decodes a subset closes the slices of the members
+it skips, and a member's slice reopens when it decodes again.
 
-The one-identity rule: a plan takes the clock path only when its
-``decode_ids`` is the very tuple the engine last published, which needs no
-member check.  Any other plan (a callable's subset, an equal copy, or a tuple
-a callable published itself with ``set_decoding``) is checked with set
-operations and scanned member by member: the scan closes the slices of the
-members it skips and reopens them when they decode again, and the heap is
-rebuilt before the clock path next runs.
+An open slice fixes the step at which its request emits its last token, and
+a heap of these finish indices gives the next finish without a per-member
+scan.  The entry of a slice that has since closed is smaller than its
+request's live one, so it pops first and is dropped: its request has not
+finished.  When a request finishes, its token times are built once: its
+first token followed by its slices of the end list, and its delivery times
+from the same slices of the delivery list, kept only where they differ.
+``RequestState.emitted`` is still exact at every scheduler call, since
+schedulers read it.
 
 Decode runs: when a built-in policy plans a plain decode batch (no prefill,
 no release instant; a prepone phase in flight always plans one or the
@@ -50,9 +51,8 @@ callable, is a run of one iteration.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import accumulate, repeat, takewhile
 from operator import gt
 from typing import Callable, Sequence
@@ -103,11 +103,13 @@ def validate_workload(workload: Sequence[RequestSpec], engine: EngineConfig,
 
 def _validate_plan(plan: BatchPlan, state: QueueState,
                    by_id: dict[str, RequestState],
-                   published: tuple[str, ...], prefill_tokens: int) -> None:
+                   decodable: tuple[str, ...] | None,
+                   prefill_tokens: int) -> None:
     """Raise SchedulerViolation unless ``plan`` can run on ``state``.
 
-    ``published`` is the decode set's id tuple as the engine last published
-    it; a plan that decodes that very tuple needs no member check.
+    ``decodable`` is the decode set's id tuple as the engine last published
+    it, or ``None`` for a plan that decodes that whole set, which needs no
+    member check.
     """
     eng = state.engine
     seen: set[str] = set()
@@ -134,20 +136,20 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
             admitted += 1
             kv_needed += req.kv_reservation
     ids = plan.decode_ids
-    # The published tuple holds decodable ids, once each.  Any other tuple is
-    # checked with set operations at once; only a plan that fails them walks
-    # its members, to name the first culprit.  The superset test already
-    # implies disjointness, as no prefill item passed above is decoding; the
-    # disjointness test keeps this check independent of that.
-    if ids is not published:
-        decodable = set(published)
-        if not (len(set(ids)) == len(ids) and decodable.issuperset(ids)
+    # The decodable tuple holds ids once each.  A plan that does not decode
+    # all of it is checked with set operations at once; only a plan that
+    # fails them walks its members, to name the first culprit.  The superset
+    # test already implies disjointness, as no prefill item passed above is
+    # decoding; the disjointness test keeps this check independent of that.
+    if decodable is not None:
+        members = set(decodable)
+        if not (len(set(ids)) == len(ids) and members.issuperset(ids)
                 and seen.isdisjoint(ids)):
             for rid in ids:
                 if rid in seen:
                     raise SchedulerViolation(f"{rid}: appears twice in batch")
                 seen.add(rid)
-                if rid not in decodable:
+                if rid not in members:
                     raise SchedulerViolation(f"{rid}: not decodable")
     batch_tokens = prefill_tokens + len(ids)
     if batch_tokens > eng.max_batch_tokens:
@@ -172,15 +174,6 @@ def _slices(series: list[float], first: float,
     for i in range(0, len(spans), 2):
         times += series[spans[i]:spans[i + 1]]
     return tuple(times)
-
-
-def _holds(held: list[int], spans: Sequence[int]) -> bool:
-    """Whether one of the ascending steps ``held`` lies in a span."""
-    for i in range(0, len(spans), 2):
-        j = bisect_left(held, spans[i])
-        if j < len(held) and held[j] < spans[i + 1]:
-            return True
-    return False
 
 
 def run(workload: Sequence[RequestSpec], engine: EngineConfig,
@@ -225,20 +218,20 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     # The decode set's ids as the engine last published them.
     published = qstate.decode_ids
 
-    # The decode clock, one entry per decode step: its end, its delivery
-    # instant, and the ascending steps whose release is after the end.
+    # The decode clock, one entry per decode step: its end and its delivery
+    # instant; held is set once a release falls after its end.
     step_ends: list[float] = []
     step_deliveries: list[float] = []
-    held: list[int] = []
+    held = False
     # Per started request: its first token time, and its slices of the clock
     # as start, stop, start, ...; an odd length leaves the last slice open.
     first: dict[str, float] = {}
     spans: dict[str, list[int]] = {}
-    # (finish index, rank) per decoding request: the clock length at which it
-    # emits its last token if it decodes at every step from now on.
+    # (finish index, rank) per slice opened: the clock length at which its
+    # request emits its last token if it decodes at every step from then on.
     heap: list[tuple[int, int]] = []
-    # Set when a scanned plan may have closed slices and staled the heap.
-    stale = False
+    # How many members of decoding have their last slice closed.
+    paused = 0
 
     while finished < n:
         while arrivals[arrive_idx] <= clock:
@@ -252,33 +245,44 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
         qstate.clock = clock
         qstate.kv_reserved = kv_reserved
         plan = schedule(qstate)
+        if not isinstance(plan, BatchPlan):
+            raise SchedulerViolation(
+                f"scheduler returned {type(plan).__name__}, not a BatchPlan")
         if plan.is_empty:
             raise SchedulerViolation(
                 f"scheduler idle at t={clock} with work pending")
         prefill_tokens = plan.prefill_tokens
         ids = plan.decode_ids
-        _validate_plan(plan, qstate, by_id, published, prefill_tokens)
+        # An equal copy of the published tuple is the whole set too; a tuple
+        # the callable published itself is not, so it is checked.
+        whole = ids is published or ids == published
+        _validate_plan(plan, qstate, by_id, None if whole else published,
+                       prefill_tokens)
 
         step = len(step_ends)
-        clocked = ids is published
-        if clocked and stale:
-            # Reopen the slices a scanned plan closed, from this step on.
-            heap = []
+        if ids and (paused or not whole):
+            # Close the slices of the members this plan skips, and reopen
+            # those of members that decode again, from this step on.
+            members = set(ids)
             for r in decoding:
                 rid = r.spec.request_id
-                heap.append((step + r.spec.output_len - r.emitted, rank[rid]))
                 sp = spans[rid]
-                if not len(sp) & 1:
+                if rid in members:
+                    if not len(sp) & 1:
+                        sp.append(step)
+                        paused -= 1
+                        heappush(heap, (step + r.spec.output_len - r.emitted,
+                                        rank[rid]))
+                elif len(sp) & 1:
                     sp.append(step)
-            heapify(heap)
-            stale = False
+                    paused += 1
 
         duration = iteration_time(prefill_tokens, len(ids), engine)
         release = plan.release_s
         tail = (duration, prefill_tokens, len(ids),
                 tuple(i.request_id for i in plan.prefill_items), ids,
                 len(waiting))
-        if builtin and clocked and not plan.prefill_items and release is None:
+        if builtin and whole and not plan.prefill_items and release is None:
             # A built-in policy's plain decode batch depends only on the
             # queue, which stays the same until a member runs out of output
             # or the next arrival is admitted, so it runs for up to
@@ -291,14 +295,16 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 accumulate(repeat(duration, heap[0][0] - step - 1),
                            initial=clock)))
             m = len(starts)
+            last = starts[-1]
             ends = starts[1:]
-            end = starts[-1] + duration
+            end = last + duration
             ends.append(end)
             step_ends += ends
             step_deliveries += ends
             iterations += map(_record, zip(starts, *map(repeat, tail)))
         else:
             m = 1
+            last = clock
             end = clock + duration
             hold = release is not None and release != end
             if hold:
@@ -311,33 +317,27 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             if ids:
                 step_ends.append(end)
                 if hold:
-                    held.append(step)
+                    held = True
                     step_deliveries.append(release)
                 else:
                     step_deliveries.append(end)
             iterations.append(_record((clock, *tail)))
+        if not end > last:
+            # Once an addition leaves a start unchanged, every later start of
+            # the run is that start, so the run's last addition is enough.
+            raise ValueError(
+                f"the engine clock stalls at {last} s: an iteration of "
+                f"{duration} s does not advance it")
         now = len(step_ends)
 
+        for r in (decoding if whole else map(by_id.__getitem__, ids)):
+            r.emitted += m
         done: list[RequestState] = []
-        if clocked:
-            # Every member of the published set decodes at every step.
-            for r in decoding:
-                r.emitted += m
-            while heap and heap[0][0] == now:
-                done.append(states[heappop(heap)[1]])
-        elif ids:
-            members = set(ids)
-            for r in decoding:
-                sp = spans[r.spec.request_id]
-                if r.spec.request_id in members:
-                    if not len(sp) & 1:
-                        sp.append(step)
-                    r.emitted += 1
-                    if r.emitted == r.spec.output_len:
-                        done.append(r)
-                elif len(sp) & 1:
-                    sp.append(step)
-            stale = True
+        while heap and heap[0][0] <= now:
+            r = states[heappop(heap)[1]]
+            # An entry of a slice that has since closed is dropped.
+            if r.emitted == r.spec.output_len:
+                done.append(r)
 
         started: list[RequestState] = []
         for item in plan.prefill_items:
@@ -373,18 +373,19 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             kv_reserved -= req.kv_reservation
             running.remove(req)
             finished += 1
-            # One emission path: the token and the delivery times are the
-            # same slices of the two clock lists.
+            # The token and the delivery times are the same slices of the
+            # two clock lists.
             t0 = first.pop(rid)
-            delivery = (_slices(step_deliveries, t0, sp)
-                        if held and _holds(held, sp) else None)
+            times = _slices(step_ends, t0, sp)
+            delivery = _slices(step_deliveries, t0, sp) if held else times
             try:
                 records[rank[rid]] = RequestTrace(
-                    rid, req.spec.arrival, _slices(step_ends, t0, sp),
-                    req.spec.prompt_len, True, delivery)
+                    rid, req.spec.arrival, times, req.spec.prompt_len, True,
+                    None if delivery == times else delivery)
             except ValueError as exc:
-                # Token times strictly increase from the arrival (base_s >
-                # 0), so only a held delivery timeline can be refused.
+                # Token times strictly increase from the arrival, as every
+                # plan's end passed the clock check, so only a held delivery
+                # timeline can be refused.
                 raise SchedulerViolation(
                     f"{rid}: a held release reorders its tokens") from exc
         if started:

@@ -57,7 +57,11 @@ def trimmed_window(records: list[RequestTrace], trim_start: float,
     The time axis runs from 0 to the generation makespan; the window keeps
     [trim_start, 1 - trim_end] of it.
     """
-    makespan = max(rec.token_times[-1] for rec in records if rec.token_times)
+    makespan = max((rec.token_times[-1] for rec in records if rec.token_times),
+                   default=None)
+    if makespan is None:
+        raise ValueError("no request in the trace has a token, so it has no "
+                         "makespan to trim a window from")
     start = trim_start * makespan
     end = (1.0 - trim_end) * makespan
     return window_from_traces(records, start, end, use_delivery=use_delivery)

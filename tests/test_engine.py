@@ -276,11 +276,12 @@ def _hold_forever(state):
     (ENG, _hold_the_first_decode_past_the_next,
      "a: a held release reorders its tokens"),
     (ENG, _hold_forever, "release at inf is not finite"),
+    (ENG, lambda s: None, "scheduler returned NoneType, not a BatchPlan"),
 ], ids=["before_arrival", "not_prefillable", "prefill_span", "not_decodable",
         "batch_tokens", "running_seqs", "kv_capacity", "early_release",
         "finished_decode", "duplicate_decode", "prefill_and_decode",
         "published_ghost", "published_finished", "reordering_release",
-        "infinite_release"])
+        "infinite_release", "not_a_plan"])
 def test_rogue_plan_diagnostics(engine, rogue, message):
     # Each request alone fits every engine above; only the plan breaks a rule.
     workload = [RequestSpec("a", 0.0, 60, 50), RequestSpec("b", 0.0, 60, 50),
@@ -302,6 +303,23 @@ def test_engine_config_rejects_non_finite_costs(costs, message):
     # NaN fails every check written `not (lo < x < inf)`; `x <= 0` let it in.
     with pytest.raises(ValueError, match=message):
         EngineConfig(**costs)
+
+
+@pytest.mark.parametrize("prompt_len", [4, 100], ids=["prefill", "decode_run"])
+def test_a_clock_an_iteration_cannot_advance_is_named(prompt_len):
+    # Past about 7e13 s a default iteration of 6 ms is less than half the
+    # clock's float spacing (1/64 s), so adding it leaves the clock where it
+    # was and every token would land at the arrival.  A 100-token prefill
+    # (35 ms) still advances it; then the decode run stalls.
+    with pytest.raises(ValueError,
+                       match="engine clock stalls at 71000000000000"):
+        run([RequestSpec("a", 7.1e13, prompt_len, 3)], EngineConfig(),
+            VllmLike())
+    # At half that clock the spacing is 1/128 s, and the times advance.
+    (rec,) = run([RequestSpec("a", 3.5e13, prompt_len, 3)], EngineConfig(),
+                 VllmLike()).requests
+    assert 3.5e13 < rec.token_times[0] < rec.token_times[1] \
+        < rec.token_times[2]
 
 
 def test_workload_validation_errors():

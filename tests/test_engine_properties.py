@@ -4,7 +4,7 @@ import dataclasses
 from bisect import bisect_left, bisect_right
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from servesim.engine import EngineConfig, iteration_time, pyloop, run
@@ -131,9 +131,10 @@ def _copied(plan):
 def test_decode_runs_match_the_per_iteration_loop(case):
     # The engine steps a built-in policy's plain decode batches a run at a
     # time on its decode clock; a callable is asked for every iteration, and
-    # a copied decode tuple is scanned member by member.  Wrapping the policy
-    # in such a callable therefore gives the per-iteration loop as the
-    # reference, token, delivery and iteration records alike.
+    # a copied decode tuple counts as the whole set, as the published one
+    # does.  Wrapping the policy in such a callable therefore gives the
+    # per-iteration loop as the reference, token, delivery and iteration
+    # records alike.
     workload, engine, policy = case
     assert run(workload, engine, policy) == \
         run(workload, engine, lambda qs: _copied(next_batch(policy, qs)))
@@ -194,6 +195,13 @@ def replayed_requests(workload, engine, log):
        st.lists(st.sampled_from(["all", "copy", "even", "odd"]),
                 min_size=1, max_size=6),
        st.lists(st.sampled_from([None, 0.0, 0.5]), min_size=1, max_size=4))
+# One plan decodes r01 alone and closes r02's slice, so r02's first finish
+# entry (clock length 3) goes stale.  It pops when r02 has emitted 2 of its 3
+# tokens; taken as a finish, it would end r02 a token early.
+@example(case=([RequestSpec("r00", 0.0, 1, 1), RequestSpec("r01", 0.0, 1, 3),
+                RequestSpec("r02", 0.30000000000000004, 1, 3)],
+               EngineConfig(0.25, 0.0, 0.25, 16, 2, 140), VllmLike()),
+         pattern=["even"], holds=[None])
 def test_alternating_halves_match_a_replay_of_their_plans(case, pattern,
                                                            holds):
     # A callable that decodes part of the set closes the skipped members'

@@ -357,6 +357,22 @@ def test_cli_metrics_rejects_an_unscorable_trace(fixtures_dir, tmp_path,
     assert "line 3: b1: " in error["error"]["message"]
 
 
+@pytest.mark.parametrize("lines", [
+    [], [{"request_id": "a", "arrival_s": 0.0, "token_times_s": [],
+          "prompt_len": 4, "completed": False}]], ids=["empty", "no_tokens"])
+def test_cli_metrics_names_a_trace_with_no_tokens(fixtures_dir, tmp_path,
+                                                  capsys, lines):
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    config_path = os.path.join(fixtures_dir, "experiment.json")
+    assert run_cli(["metrics", "--config", config_path,
+                    "--trace", str(trace)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"]["type"] == "ValueError"
+    assert error["error"]["message"].startswith(
+        "no request in the trace has a token")
+
+
 def test_cli_capacity(tmp_path, capsys):
     config = {
         "workload": {"count": 40, "seed": 3, "rate": 1.0,
