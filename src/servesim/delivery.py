@@ -21,9 +21,9 @@ identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .traces import RequestTrace, TokenTimeline
+from .traces import RequestTrace, TokenTimeline, _unchecked
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,19 @@ def delay_trace(records, config: DelayConfig) -> list[RequestTrace]:
     """Each record with paced delivery times; generation times are kept.
 
     The cadence paces the record's delivery timeline (its generation
-    timeline when it has none), so stacking transforms composes.
+    timeline when it has none), so stacking transforms composes.  Paced
+    times never decrease and never precede the checked times they pace, so
+    the records are built unchecked; only an overflow to infinity, which
+    would reach the last release, is refused.
     """
-    return [replace(rec, delivery_times=_pace(rec.delivery_timeline(), config))
-            for rec in records]
+    out = []
+    for rec in records:
+        paced = _pace(rec.delivery_timeline(), config)
+        if paced and not math.isfinite(paced[-1]):
+            raise ValueError(f"{rec.request_id}: times must be finite, "
+                             f"non-decreasing and not precede arrival")
+        out.append(_unchecked(
+            RequestTrace, request_id=rec.request_id, arrival=rec.arrival,
+            token_times=rec.token_times, prompt_len=rec.prompt_len,
+            completed=rec.completed, delivery_times=paced))
+    return out

@@ -7,13 +7,15 @@ just completed.  Admission reserves the request's full final KV footprint, so
 a running request can never run out of cache (there is no preemption).
 
 The decode set: the loop keeps the DECODING members of ``running`` (in
-``running`` order) and publishes them with their ids on the ``QueueState``
-whenever they change.  A last token removes its request with ``list.remove``.
-Requests whose prefill completes are appended when they are the last admitted,
-as under every built-in policy; otherwise the set is rebuilt from ``running``,
-whose order holds even when a callable's prefills complete out of admission
-order.  Between changes the built-in planners return the published id tuple
-itself.
+``running`` order) and a parallel list of their ids, and publishes both as
+tuples on the ``QueueState`` whenever they change.  A last token deletes its
+request at the same index of both.  Requests whose prefill completes are
+appended when they are the last admitted, as under every built-in policy;
+otherwise the set is rebuilt from ``running``, whose order holds even when a
+callable's prefills complete out of admission order.  Between changes the
+built-in planners return the published id tuple itself.  The loop also keeps
+the state's PREFILLING members, in ``running`` order: a request joins them
+at admission and leaves when its prefill completes.
 
 The decode clock: every batch that decodes appends its end to one list of
 decode-step ends, and its delivery instant to a parallel list: the plan's
@@ -43,9 +45,16 @@ other), the same batch would be planned again at every iteration until a
 member emits its last token or the clock reaches the next arrival.  The loop
 runs such a batch for that many iterations from one policy call and one plan
 check.  ``itertools.accumulate`` adds the duration sequentially, exactly as
-one iteration at a time would advance the clock, and the run's ends and log
-records are built at C level.  Every other batch, and every batch of a custom
-callable, is a run of one iteration.
+one iteration at a time would advance the clock, and the run's ends are
+built at C level.  Every other batch, and every batch of a custom callable,
+is a run of one iteration.  The iteration log gets one entry per run, its
+first start and its length; the ``IterationLog`` rebuilds the run's starts
+by the same additions when it is read.
+
+Records: the clock check refuses a plan whose end does not exceed its last
+start or is not finite, so every request's token times strictly increase
+from its arrival and its records are built unchecked.  Only a held delivery
+timeline is checked, against its token times.
 """
 
 from __future__ import annotations
@@ -69,7 +78,13 @@ from ..schedulers import (
     VllmLike,
     next_batch,
 )
-from ..traces import IterationRecord, RequestTrace, SimTrace
+from ..traces import (
+    IterationLog,
+    RequestTrace,
+    SimTrace,
+    _check_timeline,
+    _unchecked,
+)
 from ..workload import RequestSpec
 from .config import EngineConfig, iteration_time
 
@@ -136,12 +151,13 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
             admitted += 1
             kv_needed += req.kv_reservation
     ids = plan.decode_ids
-    # The decodable tuple holds ids once each.  A plan that does not decode
-    # all of it is checked with set operations at once; only a plan that
-    # fails them walks its members, to name the first culprit.  The superset
-    # test already implies disjointness, as no prefill item passed above is
-    # decoding; the disjointness test keeps this check independent of that.
-    if decodable is not None:
+    # The decodable tuple holds ids once each.  A plan that decodes part of
+    # it is checked with set operations at once; only a plan that fails them
+    # walks its members, to name the first culprit.  A plan that decodes
+    # nothing needs no check.  The superset test already implies
+    # disjointness, as no prefill item passed above is decoding; the
+    # disjointness test keeps this check independent of that.
+    if decodable is not None and ids:
         members = set(decodable)
         if not (len(set(ids)) == len(ids) and members.issuperset(ids)
                 and seen.isdisjoint(ids)):
@@ -160,11 +176,6 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
         raise SchedulerViolation("batch exceeds max_running_seqs")
     if state.kv_reserved + kv_needed > eng.kv_capacity_tokens:
         raise SchedulerViolation("batch exceeds kv_capacity_tokens")
-
-
-# Builds an IterationRecord from a 7-tuple without the named tuple's
-# Python-level __new__.
-_record = partial(tuple.__new__, IterationRecord)
 
 
 def _slices(series: list[float], first: float,
@@ -202,9 +213,12 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
 
     waiting: list[RequestState] = []
     running: list[RequestState] = []
-    # The DECODING members of running, in running order.
+    # The DECODING members of running, in running order, and their ids.
     decoding: list[RequestState] = []
-    iterations: list[IterationRecord] = []
+    decoding_ids: list[str] = []
+    # One entry per plan run: (start, count, duration, prefill_tokens,
+    # decode_seqs, prefill_ids, decode_ids, queue_depth).
+    runs: list[tuple] = []
     records: list[RequestTrace | None] = [None] * len(states)
     clock = 0.0
     kv_reserved = 0
@@ -215,6 +229,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     # every request has arrived.
     arrivals = [s.spec.arrival for s in states] + [math.inf]
     qstate = QueueState(clock, waiting, running, kv_reserved, engine)
+    prefilling = qstate.prefilling_members
     # The decode set's ids as the engine last published them.
     published = qstate.decode_ids
 
@@ -279,9 +294,6 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
 
         duration = iteration_time(prefill_tokens, len(ids), engine)
         release = plan.release_s
-        tail = (duration, prefill_tokens, len(ids),
-                tuple(i.request_id for i in plan.prefill_items), ids,
-                len(waiting))
         if builtin and whole and not plan.prefill_items and release is None:
             # A built-in policy's plain decode batch depends only on the
             # queue, which stays the same until a member runs out of output
@@ -301,7 +313,6 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             ends.append(end)
             step_ends += ends
             step_deliveries += ends
-            iterations += map(_record, zip(starts, *map(repeat, tail)))
         else:
             m = 1
             last = clock
@@ -321,13 +332,18 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                     step_deliveries.append(release)
                 else:
                     step_deliveries.append(end)
-            iterations.append(_record((clock, *tail)))
-        if not end > last:
+        if not last < end < math.inf:
             # Once an addition leaves a start unchanged, every later start of
-            # the run is that start, so the run's last addition is enough.
+            # the run is that start, so the run's last addition is enough;
+            # starts only grow, so a finite last end keeps every time finite.
             raise ValueError(
                 f"the engine clock stalls at {last} s: an iteration of "
-                f"{duration} s does not advance it")
+                f"{duration} s does not advance it" if end == last else
+                f"the engine clock overflows at {last} s: an iteration of "
+                f"{duration} s takes it to {end}")
+        runs.append((clock, m, duration, prefill_tokens, len(ids),
+                     tuple(i.request_id for i in plan.prefill_items), ids,
+                     len(waiting)))
         now = len(step_ends)
 
         for r in (decoding if whole else map(by_id.__getitem__, ids)):
@@ -348,9 +364,11 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 kv_reserved += req.kv_reservation
                 waiting.remove(req)
                 running.append(req)
+                prefilling.append(req)
             req.prefill_done = item.end
             if req.prefill_done == req.spec.prompt_len:
                 # Prefill produces the request's first output token.
+                prefilling.remove(req)
                 first[rid] = end
                 req.emitted = 1
                 if req.spec.output_len == 1:
@@ -367,7 +385,9 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             sp = spans.pop(rid, ())  # none for a one-token request
             if req.phase == Phase.DECODING:
                 sp.append(now)
-                decoding.remove(req)
+                i = decoding.index(req)
+                del decoding[i]
+                del decoding_ids[i]
                 shrank = True
             req.phase = Phase.FINISHED
             kv_reserved -= req.kv_reservation
@@ -377,29 +397,37 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             # two clock lists.
             t0 = first.pop(rid)
             times = _slices(step_ends, t0, sp)
-            delivery = _slices(step_deliveries, t0, sp) if held else times
-            try:
-                records[rank[rid]] = RequestTrace(
-                    rid, req.spec.arrival, times, req.spec.prompt_len, True,
-                    None if delivery == times else delivery)
-            except ValueError as exc:
-                # Token times strictly increase from the arrival, as every
-                # plan's end passed the clock check, so only a held delivery
-                # timeline can be refused.
-                raise SchedulerViolation(
-                    f"{rid}: a held release reorders its tokens") from exc
+            delivery = None
+            if held:
+                delivery = _slices(step_deliveries, t0, sp)
+                if delivery == times:
+                    delivery = None
+                else:
+                    try:
+                        _check_timeline(rid, req.spec.arrival, delivery, True,
+                                        times)
+                    except ValueError as exc:
+                        raise SchedulerViolation(
+                            f"{rid}: a held release reorders its "
+                            f"tokens") from exc
+            records[rank[rid]] = _unchecked(
+                RequestTrace, request_id=rid, arrival=req.spec.arrival,
+                token_times=times, prompt_len=req.spec.prompt_len,
+                completed=True, delivery_times=delivery)
         if started:
             if running[-len(started):] == started:
                 # The last admitted, as under every built-in policy: they
                 # follow every member in running.
                 decoding += started
+                decoding_ids += [r.spec.request_id for r in started]
             else:
                 # Rebuilt from running, whose order holds even when a
                 # callable's prefills complete out of admission order.
                 decoding = [r for r in running if r.phase == Phase.DECODING]
+                decoding_ids = [r.spec.request_id for r in decoding]
         if started or shrank:
-            qstate.set_decoding(decoding)
-            published = qstate.decode_ids
+            qstate.decoding = tuple(decoding)
+            qstate.decode_ids = published = tuple(decoding_ids)
         clock = end
 
-    return SimTrace(requests=records, iterations=iterations)
+    return SimTrace(requests=records, iterations=IterationLog(runs))

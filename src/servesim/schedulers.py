@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Union
@@ -129,10 +130,13 @@ class QueueState:
     """Scheduler-visible snapshot of the engine at an iteration boundary.
 
     ``decoding`` holds the DECODING members of ``running``, in ``running``
-    order, and ``decode_ids`` their ids.  Both are derived here, so a
-    hand-built state is consistent.  The engine republishes them with
-    ``set_decoding`` only when the members change, so plans that decode the
-    same members share one ``decode_ids`` tuple.  Planners only read them.
+    order, and ``decode_ids`` their ids; ``prefilling_members`` holds the
+    PREFILLING members of ``running``, in ``running`` order.  All three are
+    derived here, so a hand-built state is consistent.  The engine keeps
+    them itself: it republishes the two decode tuples only when the members
+    change, so plans that decode the same members share one ``decode_ids``
+    tuple, and it appends a request to ``prefilling_members`` at admission
+    and removes it when its prefill completes.  Planners only read them.
     """
 
     clock: float
@@ -143,20 +147,21 @@ class QueueState:
     prepone: PreponeState | None = None
     decoding: tuple[RequestState, ...] = field(init=False)
     decode_ids: tuple[str, ...] = field(init=False)
+    prefilling_members: list[RequestState] = field(init=False)
 
     def __post_init__(self):
         self.set_decoding(
             [r for r in self.running if r.phase == Phase.DECODING])
+        self.prefilling_members = [r for r in self.running
+                                   if r.phase == Phase.PREFILLING]
 
     def set_decoding(self, decoding: Iterable[RequestState]) -> None:
         self.decoding = tuple(decoding)
         self.decode_ids = tuple(map(_request_id, self.decoding))
 
     def prefilling(self) -> RequestState | None:
-        for r in self.running:
-            if r.phase == Phase.PREFILLING:
-                return r
-        return None
+        """The first PREFILLING member of ``running``, if any."""
+        return self.prefilling_members[0] if self.prefilling_members else None
 
 
 # Batch plans ------------------------------------------------------------------
@@ -253,11 +258,12 @@ def _prepone_projection(state: QueueState, n: int, planned: list[RequestState],
     the true completion time of the planned prefill.
     """
     eng = state.engine
-    remaining = [r.remaining_output for r in state.decoding]
+    remaining = sorted(r.remaining_output for r in state.decoding)
     t = state.clock
     iters = 0
     for j in range(1, n + 1):
-        members = sum(1 for rem in remaining if rem >= j)
+        # The members with at least j tokens left.
+        members = len(remaining) - bisect_left(remaining, j)
         if members == 0:
             break
         t = t + iteration_time(0, members, eng)

@@ -13,8 +13,22 @@ release) separated delivery from generation; each delivery instant is never
 earlier than the matching generation instant.
 
 The ``RequestTrace`` constructor checks both timelines with one rule,
-``_check_timeline``, so it rejects exactly what ``read_trace`` rejects; a
-record's timeline views and their clipped prefixes are not checked again.
+``_check_timeline``, so it rejects exactly what ``read_trace`` rejects.  A
+record whose values are good by construction is built with ``_unchecked``
+instead, which skips that rule:
+
+* a record's timeline views and their clipped prefixes hold its checked
+  times;
+* the engine builds each request's token times strictly increasing from its
+  arrival, and refuses a clock that stops advancing or overflows; only a
+  held delivery timeline, which a scheduler's release instants shape, is
+  checked, with the token times as its floor;
+* ``delivery.delay_trace`` paces a checked timeline, so its delivery times
+  never decrease nor precede generation; it checks only that the last one is
+  finite.
+
+The engine's iteration log is an ``IterationLog``: one entry per plan run,
+read as one ``IterationRecord`` per iteration.
 
 Timestamps are serialized with Python's shortest round-trip float repr, so a
 load/save cycle is byte-stable and value-lossless at full double precision.
@@ -30,9 +44,11 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
-from operator import ge, itemgetter
+from functools import partial
+from itertools import accumulate, chain, groupby, repeat, takewhile
+from operator import ge, itemgetter, not_
 from typing import Iterable, NamedTuple
 
 
@@ -72,6 +88,13 @@ def _check_timeline(request_id: str, arrival: float,
     if not finite:
         raise ValueError(f"{request_id}: times must be finite, non-decreasing "
                          f"and not precede arrival")
+    # -0.0 passes the comparisons above as 0.0.  It can only be a zero
+    # arrival or one of the zero times that follow it.
+    if arrival == 0.0:
+        for t in (arrival, *takewhile(not_, times)):
+            if math.copysign(1.0, t) < 0:
+                raise ValueError(f"{request_id}: arrival and times must not "
+                                 f"be -0.0")
     if floor is not None:
         if len(floor) != len(times):
             raise ValueError(f"{request_id}: delivery/generation length mismatch")
@@ -113,12 +136,22 @@ class TokenTimeline:
         return _view(self, self.token_times[:kept], False)
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` record holding ``fields``, built without its checks.
+
+    For values that are good by construction only: the record is frozen, so
+    nothing checks them later.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _view(of, times: tuple[float, ...], complete: bool) -> TokenTimeline:
     """A TokenTimeline of ``of``'s checked times, not checked again."""
-    view = object.__new__(TokenTimeline)
-    view.__dict__.update(request_id=of.request_id, arrival=of.arrival,
-                         token_times=times, complete=complete)
-    return view
+    return _unchecked(TokenTimeline, request_id=of.request_id,
+                      arrival=of.arrival, token_times=times,
+                      complete=complete)
 
 
 @dataclass(frozen=True)
@@ -151,10 +184,10 @@ class RequestTrace:
 class IterationRecord(NamedTuple):
     """One engine iteration: timing, batch composition, and queue depth.
 
-    A named tuple, not a dataclass: the engine builds a decode run's records
-    by mapping ``tuple.__new__`` over the run's start times, with no Python
-    call per record.  The records of one plan share its ``decode_ids``
-    tuple.
+    A named tuple, not a dataclass: an ``IterationLog`` builds a run's
+    records by mapping ``tuple.__new__`` over the run's start times, with no
+    Python call per record.  The records of one plan share its
+    ``decode_ids`` tuple.
     """
 
     start: float
@@ -166,12 +199,65 @@ class IterationRecord(NamedTuple):
     queue_depth: int
 
 
+# Builds an IterationRecord from a 7-tuple without the named tuple's
+# Python-level __new__.
+_record = partial(tuple.__new__, IterationRecord)
+
+
+def _expand(run: tuple) -> Iterable[IterationRecord]:
+    """The records of one log entry, built at C level."""
+    start, count, *tail = run
+    return map(_record, zip(accumulate(repeat(tail[0], count - 1),
+                                       initial=start), *map(repeat, tail)))
+
+
+class IterationLog(Sequence):
+    """The engine's iteration log, one entry per plan run.
+
+    An entry is ``(start, count, duration, prefill_tokens, decode_seqs,
+    prefill_ids, decode_ids, queue_depth)``: ``count`` iterations of one
+    plan, the first starting at ``start``, each later one ``duration`` after
+    the one before, added sequentially as the engine advances its clock.
+    The log reads as one :class:`IterationRecord` per iteration.
+    Iterating builds the records at C level; indexing and slicing build the
+    whole log first.  Two logs are equal when their records are.
+    """
+
+    __slots__ = ("_runs", "_len")
+    __hash__ = None
+
+    def __init__(self, runs: list[tuple]):
+        self._runs = runs
+        self._len = sum(map(itemgetter(1), runs))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(map(_expand, self._runs))
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, IterationLog):
+            return NotImplemented
+        # Equal entries give equal records; one plan run as one entry or as
+        # several gives the same records from different entries.
+        return self._runs == other._runs or (
+            self._len == other._len and list(self) == list(other))
+
+    def __repr__(self) -> str:
+        return (f"IterationLog({self._len} iterations in "
+                f"{len(self._runs)} runs)")
+
+
 @dataclass
 class SimTrace:
     """Simulator output: per-request traces plus the iteration log."""
 
     requests: list[RequestTrace]
-    iterations: list[IterationRecord]
+    iterations: IterationLog
 
     def total_tokens(self) -> int:
         return sum(len(r.token_times) for r in self.requests)

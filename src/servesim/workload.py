@@ -37,6 +37,9 @@ class RequestSpec:
         if not 0.0 <= self.arrival < math.inf:  # NaN fails too
             raise ValueError(
                 f"{self.request_id}: arrival must be finite and >= 0")
+        if math.copysign(1.0, self.arrival) < 0:
+            # A trace written from it would not load.
+            raise ValueError(f"{self.request_id}: arrival must not be -0.0")
         if self.prompt_len < 1 or self.output_len < 1:
             raise ValueError(f"{self.request_id}: lengths must be >= 1")
 

@@ -5,8 +5,10 @@ code path with the package implementation, so the two can cross-check each
 other.  Keep it dumb.
 
 The per-request numpy scorer after ``nearest_rank`` is the bit-exact
-reference for ``build_report``, which scores a whole window at once.  The
-artifact writers at the end are the reference for the package's: one
+reference for ``build_report``, which scores a whole window at once.
+``iteration_records`` builds the engine's iteration log one record at a
+time, the reference for ``IterationLog``.  The artifact writers at the end
+are the reference for the package's: one
 ``json.dumps`` per trace record, one ``csv.writer`` row per iteration and
 one ``json.dump(indent=2)`` per report.
 """
@@ -176,6 +178,19 @@ def tbt_percentiles(gaps):
         return {}
     return {label: float(ordered[max(1, math.ceil(q * len(ordered))) - 1])
             for label, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))}
+
+
+def iteration_records(runs):
+    """One record tuple per iteration of each ``(start, count, duration,
+    *rest)`` run, its start one ``duration`` after the one before."""
+    out = []
+    for start, count, duration, *rest in runs:
+        t = start
+        for k in range(count):
+            if k > 0:
+                t = t + duration
+            out.append((t, duration, *rest))
+    return out
 
 
 def _record_to_obj(rec):

@@ -161,6 +161,15 @@ def test_trace_record_transform_and_stacking(tmp_path):
                                (0.1, 0.1 + 0.2, 0.9))
 
 
+@pytest.mark.parametrize("first_token_delayed", [False, True])
+def test_a_cadence_that_overflows_is_refused(first_token_delayed):
+    # delay_trace builds its records unchecked; paced times only grow, so an
+    # overflow shows in the last release, which it checks.
+    rec = RequestTrace("a", 1.6e308, (1.7e308, 1.75e308), 4, True)
+    with pytest.raises(ValueError, match="^a: times must be finite"):
+        delay_trace([rec], DelayConfig(1e308, first_token_delayed))
+
+
 def test_config_validation():
     # NaN must fail too: max(t, prev + nan) is t, so it would pace nothing.
     for hold in (0.0, -0.1, math.nan, math.inf, -math.inf):

@@ -322,6 +322,18 @@ def test_a_clock_an_iteration_cannot_advance_is_named(prompt_len):
         < rec.token_times[2]
 
 
+@pytest.mark.parametrize("output_len", [3, 1], ids=["decoding", "one_token"])
+def test_a_clock_that_overflows_is_named(output_len):
+    # The prefill ending past the largest double took the clock to inf: the
+    # admission scan then ran past the arrivals' inf sentinel (IndexError),
+    # and a one-token request got the time inf.
+    engine = EngineConfig(base_s=1e308, prefill_per_token_s=0,
+                          decode_per_seq_s=0, max_batch_tokens=10,
+                          max_running_seqs=4, kv_capacity_tokens=100)
+    with pytest.raises(ValueError, match=r"engine clock overflows at 1e\+308"):
+        run([RequestSpec("a", 1e308, 2, output_len)], engine, VllmLike())
+
+
 def test_workload_validation_errors():
     with pytest.raises(ValueError, match="sorted"):
         run([RequestSpec("a", 1.0, 10, 2), RequestSpec("b", 0.5, 10, 2)],

@@ -7,6 +7,8 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from servesim.delivery import DelayConfig, delay_trace
 from servesim.engine import EngineConfig, iteration_time, pyloop, run
 from servesim.schedulers import (
     BatchPlan,
@@ -17,7 +19,7 @@ from servesim.schedulers import (
     VllmLike,
     next_batch,
 )
-from servesim.traces import RequestTrace
+from servesim.traces import IterationLog, IterationRecord, RequestTrace
 from servesim.workload import RequestSpec
 
 MAX_PROMPT, MAX_OUTPUT = 120, 20
@@ -119,6 +121,69 @@ def test_engine_invariants(case):
             assert list(delivery) == sorted(delivery)
     check_limits(trace, specs, engine)
     assert run(workload, engine, policy) == trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.builds(DelayConfig, st.sampled_from([0.01, 0.05, 0.3]),
+                          st.booleans()))
+def test_trusted_records_pass_the_public_checks(case, delay):
+    # The engine and delay_trace build their records without the
+    # constructor's checks; each one passes them when rebuilt.
+    workload, engine, policy = case
+    records = run(workload, engine, policy).requests
+    for rec in [*records, *delay_trace(records, delay)]:
+        assert RequestTrace(rec.request_id, rec.arrival, rec.token_times,
+                            rec.prompt_len, rec.completed,
+                            rec.delivery_times) == rec
+
+
+def assert_log_reads_as(log, runs, data):
+    """``log`` reads as the records the oracle builds from ``runs``: its
+    length, iteration, indexing, slicing and equality."""
+    want = oracles.iteration_records(runs)
+    got = list(log)
+    assert len(log) == len(want)
+    # repr tells -0.0 from 0.0 and an int from an equal float.
+    assert [repr(tuple(r)) for r in got] == [repr(r) for r in want]
+    assert all(type(r) is IterationRecord for r in got)
+    if want:
+        i = data.draw(st.integers(-len(want), len(want) - 1))
+        assert log[i] == want[i]
+    bound = st.none() | st.integers(-len(want) - 2, len(want) + 2)
+    cut = slice(data.draw(bound), data.draw(bound),
+                data.draw(st.none() | st.sampled_from([1, 2, -1, -3])))
+    assert log[cut] == want[cut]
+    assert log == IterationLog(list(runs))
+    # The same records from one entry per iteration.
+    assert log == IterationLog([(r[0], 1, *r[1:]) for r in want])
+    if want:
+        # Another first entry, with a prefill id no entry holds.
+        assert log != IterationLog([(*runs[0][:5], ("z",), *runs[0][6:]),
+                                    *runs[1:]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.data())
+def test_the_engine_log_reads_as_its_iterations(case, data):
+    log = run(*case).iterations
+    assert_log_reads_as(log, log._runs, data)
+
+
+ids_tuples = st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).map(tuple)
+log_runs = st.lists(st.tuples(
+    st.sampled_from([0.0, 0, 5, 1e16]) | st.floats(0.0, 1e3),
+    st.just(1) | st.integers(1, 6),
+    st.sampled_from([0.0, -0.0, 0, 1, 0.25]) | st.floats(0.0, 1.0),
+    st.integers(0, 64), st.integers(0, 8), ids_tuples, ids_tuples,
+    st.integers(0, 9)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_runs, st.data())
+def test_a_log_reads_as_its_iterations(runs, data):
+    # Runs of one iteration, zero and int durations and signed zeros, which
+    # the engine never logs.
+    assert_log_reads_as(IterationLog(runs), runs, data)
 
 
 def _copied(plan):

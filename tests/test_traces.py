@@ -5,7 +5,7 @@ import pytest
 
 from servesim import traces
 from servesim.delivery import DelayConfig, delay_trace
-from servesim.engine import EngineConfig, run
+from servesim.engine import EngineConfig, pyloop, run
 from servesim.metrics import window_from_traces
 from servesim.schedulers import DecodePrepone
 from servesim.traces import (
@@ -83,8 +83,11 @@ def test_delivery_never_precedes_generation():
     (0.0, (), True),
     (0.0, (10**400,), True),
     (0.0, ("x",), True),
+    (-0.0, (1.0,), True),
+    (0.0, (0.0, -0.0), True),
 ], ids=["decreasing", "nan_time", "nan_arrival", "complete_empty",
-        "int_past_float_range", "string_time"])
+        "int_past_float_range", "string_time", "negative_zero_arrival",
+        "negative_zero_time"])
 def test_record_rejects_what_the_reader_rejects(arrival, times, completed):
     # A ValueError that names the request, whatever the bad value's type.
     with pytest.raises(ValueError, match="^a: "):
@@ -93,7 +96,8 @@ def test_record_rejects_what_the_reader_rejects(arrival, times, completed):
 
 @pytest.fixture
 def check_calls(monkeypatch):
-    """The number of ``_check_timeline`` calls made so far."""
+    """The arguments of each ``_check_timeline`` call made so far, the
+    engine's included."""
     calls = []
     check = traces._check_timeline
 
@@ -102,6 +106,7 @@ def check_calls(monkeypatch):
         check(*args)
 
     monkeypatch.setattr(traces, "_check_timeline", counted)
+    monkeypatch.setattr(pyloop, "_check_timeline", counted)
     return calls
 
 
@@ -109,20 +114,26 @@ def _timelines(records) -> int:
     return sum(1 + (rec.delivery_times is not None) for rec in records)
 
 
-def test_each_timeline_is_checked_once(tmp_path, check_calls):
+def test_only_untrusted_timelines_are_checked(tmp_path, check_calls):
+    # The engine builds token times it has already ordered and delay_trace
+    # paces checked times, so only a held delivery timeline, which the
+    # scheduler's release instants shape, is checked there.  The reader
+    # checks each timeline once, and a window nothing again.
     eng = EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
                        decode_per_seq_s=0.02, max_batch_tokens=2048,
                        max_running_seqs=64, kv_capacity_tokens=100_000)
     specs = generate(WorkloadConfig(6.0, 30, 3, Synthetic(
         UniformInt(20, 400), UniformInt(1, 30))))
     records = run(specs, eng, DecodePrepone(n=2)).requests
-    assert any(rec.delivery_times is not None for rec in records)
-    assert any(rec.delivery_times is None for rec in records)
-    assert len(check_calls) == _timelines(records)
+    held = [rec for rec in records if rec.delivery_times is not None]
+    assert held and len(held) < len(records)
+    # Once each, as requests finish.
+    assert sorted((args[0], args[2], args[4]) for args in check_calls) == [
+        (rec.request_id, rec.delivery_times, rec.token_times) for rec in held]
 
     del check_calls[:]
     delayed = delay_trace(records, DelayConfig(0.05))
-    assert len(check_calls) == 2 * len(delayed)
+    assert check_calls == []
 
     path = tmp_path / "t.jsonl"
     write_trace(path, records)
@@ -203,8 +214,12 @@ def test_overflowing_trace_number_reports_line(tmp_path, field, number):
     '"arrival_s": 9.7, "token_times_s": []',
     '"arrival_s": 9.5, "token_times_s": [9.8, 9.9], '
     '"delivery_times_s": [9.95, 9.9]',
+    '"arrival_s": -0.0, "token_times_s": [0.5]',
+    '"arrival_s": 0, "token_times_s": [0.0, -0.0, 0.5]',
+    '"arrival_s": 0.0, "token_times_s": [0.0], "delivery_times_s": [-0.0]',
 ], ids=["decreasing", "before_arrival", "complete_empty",
-        "decreasing_delivery"])
+        "decreasing_delivery", "negative_zero_arrival", "negative_zero_time",
+        "negative_zero_delivery"])
 def test_unscorable_timeline_reports_line(tmp_path, fields):
     # No metric can score these records; each delivery time of the last one
     # still follows its generation time.

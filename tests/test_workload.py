@@ -181,6 +181,12 @@ def test_request_spec_rejects_bad_arrival(arrival):
         RequestSpec("x", arrival, 10, 10)
 
 
+def test_request_spec_rejects_a_negative_zero_arrival():
+    # The engine's records of it would hold -0.0, which read_trace refuses.
+    with pytest.raises(ValueError, match="^x: arrival must not be -0.0"):
+        RequestSpec("x", -0.0, 10, 10)
+
+
 @pytest.mark.parametrize("field, text", [
     ("arrival_s", "NaN"), ("arrival_s", "Infinity"), ("arrival_s", "1e400"),
     ("arrival_s", '"0.1"'), ("prompt_len", "4.9"), ("output_len", "true"),
