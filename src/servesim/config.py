@@ -82,6 +82,12 @@ class ExperimentConfig:
             raise ConfigError("rates: must be positive and finite")
         if list(self.rates) != sorted(self.rates):
             raise ConfigError("rates: must be sorted ascending")
+        # A cell's artifacts are named after its rate as {rate:g}, which
+        # rounds monotonically: rates that share a name are neighbours.
+        for lo, hi in zip(self.rates, self.rates[1:]):
+            if f"{lo:g}" == f"{hi:g}":
+                raise ConfigError(f"rates: {lo!r} and {hi!r} share the "
+                                  f"artifact name rate{hi:g}")
         if not (0 <= self.trim_start_frac < 1 and 0 <= self.trim_end_frac < 1
                 and self.trim_start_frac + self.trim_end_frac < 1):
             raise ConfigError("trim: fractions must leave a non-empty window")

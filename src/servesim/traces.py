@@ -28,7 +28,9 @@ instead, which skips that rule:
   finite.
 
 The engine's iteration log is an ``IterationLog``: one entry per plan run,
-read as one ``IterationRecord`` per iteration.
+read as one ``IterationRecord`` per iteration.  ``write_iterations_csv``
+writes it per entry: an entry's starts, each followed by the entry's one
+formatted row tail.
 
 Timestamps are serialized with Python's shortest round-trip float repr, so a
 load/save cycle is byte-stable and value-lossless at full double precision.
@@ -41,13 +43,13 @@ from __future__ import annotations
 
 import bisect
 import csv
-import io
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, groupby, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import ge, itemgetter, not_
 from typing import Iterable, NamedTuple
 
@@ -204,11 +206,15 @@ class IterationRecord(NamedTuple):
 _record = partial(tuple.__new__, IterationRecord)
 
 
+def _starts(run: tuple) -> Iterable[float]:
+    """The start of each iteration of one log entry, each one its duration
+    after the one before, added as the engine advances its clock."""
+    return accumulate(repeat(run[2], run[1] - 1), initial=run[0])
+
+
 def _expand(run: tuple) -> Iterable[IterationRecord]:
     """The records of one log entry, built at C level."""
-    start, count, *tail = run
-    return map(_record, zip(accumulate(repeat(tail[0], count - 1),
-                                       initial=start), *map(repeat, tail)))
+    return map(_record, zip(_starts(run), *map(repeat, run[2:])))
 
 
 class IterationLog(Sequence):
@@ -219,16 +225,19 @@ class IterationLog(Sequence):
     plan, the first starting at ``start``, each later one ``duration`` after
     the one before, added sequentially as the engine advances its clock.
     The log reads as one :class:`IterationRecord` per iteration.
-    Iterating builds the records at C level; indexing and slicing build the
-    whole log first.  Two logs are equal when their records are.
+    Iterating builds the records at C level; an int index finds its entry
+    by bisection and builds that entry's records only, while slicing builds
+    the whole log first.  Two logs are equal when their records are.
     """
 
-    __slots__ = ("_runs", "_len")
+    __slots__ = ("_runs", "_ends", "_len")
     __hash__ = None
 
     def __init__(self, runs: list[tuple]):
         self._runs = runs
-        self._len = sum(map(itemgetter(1), runs))
+        # The number of iterations up to and including each entry.
+        self._ends = list(accumulate(map(itemgetter(1), runs)))
+        self._len = self._ends[-1] if runs else 0
 
     def __len__(self) -> int:
         return self._len
@@ -237,7 +246,16 @@ class IterationLog(Sequence):
         return chain.from_iterable(map(_expand, self._runs))
 
     def __getitem__(self, index):
-        return list(self)[index]
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("IterationLog index out of range")
+        k = bisect.bisect_right(self._ends, i)
+        run = self._runs[k]
+        return next(islice(_expand(run), i - self._ends[k] + run[1], None))
 
     def __eq__(self, other):
         if not isinstance(other, IterationLog):
@@ -384,40 +402,29 @@ ITERATIONS_CSV_HEADER = [
 ]
 
 
-_TAIL = itemgetter(slice(1, None))
+class _Echo:
+    """A ``csv.writer`` target: ``writerow`` returns the row's text."""
 
-
-def write_iterations_csv(path, iterations: Iterable[IterationRecord]) -> None:
-    """Iteration log for replay and audit of scheduler decisions.
-
-    The rows of a decode run differ only in ``start_s``, so the text after
-    it (``duration_s`` to ``queue_depth``) is formatted once per run of equal
-    fields.  The bytes are those of one ``csv.writer`` row per record.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-
-    def tail(fields) -> str:
-        (duration, prefill_tokens, decode_seqs, prefill_ids, decode_ids,
-         queue_depth) = fields
-        writer.writerow([repr(duration), prefill_tokens, decode_seqs,
-                         "|".join(prefill_ids), "|".join(decode_ids),
-                         queue_depth])
-        text = buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+    @staticmethod
+    def write(text: str) -> str:
         return text
 
+
+def write_iterations_csv(path, iterations: IterationLog) -> None:
+    """Iteration log for replay and audit of scheduler decisions.
+
+    Written per log entry: the iterations of one entry differ only in
+    ``start_s``, so the text after it (``duration_s`` to ``queue_depth``) is
+    formatted once and written after each of the entry's starts.  The bytes
+    are those of one ``csv.writer`` row per record.
+    """
+    row_text = csv.writer(_Echo()).writerow
     with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerow(ITERATIONS_CSV_HEADER)
-        for fields, run in groupby(iterations, _TAIL):
-            duration = fields[0]
-            # Equal durations print apart when one is -0.0 and one 0.0, or
-            # an int and an integral float: only a non-integral float is
-            # shared by the whole run.
-            if type(duration) is float and not duration.is_integer():
-                shared = "," + tail(fields)
-                f.write("".join([repr(it.start) + shared for it in run]))
-            else:
-                f.write("".join([f"{it.start!r},{tail(it[1:])}"
-                                 for it in run]))
+        f.write(row_text(ITERATIONS_CSV_HEADER))
+        for run in iterations._runs:
+            (_, _, duration, prefill_tokens, decode_seqs, prefill_ids,
+             decode_ids, queue_depth) = run
+            tail = "," + row_text([repr(duration), prefill_tokens,
+                                   decode_seqs, "|".join(prefill_ids),
+                                   "|".join(decode_ids), queue_depth])
+            f.write(tail.join(map(repr, _starts(run))) + tail)

@@ -9,8 +9,10 @@ reference for ``build_report``, which scores a whole window at once.
 ``iteration_records`` builds the engine's iteration log one record at a
 time, the reference for ``IterationLog``.  The artifact writers at the end
 are the reference for the package's: one
-``json.dumps`` per trace record, one ``csv.writer`` row per iteration and
-one ``json.dump(indent=2)`` per report.
+``json.dumps`` per trace record, one ``csv.writer`` row per iteration, one
+``np.diff`` per timeline and one ``csv.writer`` row per TBT CDF grid point,
+one ``json.dump(indent=2)`` per report and one ``csv.writer`` row per
+report row.
 """
 
 import csv
@@ -219,16 +221,72 @@ def write_iterations_csv(path, iterations):
         writer.writerow(["start_s", "duration_s", "prefill_tokens",
                          "decode_seqs", "prefill_ids", "decode_ids",
                          "queue_depth"])
-        for it in iterations:
+        for (start, duration, prefill_tokens, decode_seqs, prefill_ids,
+             decode_ids, queue_depth) in iterations:
             writer.writerow([
-                repr(it.start), repr(it.duration),
-                it.prefill_tokens, it.decode_seqs,
-                "|".join(it.prefill_ids), "|".join(it.decode_ids),
-                it.queue_depth,
+                repr(start), repr(duration), prefill_tokens, decode_seqs,
+                "|".join(prefill_ids), "|".join(decode_ids), queue_depth,
             ])
+
+
+def write_tbt_cdf(path, records):
+    """Generation and delivery TBT CDF: 1001 nearest-rank rows of each
+    timeline's pooled gaps, none for a timeline without a gap."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["timeline", "tbt_s", "cdf"])
+        for label, pick in (("generation", lambda r: r.token_times),
+                            ("delivery", lambda r: r.token_times
+                             if r.delivery_times is None
+                             else r.delivery_times)):
+            gaps = [np.diff(pick(rec)) for rec in records]
+            gaps = np.concatenate(gaps) if gaps else np.empty(0)
+            if not gaps.size:
+                continue
+            gaps.sort()
+            for k in range(1001):
+                q = k / 1000
+                rank = max(1, math.ceil(q * len(gaps)))
+                writer.writerow([label, repr(float(gaps[rank - 1])),
+                                 repr(q)])
 
 
 def write_report_json(path, report):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report.to_json_dict(), f, indent=2)
         f.write("\n")
+
+
+def _report_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+def write_report_csv(path, report):
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["request_id", "arrival_s", "n_tokens", "complete",
+                         "ttft_s", "tpot_s", "e2e_s", "max_tbt_s",
+                         "idle_latency_s", "benefit", "met_slo"])
+        for r in report.per_request:
+            writer.writerow([_report_cell(v) for v in (
+                r.request_id, r.arrival, r.n_tokens, r.complete, r.ttft,
+                r.tpot, r.e2e, r.max_tbt, r.idle_latency, r.benefit,
+                r.met_slo)])
+        for name, value in (
+                ("throughput_tokens_per_s", report.throughput_tokens_per_s),
+                ("goodput_tokens_per_s", report.goodput_tokens_per_s),
+                ("goodput_requests_per_s", report.goodput_requests_per_s),
+                ("smooth_goodput_per_s", report.smooth_goodput_per_s),
+                ("slo_attainment", report.slo_attainment),
+                ("mean_ttft_s", report.mean_ttft),
+                ("mean_idle_latency_s", report.mean_idle_latency)):
+            writer.writerow(["#agg", name, _report_cell(value)])
+        for scope, percentiles in (("ttft", report.ttft_percentiles),
+                                   ("tbt", report.tbt_percentiles)):
+            for label, value in percentiles.items():
+                writer.writerow(["#agg", f"{scope}_{label}_s",
+                                 _report_cell(value)])

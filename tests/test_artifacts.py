@@ -3,8 +3,9 @@
 ``fixtures/golden/sweep_sha256.json`` maps every file a tiny sweep of
 ``configs/default_sweep.json`` writes (24 requests, rates 1 and 4) to its
 sha256, except the ``plots/tbt_cdf_*.csv`` tables, which the grid tests
-below pin instead.  A writer change that alters any byte fails here.
-Regenerate only for an intended change of output, and say why in
+below pin instead, and whose bytes ``test_writer_properties`` holds to the
+reference writer in ``oracles``.  A writer change that alters any byte fails
+here.  Regenerate only for an intended change of output, and say why in
 CHANGES.md:
 
     PYTHONPATH=src python tests/test_artifacts.py
@@ -117,6 +118,12 @@ def test_cdf_of_single_token_requests_is_header_only(tmp_path):
     path = tmp_path / "cdf.csv"
     _write_tbt_cdf(path, records)
     assert read_cdf(path) == []
+
+
+def test_cdf_of_no_records_is_header_only(tmp_path):
+    path = tmp_path / "cdf.csv"
+    _write_tbt_cdf(path, [])
+    assert path.read_bytes() == b"timeline,tbt_s,cdf\r\n"
 
 
 def test_cdf_size_does_not_grow_with_tokens(tmp_path):

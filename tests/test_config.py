@@ -261,3 +261,24 @@ def test_integer_and_rate_bounds():
         with pytest.raises(ConfigError, match="rates: must be positive and "
                                               "finite"):
             replace(config, rates=(rate,))
+
+
+@pytest.mark.parametrize("rates, lo, hi", [
+    ((1.0, 2.0000001, 2.0000002), "2.0000001", "2.0000002"),
+    ((2.0, 2.0), "2.0", "2.0"),
+    ((1e-7, 1.0000001e-7, 3.0), "1e-07", "1.0000001e-07"),
+])
+def test_rates_that_share_an_artifact_name_are_rejected(rates, lo, hi):
+    """Each cell writes files named after its rate as {rate:g}; two rates
+    with one name would overwrite each other's."""
+    config = load_experiment(SWEEP_CONFIG)
+    with pytest.raises(ConfigError, match=f"^rates: {re.escape(lo)} and "
+                                          f"{re.escape(hi)} share"):
+        replace(config, rates=rates)
+    obj = experiment_to_config(config)
+    obj["rates"] = list(rates)
+    with pytest.raises(ConfigError, match="^rates: "):
+        experiment_from_config(obj)
+    # Rates whose names differ in the sixth significant digit are kept.
+    assert replace(config, rates=(2.00001, 2.00002)).rates == (2.00001,
+                                                                2.00002)

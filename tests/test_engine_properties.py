@@ -4,6 +4,7 @@ import dataclasses
 from bisect import bisect_left, bisect_right
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -146,9 +147,12 @@ def assert_log_reads_as(log, runs, data):
     # repr tells -0.0 from 0.0 and an int from an equal float.
     assert [repr(tuple(r)) for r in got] == [repr(r) for r in want]
     assert all(type(r) is IterationRecord for r in got)
-    if want:
-        i = data.draw(st.integers(-len(want), len(want) - 1))
-        assert log[i] == want[i]
+    # An int index builds the records of its entry only.
+    assert [repr(tuple(log[i])) for i in range(-len(want), len(want))] == \
+        [repr(r) for r in want + want]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            log[i]
     bound = st.none() | st.integers(-len(want) - 2, len(want) + 2)
     cut = slice(data.draw(bound), data.draw(bound),
                 data.draw(st.none() | st.sampled_from([1, 2, -1, -3])))

@@ -157,7 +157,9 @@ def experiments(draw):
                           max_size=4, unique=True))
     variants = tuple(Variant(name, draw(schedulers), draw(deliveries))
                      for name in names)
-    rates = sorted(draw(st.lists(positive, min_size=1, max_size=4)))
+    # Each rate names its cells' artifacts as {rate:g}; no two may share one.
+    rates = sorted(draw(st.lists(positive, min_size=1, max_size=4,
+                                 unique_by=lambda rate: f"{rate:g}")))
     return ExperimentConfig(
         workload=WorkloadConfig(draw(positive), draw(counts),
                                 draw(st.integers(0, 2**32)), draw(sources)),

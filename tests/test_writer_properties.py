@@ -1,24 +1,33 @@
 """The artifact writers write the bytes of the reference writers in oracles.
 
-The package formats each distinct trace time once, each decode run's
-iteration-row tail once and each report row with the C encoder; these tests
-hold every byte to a plain ``json.dumps`` per record, a ``csv.writer`` row
-per iteration and ``json.dump(indent=2)`` per report.
+The package formats each distinct trace time once, each iteration-log
+entry's row tail once, each TBT CDF from one sorted gap pool per timeline
+and each report row with the C encoder; these tests hold every byte to a
+plain ``json.dumps`` per record, a ``csv.writer`` row per iteration, an
+``np.diff`` per request and a ``csv.writer`` row per CDF point,
+``json.dump(indent=2)`` per report and a ``csv.writer`` row per report row.
 """
 
 import math
 import os
 import tempfile
 from itertools import accumulate
+from operator import add
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from servesim.metrics import MetricsReport, RequestMetrics, write_report_json
+from servesim.metrics import (
+    MetricsReport,
+    RequestMetrics,
+    write_report_csv,
+    write_report_json,
+)
+from servesim.runner import _write_tbt_cdf
 from servesim.traces import (
     _MAX_TEXTS,
-    IterationRecord,
+    IterationLog,
     RequestTrace,
     write_iterations_csv,
     write_trace,
@@ -107,28 +116,75 @@ def iteration_logs(draw):
         st.tuples(floats | st.integers(0, 10), counts, counts, id_tuples,
                   id_tuples, counts),
         min_size=1, max_size=4))
-    records = []
+    runs = []
+    # Neighbouring entries may share a tail, or differ only in the sign or
+    # type of an equal duration.
     for _ in range(draw(st.integers(0, 12))):
         duration, *rest = draw(st.sampled_from(tails))
-        # A neighbouring run may differ only in the sign or type of an equal
-        # duration.
         if draw(st.booleans()):
             duration = draw(st.sampled_from([0.0, -0.0, 0, 1.0, 1, 2.0, 2]))
-        for start in draw(st.lists(floats, min_size=1, max_size=4)):
-            records.append(IterationRecord(start, duration, *rest))
-    return records
+        start = draw(floats | st.integers(0, 10))
+        runs.append((start, draw(st.integers(1, 6)), duration, *rest))
+    return IterationLog(runs)
+
+
+def write_log_reference(path, log):
+    oracles.write_iterations_csv(path, oracles.iteration_records(log._runs))
 
 
 @settings(max_examples=300, deadline=None)
 @given(iteration_logs())
-@example([IterationRecord(0.0, 0.0, 1, 1, (), ("a",), 0),
-          IterationRecord(0.5, 0.0, 1, 1, (), ("a",), 0),
-          IterationRecord(1.0, -0.0, 1, 1, (), ("a",), 0)])
-@example([IterationRecord(0.0, 1.0, 0, 2, ("x,y",), ('"q"', "日"), 3),
-          IterationRecord(1.0, 1, 0, 2, ("x,y",), ('"q"', "日"), 3)])
-def test_iterations_bytes_match_reference(iterations):
-    assert_same_bytes(write_iterations_csv, oracles.write_iterations_csv,
-                      iterations)
+@example(IterationLog([(0.0, 1, 0.0, 1, 1, (), ("a",), 0),
+                       (0.5, 2, 0.0, 1, 1, (), ("a",), 0),
+                       (1.0, 1, -0.0, 1, 1, (), ("a",), 0)]))
+@example(IterationLog([(0.0, 1, 1.0, 0, 2, ("x,y",), ('"q"', "日"), 3),
+                       (1.0, 3, 1, 0, 2, ("x,y",), ('"q"', "日"), 3)]))
+def test_iterations_bytes_match_reference(log):
+    assert_same_bytes(write_iterations_csv, write_log_reference, log)
+
+
+# Token times as the engine and read_trace give them, floats, and small
+# ints, which a float holds exactly.
+cdf_times = (st.sampled_from([0.0, 0, 1, 0.5, 0.1, 1e-7, 1e16])
+             | st.floats(0.0, 1e9) | st.integers(0, 2**53))
+
+
+@st.composite
+def cdf_records(draw):
+    """Records of 0 tokens and up, in any order; in about half of the
+    draws none holds delivery times."""
+    pool = draw(st.lists(cdf_times, min_size=1, max_size=8))
+    values = st.sampled_from(pool) | cdf_times
+    delivered = draw(st.booleans())
+    records = []
+    for i in range(draw(st.integers(0, 8))):
+        arrival, *token_times = sorted(draw(st.lists(values, min_size=1,
+                                                     max_size=6)))
+        delivery = None
+        if delivered and draw(st.booleans()):
+            holds = draw(st.lists(st.sampled_from([0.0, 0.25, 3.0]),
+                                  min_size=len(token_times),
+                                  max_size=len(token_times)))
+            delivery = tuple(accumulate(map(add, token_times, holds), max))
+        records.append(RequestTrace(f"r{i}", arrival, tuple(token_times), 1,
+                                    bool(token_times), delivery))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdf_records())
+@example([])
+@example([RequestTrace("a", 0.0, (), 1, False),
+          RequestTrace("b", 0.0, (0.5,), 1, True, (0.75,)),
+          RequestTrace("c", 0.0, (0.5, 1.0, 2.0), 1, True),
+          RequestTrace("d", 1.0, (1.0,), 1, True),
+          RequestTrace("e", 1.0, (1.5, 1.75), 1, True, (1.5, 2.0)),
+          RequestTrace("f", 2.0, (), 1, False)])
+@example([RequestTrace("a", 0.0, (0.5,), 1, True),
+          RequestTrace("b", 0.0, (0.5, 1.0, 2.0), 1, True),
+          RequestTrace("c", 0.0, (), 1, False)])
+def test_tbt_cdf_bytes_match_reference(records):
+    assert_same_bytes(_write_tbt_cdf, oracles.write_tbt_cdf, records)
 
 
 optional = st.none() | floats
@@ -138,14 +194,13 @@ request_rows = st.builds(RequestMetrics, ids, floats, st.integers(),
 percentiles = st.dictionaries(st.sampled_from(["p50", "p90", "p99"]), floats)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.builds(MetricsReport, floats, floats,
-                 st.lists(request_rows, max_size=40).map(tuple),
-                 floats, floats, floats, floats, floats, percentiles,
-                 percentiles, floats, floats))
-@example(MetricsReport(0.0, 1.0, (), 0.0, 0.0, 0.0, 0.0, 0.0, {}, {},
-                       math.nan, 0.0))
-@example(MetricsReport(
+reports = st.builds(MetricsReport, floats, floats,
+                    st.lists(request_rows, max_size=40).map(tuple),
+                    floats, floats, floats, floats, floats, percentiles,
+                    percentiles, floats, floats)
+EMPTY_REPORT = MetricsReport(0.0, 1.0, (), 0.0, 0.0, 0.0, 0.0, 0.0, {}, {},
+                             math.nan, 0.0)
+LARGE_REPORT = MetricsReport(
     0.0, 100.0,
     tuple(RequestMetrics(f"r{i},\"é\"", i * 0.5, i, i % 2 == 0,
                          *([None] * 4 if i % 3 == 0 else [0.1 * i, -0.0,
@@ -154,6 +209,20 @@ percentiles = st.dictionaries(st.sampled_from(["p50", "p90", "p99"]), floats)
                          i % 5 == 0)
           for i in range(500)),
     1.0, 2.0, 3.0, -4.0, 0.5, {"p50": 0.1, "p90": 0.2, "p99": 0.3},
-    {"p50": math.nan}, 0.25, 0.125))
+    {"p50": math.nan}, 0.25, 0.125)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports)
+@example(EMPTY_REPORT)
+@example(LARGE_REPORT)
 def test_report_json_bytes_match_reference(report):
     assert_same_bytes(write_report_json, oracles.write_report_json, report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports)
+@example(EMPTY_REPORT)
+@example(LARGE_REPORT)
+def test_report_csv_bytes_match_reference(report):
+    assert_same_bytes(write_report_csv, oracles.write_report_csv, report)
