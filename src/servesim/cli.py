@@ -65,7 +65,8 @@ def cmd_sweep(args) -> int:
 def cmd_metrics(args) -> int:
     config = _load_config(args)
     records = read_trace(args.trace)
-    use_delivery = {"delivery": True, "generation": False}[args.timeline]
+    use_delivery = (config.use_delivery if args.timeline is None
+                    else args.timeline == "delivery")
     window = trimmed_window(records, config.trim_start_frac,
                             config.trim_end_frac, use_delivery)
     report = build_report(window, config.policy, config.benefit)
@@ -119,12 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="experiment config JSON")
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
+    def common(p):
+        p.add_argument("--config", required=True,
+                       help="experiment config JSON")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
 
     p = sub.add_parser("simulate", help="single-rate run of every variant")
     common(p)
@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--trace", required=True, help="trace JSONL to evaluate")
     p.add_argument("--timeline", choices=("delivery", "generation"),
-                   default="delivery")
+                   default=None,
+                   help="timeline to score (default: evaluate.timeline)")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_metrics)
 
@@ -159,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("delay", help="apply output delay to a trace")
-    common(p, needs_config=False)
     p.add_argument("--trace", required=True, help="input trace JSONL")
     p.add_argument("--out", required=True, help="output trace JSONL")
     p.add_argument("--hold", type=float, required=True,

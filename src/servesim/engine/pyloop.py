@@ -23,11 +23,10 @@ decode-step ends, and its delivery instant to a parallel list: the plan's
 request keeps its slices of these lists, the runs of steps at which it
 decodes; the last slice stays open while it decodes at every step.  A plan
 decodes the whole set when its ``decode_ids`` is the tuple the engine last
-published or equal to it (a tuple a callable publishes itself with
-``set_decoding`` does not count); every built-in plan that decodes does.
-Such a plan needs no member check; any other is checked with set
-operations.  A plan that decodes a subset closes the slices of the members
-it skips, and a member's slice reopens when it decodes again.
+published; every built-in plan that decodes does.  Such a plan needs no
+member check; any other, an equal copy included, has each member checked.
+A plan that decodes a subset closes the slices of the members it skips,
+and a member's slice reopens when it decodes again.
 
 An open slice fixes the step at which its request emits its last token, and
 a heap of these finish indices gives the next finish without a per-member
@@ -151,22 +150,14 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
             admitted += 1
             kv_needed += req.kv_reservation
     ids = plan.decode_ids
-    # The decodable tuple holds ids once each.  A plan that decodes part of
-    # it is checked with set operations at once; only a plan that fails them
-    # walks its members, to name the first culprit.  A plan that decodes
-    # nothing needs no check.  The superset test already implies
-    # disjointness, as no prefill item passed above is decoding; the
-    # disjointness test keeps this check independent of that.
     if decodable is not None and ids:
         members = set(decodable)
-        if not (len(set(ids)) == len(ids) and members.issuperset(ids)
-                and seen.isdisjoint(ids)):
-            for rid in ids:
-                if rid in seen:
-                    raise SchedulerViolation(f"{rid}: appears twice in batch")
-                seen.add(rid)
-                if rid not in members:
-                    raise SchedulerViolation(f"{rid}: not decodable")
+        for rid in ids:
+            if rid in seen:
+                raise SchedulerViolation(f"{rid}: appears twice in batch")
+            seen.add(rid)
+            if rid not in members:
+                raise SchedulerViolation(f"{rid}: not decodable")
     batch_tokens = prefill_tokens + len(ids)
     if batch_tokens > eng.max_batch_tokens:
         raise SchedulerViolation(
@@ -268,9 +259,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 f"scheduler idle at t={clock} with work pending")
         prefill_tokens = plan.prefill_tokens
         ids = plan.decode_ids
-        # An equal copy of the published tuple is the whole set too; a tuple
-        # the callable published itself is not, so it is checked.
-        whole = ids is published or ids == published
+        whole = ids is published
         _validate_plan(plan, qstate, by_id, None if whole else published,
                        prefill_tokens)
 

@@ -24,7 +24,8 @@ benefit are 0.  Tokens never delivered are not charged, so cutting a late
 request short can raise its benefit and smooth goodput (ROADMAP item 1).
 
 Flat layout: a window's token times are one float array, its requests end
-to end, and ``starts`` indexes each first token.  One deadline series
+to end, and ``starts`` indexes each first token.  The runner's TBT CDF
+takes the report's pool, gap rule and nearest rank.  One deadline series
 covers the window; each per-request value is one whole-window numpy
 operation (a gather at the first and last tokens, or a
 ``np.maximum.reduceat`` over each request's slice), not numpy calls per
@@ -182,8 +183,36 @@ def window_from_traces(records: Sequence[RequestTrace], start: float, end: float
     return EvalWindow(start, end, tuple(picked))
 
 
-def _nearest_rank(ordered, q: float):
-    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+def _pool(timelines: Sequence[Sequence[float]]
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each timeline's token count, the first token's index of each one
+    that has a token, and all the times in one float array, end to end."""
+    counts = np.fromiter(map(len, timelines), np.intp, len(timelines))
+    times = np.fromiter(chain.from_iterable(timelines), float,
+                        int(counts.sum()))
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    return counts, starts, times
+
+
+def _gaps(times: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The gaps of :func:`_pool`'s times but those that span two
+    timelines: the k-th timeline's gaps start at ``starts[k] - k``."""
+    return np.delete(np.diff(times), starts[1:] - 1)
+
+
+def _sorted_gaps(timelines: Sequence[Sequence[float]]) -> np.ndarray:
+    """Every token gap within each timeline, pooled and sorted."""
+    _, starts, times = _pool(timelines)
+    gaps = _gaps(times, starts)
+    gaps.sort()
+    return gaps
+
+
+def _nearest_ranks(ordered: np.ndarray, qs) -> np.ndarray:
+    """The ceil(q*n)-th smallest of the sorted ``ordered`` at each of
+    ``qs``, 1-indexed, and the smallest at q = 0."""
+    ranks = np.maximum(np.ceil(np.multiply(qs, len(ordered))), 1)
+    return ordered[ranks.astype(np.intp) - 1]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -196,7 +225,7 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty list")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    return _nearest_rank(sorted(values), q)
+    return float(_nearest_ranks(np.sort(values), q))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +273,13 @@ class MetricsReport:
 
 
 PERCENTILE_LABELS = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
+_LABELS, _LABEL_QS = zip(*PERCENTILE_LABELS)
 
 
-def _percentiles(ordered) -> dict[str, float]:
+def _percentiles(ordered: np.ndarray) -> dict[str, float]:
     """Nearest-rank percentiles of an already sorted pool."""
-    return {label: float(_nearest_rank(ordered, q))
-            for label, q in PERCENTILE_LABELS} if len(ordered) else {}
+    return dict(zip(_LABELS, _nearest_ranks(ordered, _LABEL_QS).tolist())
+                ) if len(ordered) else {}
 
 
 def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
@@ -261,26 +291,18 @@ def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
     per-request value is a whole-window numpy operation on it, and at most
     three token-length arrays are alive at once.
     """
-    counts = np.fromiter((len(tl.token_times) for tl in requests), np.intp,
-                         len(requests))
-    ends = np.cumsum(counts)
+    counts, starts, times = _pool([tl.token_times for tl in requests])
     scored = counts > 0
     n = counts[scored]
-    # The first token of each request that has one.
-    starts = (ends - counts)[scored]
-    times = np.fromiter(chain.from_iterable(tl.token_times for tl in requests),
-                        float, int(ends[-1]))
     arrivals = np.fromiter((tl.arrival for tl in requests), float,
                            len(requests))
-    first, last = times[starts], times[ends[scored] - 1]
+    first, last = times[starts], times[starts + n - 1]
     ttft = (first - arrivals[scored]).tolist()
     e2e = (last - arrivals[scored]).tolist()
     several = n >= 2
     tpot = ((last - first)[several] / (n[several] - 1)).tolist()
 
-    # Drop the gap from each request's last token to the next one's first:
-    # the k-th scored request's gaps then start at starts[k] - k.
-    gaps = np.delete(np.diff(times), starts[1:] - 1)
+    gaps = _gaps(times, starts)
     max_tbt = np.maximum.reduceat(
         gaps, (starts - np.arange(len(starts)))[several]).tolist()
     gaps.sort()

@@ -20,7 +20,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -37,6 +36,8 @@ from .deadlines import DeadlinePolicy, deadlines_for
 from .delivery import delay_trace
 from .metrics import (
     MetricsReport,
+    _nearest_ranks,
+    _sorted_gaps,
     build_report,
     window_from_traces,
     write_report_csv,
@@ -130,26 +131,13 @@ _CDF_QS = np.arange(TBT_CDF_GRID + 1) / TBT_CDF_GRID
 _CDF_Q_TEXTS = [repr(k / TBT_CDF_GRID) for k in range(TBT_CDF_GRID + 1)]
 
 
-def _sorted_gaps(timelines: list[tuple[float, ...]]) -> np.ndarray:
-    """Every token gap within each timeline, pooled and sorted."""
-    lengths = np.fromiter(map(len, timelines), np.intp, len(timelines))
-    times = np.fromiter(chain.from_iterable(timelines), float,
-                        int(lengths.sum()))
-    # Each later timeline's first time follows the last time before it:
-    # that gap spans two requests, and an empty timeline adds none.
-    firsts = np.cumsum(lengths)[:-1]
-    gaps = np.delete(np.diff(times),
-                     firsts[(firsts > 0) & (firsts < len(times))] - 1)
-    gaps.sort()
-    return gaps
-
-
 def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
     """TBT CDF on a fixed quantile grid, generation and delivery side.
 
     Each timeline with at least one token gap gets TBT_CDF_GRID + 1 rows:
-    the nearest-rank quantile of every gap (``metrics.percentile``'s rule)
-    at q = k/TBT_CDF_GRID, so the file size does not grow with the tokens.
+    the nearest-rank quantile of the gap pool at q = k/TBT_CDF_GRID, by the
+    pool, gap and rank rules of every TBT number in ``metrics``, so the
+    file size does not grow with the tokens.
     The times are read as floats.  With no records, or none with two
     tokens, the file holds the header only.
     """
@@ -164,9 +152,8 @@ def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
         for label, gaps in (("generation", generation),
                             ("delivery", delivery)):
             if gaps.size:
-                ranks = np.maximum(np.ceil(_CDF_QS * gaps.size), 1) - 1
                 f.write("".join([f"{label},{gap!r},{q}\r\n" for gap, q in zip(
-                    gaps[ranks.astype(np.intp)].tolist(), _CDF_Q_TEXTS)]))
+                    _nearest_ranks(gaps, _CDF_QS).tolist(), _CDF_Q_TEXTS)]))
 
 
 def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,

@@ -12,10 +12,12 @@ absolute seconds from run start.  A record may additionally carry
 release) separated delivery from generation; each delivery instant is never
 earlier than the matching generation instant.
 
-The ``RequestTrace`` constructor checks both timelines with one rule,
-``_check_timeline``, so it rejects exactly what ``read_trace`` rejects.  A
-record whose values are good by construction is built with ``_unchecked``
-instead, which skips that rule:
+The ``RequestTrace`` constructor checks its scalars by the readers' rules
+and both timelines with one rule, ``_check_timeline``, as ``read_trace``
+does.  Only times differ: the constructor also takes int and bool times,
+which ``write_trace`` writes as ``json.dumps`` does and ``read_trace``
+reads as floats or refuses.  A record whose values are good by
+construction is built with ``_unchecked`` instead, which skips that rule:
 
 * a record's timeline views and their clipped prefixes hold its checked
   times;
@@ -48,7 +50,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import ge, itemgetter, not_
 from typing import Iterable, NamedTuple
@@ -56,6 +57,19 @@ from typing import Iterable, NamedTuple
 
 class TraceFormatError(ValueError):
     """A trace or workload file does not match the expected schema."""
+
+
+def _check_scalars(record, kinds: tuple[tuple[str, type], ...]) -> None:
+    """Raise TypeError unless each ``(name, kind)`` field of ``record`` is
+    exactly of its kind and its arrival is not a bool: the readers' rules,
+    so that a record's file line reads back."""
+    fields = record.__dict__
+    for name, kind in kinds:
+        if type(fields[name]) is not kind:
+            raise TypeError(f"{name}: expected {kind.__name__}, "
+                            f"got {fields[name]!r}")
+    if type(record.arrival) is bool:
+        raise TypeError(f"arrival: expected a number, got {record.arrival!r}")
 
 
 def _check_timeline(request_id: str, arrival: float,
@@ -168,6 +182,8 @@ class RequestTrace:
     delivery_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _check_scalars(self, (("request_id", str), ("prompt_len", int),
+                              ("completed", bool)))
         _check_timeline(self.request_id, self.arrival, self.token_times,
                         self.completed)
         if self.delivery_times is not None:
@@ -186,10 +202,7 @@ class RequestTrace:
 class IterationRecord(NamedTuple):
     """One engine iteration: timing, batch composition, and queue depth.
 
-    A named tuple, not a dataclass: an ``IterationLog`` builds a run's
-    records by mapping ``tuple.__new__`` over the run's start times, with no
-    Python call per record.  The records of one plan share its
-    ``decode_ids`` tuple.
+    The records of one plan share its ``decode_ids`` tuple.
     """
 
     start: float
@@ -201,11 +214,6 @@ class IterationRecord(NamedTuple):
     queue_depth: int
 
 
-# Builds an IterationRecord from a 7-tuple without the named tuple's
-# Python-level __new__.
-_record = partial(tuple.__new__, IterationRecord)
-
-
 def _starts(run: tuple) -> Iterable[float]:
     """The start of each iteration of one log entry, each one its duration
     after the one before, added as the engine advances its clock."""
@@ -213,8 +221,9 @@ def _starts(run: tuple) -> Iterable[float]:
 
 
 def _expand(run: tuple) -> Iterable[IterationRecord]:
-    """The records of one log entry, built at C level."""
-    return map(_record, zip(_starts(run), *map(repeat, run[2:])))
+    """The records of one log entry."""
+    for start in _starts(run):
+        yield IterationRecord(start, *run[2:])
 
 
 class IterationLog(Sequence):
@@ -224,10 +233,10 @@ class IterationLog(Sequence):
     prefill_ids, decode_ids, queue_depth)``: ``count`` iterations of one
     plan, the first starting at ``start``, each later one ``duration`` after
     the one before, added sequentially as the engine advances its clock.
-    The log reads as one :class:`IterationRecord` per iteration.
-    Iterating builds the records at C level; an int index finds its entry
-    by bisection and builds that entry's records only, while slicing builds
-    the whole log first.  Two logs are equal when their records are.
+    The log reads as one :class:`IterationRecord` per iteration.  An int
+    index finds its entry by bisection and builds that entry's records
+    only, while slicing builds the whole log first.  Two logs are equal
+    when their records are.
     """
 
     __slots__ = ("_runs", "_ends", "_len")
@@ -385,11 +394,10 @@ def _read_jsonl(path, parse) -> list:
 def _parse_trace_record(obj: dict) -> RequestTrace:
     delivery = (None if obj.get("delivery_times_s") is None
                 else tuple(map(float, _times(obj, "delivery_times_s"))))
-    return RequestTrace(_field(obj, "request_id", (str,)),
+    return RequestTrace(obj["request_id"],
                         float(_field(obj, "arrival_s", _NUMBER)),
                         tuple(map(float, _times(obj, "token_times_s"))),
-                        _field(obj, "prompt_len", (int,)),
-                        _field(obj, "completed", (bool,)), delivery)
+                        obj["prompt_len"], obj["completed"], delivery)
 
 
 def read_trace(path) -> list[RequestTrace]:

@@ -21,7 +21,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .traces import _NUMBER, TraceFormatError, _field, _read_jsonl
+from .traces import (
+    _NUMBER,
+    TraceFormatError,
+    _check_scalars,
+    _field,
+    _read_jsonl,
+)
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,8 @@ class RequestSpec:
     output_len: int
 
     def __post_init__(self):
+        _check_scalars(self, (("request_id", str), ("prompt_len", int),
+                              ("output_len", int)))
         if not 0.0 <= self.arrival < math.inf:  # NaN fails too
             raise ValueError(
                 f"{self.request_id}: arrival must be finite and >= 0")
@@ -237,8 +245,8 @@ def save_workload(path, specs: Sequence[RequestSpec]) -> None:
 
 def load_workload(path) -> list[RequestSpec]:
     return _read_jsonl(path, lambda obj: RequestSpec(
-        request_id=_field(obj, "request_id", (str,)),
+        request_id=obj["request_id"],
         arrival=float(_field(obj, "arrival_s", _NUMBER)),
-        prompt_len=_field(obj, "prompt_len", (int,)),
-        output_len=_field(obj, "output_len", (int,)),
+        prompt_len=obj["prompt_len"],
+        output_len=obj["output_len"],
     ))

@@ -200,10 +200,11 @@ def _copied(plan):
 def test_decode_runs_match_the_per_iteration_loop(case):
     # The engine steps a built-in policy's plain decode batches a run at a
     # time on its decode clock; a callable is asked for every iteration, and
-    # a copied decode tuple counts as the whole set, as the published one
-    # does.  Wrapping the policy in such a callable therefore gives the
-    # per-iteration loop as the reference, token, delivery and iteration
-    # records alike.
+    # a copied decode tuple is not the published one, so each of its members
+    # is checked and it decodes as a subset that skips no one.  Wrapping the
+    # policy in such a callable therefore gives the per-iteration, checked
+    # subset loop as the reference, token, delivery and iteration records
+    # alike.
     workload, engine, policy = case
     assert run(workload, engine, policy) == \
         run(workload, engine, lambda qs: _copied(next_batch(policy, qs)))

@@ -7,6 +7,7 @@ import oracles
 import servesim.metrics
 from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt, deadlines_for
 from servesim.metrics import (
+    PERCENTILE_LABELS,
     BenefitParams,
     EvalWindow,
     IndicatorPenalty,
@@ -17,6 +18,7 @@ from servesim.metrics import (
     score,
     window_from_traces,
 )
+from servesim.runner import TBT_CDF_GRID
 from servesim.traces import TokenTimeline, read_trace
 
 
@@ -264,9 +266,15 @@ def test_percentile_nearest_rank():
     assert percentile([1, 2, 3, 4], 1.0) == 4
     assert percentile([3, 1, 2], 0.0) == 1
     assert percentile(np.array([1.0, 2.0, 3.0]), 0.5) == 2.0
-    values = list(np.random.default_rng(2).uniform(0, 1, size=137))
-    for q in (0.1, 0.5, 0.9, 0.99):
-        assert percentile(values, q) == oracles.nearest_rank(values, q)
+    # The report's labels and the TBT CDF's grid share this rank; on 1000
+    # values, every grid point's q * n is a whole number.
+    qs = [0.1, 0.5, 0.9, 0.99, *(q for _, q in PERCENTILE_LABELS),
+          *(k / TBT_CDF_GRID for k in range(TBT_CDF_GRID + 1))]
+    rng = np.random.default_rng(2)
+    for size in (137, 1000):
+        values = list(rng.uniform(0, 1, size=size))
+        for q in qs:
+            assert percentile(values, q) == oracles.nearest_rank(values, q)
     with pytest.raises(ValueError):
         percentile([], 0.5)
     with pytest.raises(ValueError):

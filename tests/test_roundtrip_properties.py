@@ -108,6 +108,52 @@ def test_record_is_rejected_or_read_back_equal(arrival, token_times,
         assert read_trace(path) == [rec]
 
 
+# A scalar of any JSON kind.  Ints stay within what a float holds exactly:
+# an arrival keeps the time rule, so a larger int is written as it is and
+# read back rounded.
+scalars = (st.none() | st.booleans() | st.integers(-2**53, 2**53)
+           | st.floats() | st.text(max_size=4))
+
+
+def _written_and_read(write, read, items):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.jsonl")
+        write(path, items)
+        return read(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars, st.sampled_from([(), (1.0,), (1.0, 2.0)]), scalars,
+       scalars)
+@example(True, 0.5, (1.0,), True, 1)
+@example("a", True, (1.0,), 4, True)
+def test_record_scalars_are_rejected_or_read_back_equal(
+        request_id, arrival, token_times, prompt_len, completed):
+    """Any scalars at all: the record is refused at construction, or it is
+    written and read back equal."""
+    try:
+        rec = RequestTrace(request_id, arrival, token_times, prompt_len,
+                           completed)
+    except (ValueError, TypeError):
+        return
+    assert _written_and_read(write_trace, read_trace, [rec]) == [rec]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars, scalars, scalars)
+@example("a", 0.5, True, 1.5)
+@example("a", True, 1, 1)
+def test_spec_scalars_are_rejected_or_read_back_equal(
+        request_id, arrival, prompt_len, output_len):
+    """Any scalars at all: the spec is refused at construction, or it is
+    saved and loaded back equal."""
+    try:
+        spec = RequestSpec(request_id, arrival, prompt_len, output_len)
+    except (ValueError, TypeError):
+        return
+    assert _written_and_read(save_workload, load_workload, [spec]) == [spec]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.builds(RequestSpec, ids, times, counts, counts),
                 max_size=5))

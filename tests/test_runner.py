@@ -312,6 +312,37 @@ def test_cli_simulate_and_metrics(fixtures_dir, tmp_path, capsys):
     assert (tmp_path / "m" / "report.json").exists()
 
 
+def test_cli_metrics_scores_the_configured_timeline(fixtures_dir, tmp_path,
+                                                    capsys):
+    # Without --timeline, metrics scores the config's evaluate.timeline, as
+    # the sweep did; the flag still overrides it.
+    with open(os.path.join(fixtures_dir, "experiment.json")) as f:
+        obj = json.load(f)
+    obj["deadline_policy"] = {"type": "ttft_tbt", "ttft_s": 1.0, "tbt_s": 0.03}
+    obj["variants"] = [{"name": "held", "scheduler": {"type": "vllm_like"},
+                        "delivery": {"mode": "tbt_cap", "tbt_target_s": 0.2}}]
+    obj["rates"] = [3.0]
+    obj["evaluate"] = {"timeline": "generation"}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(config_path),
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    cell = out / "cells" / "held_rate3"
+    swept = json.loads((cell / "report.json").read_text())["aggregates"]
+
+    def scored(*flags):
+        assert run_cli(["metrics", "--config", str(config_path), "--trace",
+                        str(cell / "trace.jsonl"), *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert scored() == swept == scored("--timeline", "generation")
+    delivered = scored("--timeline", "delivery")
+    assert (delivered["tbt_percentiles_s"]["p50"]
+            > swept["tbt_percentiles_s"]["p50"])
+
+
 def test_cli_delay_roundtrip(fixtures_dir, tmp_path, capsys):
     src = os.path.join(fixtures_dir, "three_req.jsonl")
     out = tmp_path / "delayed.jsonl"
