@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -76,6 +77,12 @@ class ExperimentConfig:
             raise ConfigError("variants: at least one is required")
         if len({v.name for v in self.variants}) != len(self.variants):
             raise ConfigError("variants: names must be unique")
+        # A variant's name names its artifacts, which stay in the run's
+        # directories.
+        for v in self.variants:
+            if any(c and c in v.name for c in (os.sep, os.altsep, "\0")):
+                raise ConfigError(f"variants: name {v.name!r} must not "
+                                  f"hold a path separator or NUL")
         if not self.rates:
             raise ConfigError("rates: at least one is required")
         if not all(0 < r < math.inf for r in self.rates):  # NaN fails too

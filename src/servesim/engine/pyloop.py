@@ -53,7 +53,8 @@ by the same additions when it is read.
 Records: the clock check refuses a plan whose end does not exceed its last
 start or is not finite, so every request's token times strictly increase
 from its arrival and its records are built unchecked.  Only a held delivery
-timeline is checked, against its token times.
+timeline is checked, against its token times; a held release that is not a
+float, a callable's int say, is converted by the records' rule first.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from ..traces import (
     RequestTrace,
     SimTrace,
     _check_timeline,
+    _floats,
     _unchecked,
 )
 from ..workload import RequestSpec
@@ -308,6 +310,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             end = clock + duration
             hold = release is not None and release != end
             if hold:
+                if type(release) is not float:  # a callable's int, say
+                    release, = _floats("release_s", (release,))
                 if not (release >= end):  # NaN fails too
                     raise SchedulerViolation(
                         f"release at {release} precedes batch end {end}")

@@ -6,7 +6,8 @@ evaluated over one or more request rates.  All variants at a given rate share
 the identical workload (same seed), so differences in the summary table are
 attributable to the policies alone.
 
-Per cell the runner simulates, optionally applies the delivery transform,
+Per rate the runner simulates each distinct scheduler once; per cell it
+takes its scheduler's trace, optionally applies the delivery transform,
 trims a warm-up/drain margin off the time axis, computes a metrics report,
 and persists the trace and report; a failing cell is recorded as an error row
 without aborting its neighbours.  Everything written is byte-reproducible for
@@ -182,17 +183,16 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
 # Experiment execution.
 
 
-def run_cell(workload_specs, config: ExperimentConfig, variant: Variant,
-             ) -> tuple[list[RequestTrace], MetricsReport, SimTrace]:
-    """Simulate one (variant, workload) cell and evaluate it."""
-    trace = engine_mod.run(workload_specs, config.engine, variant.scheduler)
+def run_cell(trace: SimTrace, config: ExperimentConfig, variant: Variant,
+             ) -> tuple[list[RequestTrace], MetricsReport]:
+    """Evaluate one variant on the engine's trace of its scheduler."""
     records = trace.requests
     if variant.delivery is not None:
         records = delay_trace(records, variant.delivery)
     window = trimmed_window(records, config.trim_start_frac,
                             config.trim_end_frac, config.use_delivery)
     report = build_report(window, config.policy, config.benefit)
-    return records, report, trace
+    return records, report
 
 
 def run_experiment(config: ExperimentConfig,
@@ -210,16 +210,27 @@ def run_experiment(config: ExperimentConfig,
         os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
 
+    # The last variant of each scheduler.
+    last_use = {variant.scheduler: variant for variant in config.variants}
     for rate in config.rates:
         wl_config = config.workload.with_rate(rate)
         specs = generate(wl_config)
         if out_dir:
             save_workload(track(os.path.join(
                 out_dir, f"workload_rate{rate:g}.jsonl")), specs)
+        # Variants that share a scheduler share its trace: one simulation,
+        # kept once it succeeds and until its last variant takes it.
+        traces: dict = {}
         for variant in config.variants:
             cell = CellResult(variant=variant.name, rate=rate)
             try:
-                records, report, trace = run_cell(specs, config, variant)
+                trace = traces.pop(variant.scheduler, None)
+                if trace is None:
+                    trace = engine_mod.run(specs, config.engine,
+                                           variant.scheduler)
+                if last_use[variant.scheduler] is not variant:
+                    traces[variant.scheduler] = trace
+                records, report = run_cell(trace, config, variant)
                 cell.report = report
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 cell.error = f"{type(exc).__name__}: {exc}"
@@ -297,7 +308,8 @@ def capacity_search(config: ExperimentConfig, attainment_threshold: float,
 
     def probe(rate: float) -> float:
         specs = generate(config.workload.with_rate(rate))
-        _, report, _ = run_cell(specs, config, chosen)
+        trace = engine_mod.run(specs, config.engine, chosen.scheduler)
+        _, report = run_cell(trace, config, chosen)
         probes.append((rate, report.slo_attainment))
         return report.slo_attainment
 

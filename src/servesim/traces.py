@@ -12,12 +12,12 @@ absolute seconds from run start.  A record may additionally carry
 release) separated delivery from generation; each delivery instant is never
 earlier than the matching generation instant.
 
-The ``RequestTrace`` constructor checks its scalars by the readers' rules
-and both timelines with one rule, ``_check_timeline``, as ``read_trace``
-does.  Only times differ: the constructor also takes int and bool times,
-which ``write_trace`` writes as ``json.dumps`` does and ``read_trace``
-reads as floats or refuses.  A record whose values are good by
-construction is built with ``_unchecked`` instead, which skips that rule:
+The record constructors, ``TokenTimeline``, ``RequestTrace`` and the
+workload's ``RequestSpec``, decide what a time or an arrival may be: each
+stores them as floats, by ``_floats``, and checks its timelines with one
+rule, ``_check_timeline``.  The readers only decode JSON for them, and
+``write_trace`` writes floats only.  A record whose values are good by
+construction is built with ``_unchecked`` instead, which skips them:
 
 * a record's timeline views and their clipped prefixes hold its checked
   times;
@@ -61,15 +61,41 @@ class TraceFormatError(ValueError):
 
 def _check_scalars(record, kinds: tuple[tuple[str, type], ...]) -> None:
     """Raise TypeError unless each ``(name, kind)`` field of ``record`` is
-    exactly of its kind and its arrival is not a bool: the readers' rules,
-    so that a record's file line reads back."""
+    exactly of its kind: the readers' rules, so that a record's file line
+    reads back."""
     fields = record.__dict__
     for name, kind in kinds:
         if type(fields[name]) is not kind:
             raise TypeError(f"{name}: expected {kind.__name__}, "
                             f"got {fields[name]!r}")
-    if type(record.arrival) is bool:
-        raise TypeError(f"arrival: expected a number, got {record.arrival!r}")
+
+
+def _floats(request_id, values) -> tuple[float, ...]:
+    """``values``, a list or tuple of real numbers, as a tuple of floats.
+
+    An int or a float subclass converts as ``float()`` does.  A bool, a
+    string or any other value, and an int past the float range, raise
+    ValueError naming the request.
+    """
+    if type(values) not in (list, tuple) or not (
+            set(map(type, values)) <= {float, int}
+            or all(isinstance(t, float) or type(t) is int for t in values)):
+        raise ValueError(f"{request_id}: expected real numbers")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{request_id}: an int past the float range") from None
+
+
+def _hold_floats(record, *times: str) -> None:
+    """Store ``record``'s arrival and its ``times`` fields that are not None
+    as ``_floats`` gives them."""
+    fields = record.__dict__
+    if type(record.arrival) is not float:
+        fields["arrival"], = _floats(record.request_id, (record.arrival,))
+    for name in times:
+        if fields[name] is not None:
+            fields[name] = _floats(record.request_id, fields[name])
 
 
 def _check_timeline(request_id: str, arrival: float,
@@ -77,31 +103,25 @@ def _check_timeline(request_id: str, arrival: float,
                     floor: tuple[float, ...] | None = None) -> None:
     """Raise ValueError unless ``times`` is a timeline a metric can score.
 
-    The arrival is ``>= 0``, the times are finite and non-decreasing from
-    it, and a complete timeline holds at least one token.  A delivery
-    timeline takes its generation times as ``floor``: one delivery per
-    token, none before the token was generated.
+    The arrival is a finite float ``>= 0``, the times are finite floats
+    non-decreasing from it, and a complete timeline holds at least one
+    token.  A delivery timeline takes its generation times as ``floor``:
+    one delivery per token, none before the token was generated.
     """
-    # Written as not(>=) so that NaN fails the checks.
-    if not (arrival >= 0.0):
+    # Written as not(...) so that NaN fails the checks.
+    if not (0.0 <= arrival < math.inf):
         raise ValueError(f"{request_id}: arrival must be finite and >= 0")
     if complete and not times:
         raise ValueError(f"{request_id}: complete timeline with no tokens")
     prev = arrival
-    try:
-        for t in times:
-            if not (t >= prev):
-                prev = math.nan
-                break
-            prev = t
-        # Every time lies in [arrival, prev], prev being the last token or
-        # the arrival (NaN once one is out of order), so one check keeps
-        # them finite.
-        finite = math.isfinite(prev)
-    except (TypeError, OverflowError):
-        # A time that is not a real number, or an int past the float range.
-        finite = False
-    if not finite:
+    for t in times:
+        if not (t >= prev):
+            prev = math.nan
+            break
+        prev = t
+    # Every time lies in [arrival, prev], prev being the last token or the
+    # arrival (NaN once one is out of order), so one check keeps them finite.
+    if not math.isfinite(prev):
         raise ValueError(f"{request_id}: times must be finite, non-decreasing "
                          f"and not precede arrival")
     # -0.0 passes the comparisons above as 0.0.  It can only be a zero
@@ -133,6 +153,7 @@ class TokenTimeline:
     complete: bool = True
 
     def __post_init__(self):
+        _hold_floats(self, "token_times")
         _check_timeline(self.request_id, self.arrival, self.token_times,
                         self.complete)
 
@@ -184,6 +205,7 @@ class RequestTrace:
     def __post_init__(self):
         _check_scalars(self, (("request_id", str), ("prompt_len", int),
                               ("completed", bool)))
+        _hold_floats(self, "token_times", "delivery_times")
         _check_timeline(self.request_id, self.arrival, self.token_times,
                         self.completed)
         if self.delivery_times is not None:
@@ -293,19 +315,13 @@ class SimTrace:
 # Records come in arrival order, so the batch-mates that share an instant are
 # neighbours: a map of this many texts keeps nearly every repeat.
 _MAX_TEXTS = 4096
-_FLOAT = {float}
 
 
 class _NumberTexts(dict):
-    """Each float's JSON text, its ``repr``: a record's times are finite.
-
-    Only nonzero floats are kept: ``-0.0 == 0.0`` and ``1 == 1.0`` would
-    share a key but not a text.  The map is emptied when it is full.
-    """
+    """Each float's JSON text, its ``repr``: a record's times are finite
+    floats, none of them -0.0.  The map is emptied when it is full."""
 
     def __missing__(self, x: float) -> str:
-        if not x:
-            return json.dumps(x)
         text = float.__repr__(x)
         if len(self) >= _MAX_TEXTS:
             self.clear()
@@ -314,9 +330,7 @@ class _NumberTexts(dict):
 
     def join(self, values) -> str:
         """``values`` as the items of a JSON list, ``", "``-separated."""
-        if set(map(type, values)) <= _FLOAT:
-            return ", ".join(map(self.__getitem__, values))
-        return ", ".join(map(json.dumps, values))
+        return ", ".join(map(self.__getitem__, values))
 
 
 def write_trace(path, records: Iterable[RequestTrace]) -> None:
@@ -350,9 +364,6 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-_NUMBER = (float, int)
-
-
 def _field(obj: dict, key: str, kind: tuple[type, ...]):
     """``obj[key]``, checked to be exactly one of ``kind``: a bool is no int."""
     value = obj[key]
@@ -361,19 +372,11 @@ def _field(obj: dict, key: str, kind: tuple[type, ...]):
     return value
 
 
-def _times(obj: dict, key: str) -> list:
-    """``obj[key]``, checked to be a list of numbers: a bool is no number."""
-    times = _field(obj, key, (list,))
-    if not set(map(type, times)) <= {float, int}:
-        raise TypeError(f"{key}: expected a list of numbers")
-    return times
-
-
 def _read_jsonl(path, parse) -> list:
     """``parse(obj)`` for the JSON object on each non-blank line of ``path``.
 
     A line that is not an object, or that ``parse`` rejects with a
-    ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError``, raises
+    ``KeyError``, ``TypeError`` or ``ValueError``, raises
     :class:`TraceFormatError` naming the file and the line.
     """
     out = []
@@ -386,18 +389,15 @@ def _read_jsonl(path, parse) -> list:
                 if type(obj) is not dict:
                     raise TypeError(f"expected object, got {obj!r}")
                 out.append(parse(obj))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
     return out
 
 
 def _parse_trace_record(obj: dict) -> RequestTrace:
-    delivery = (None if obj.get("delivery_times_s") is None
-                else tuple(map(float, _times(obj, "delivery_times_s"))))
-    return RequestTrace(obj["request_id"],
-                        float(_field(obj, "arrival_s", _NUMBER)),
-                        tuple(map(float, _times(obj, "token_times_s"))),
-                        obj["prompt_len"], obj["completed"], delivery)
+    return RequestTrace(obj["request_id"], obj["arrival_s"],
+                        obj["token_times_s"], obj["prompt_len"],
+                        obj["completed"], obj.get("delivery_times_s"))
 
 
 def read_trace(path) -> list[RequestTrace]:

@@ -22,10 +22,11 @@ from typing import Sequence, Union
 import numpy as np
 
 from .traces import (
-    _NUMBER,
     TraceFormatError,
     _check_scalars,
+    _check_timeline,
     _field,
+    _hold_floats,
     _read_jsonl,
 )
 
@@ -42,12 +43,9 @@ class RequestSpec:
     def __post_init__(self):
         _check_scalars(self, (("request_id", str), ("prompt_len", int),
                               ("output_len", int)))
-        if not 0.0 <= self.arrival < math.inf:  # NaN fails too
-            raise ValueError(
-                f"{self.request_id}: arrival must be finite and >= 0")
-        if math.copysign(1.0, self.arrival) < 0:
-            # A trace written from it would not load.
-            raise ValueError(f"{self.request_id}: arrival must not be -0.0")
+        # The arrival rule of the engine's records, so that they load.
+        _hold_floats(self)
+        _check_timeline(self.request_id, self.arrival, (), False)
         if self.prompt_len < 1 or self.output_len < 1:
             raise ValueError(f"{self.request_id}: lengths must be >= 1")
 
@@ -245,8 +243,5 @@ def save_workload(path, specs: Sequence[RequestSpec]) -> None:
 
 def load_workload(path) -> list[RequestSpec]:
     return _read_jsonl(path, lambda obj: RequestSpec(
-        request_id=obj["request_id"],
-        arrival=float(_field(obj, "arrival_s", _NUMBER)),
-        prompt_len=obj["prompt_len"],
-        output_len=obj["output_len"],
-    ))
+        obj["request_id"], obj["arrival_s"], obj["prompt_len"],
+        obj["output_len"]))

@@ -19,6 +19,7 @@ import os
 
 from oracles import nearest_rank
 
+from servesim import engine
 from servesim.delivery import DelayConfig
 from servesim.runner import (
     TBT_CDF_GRID,
@@ -89,7 +90,8 @@ def held_records(count):
     config = tiny_sweep(count=count, rates=(4.0,))
     variant = Variant("held", VllmLike(), DelayConfig(0.05))
     specs = generate(config.workload.with_rate(4.0))
-    records, _, _ = run_cell(specs, config, variant)
+    trace = engine.run(specs, config.engine, variant.scheduler)
+    records, _ = run_cell(trace, config, variant)
     return records
 
 

@@ -209,6 +209,17 @@ def test_bad_value_names_its_path(where, value, message):
         experiment_from_config(obj)
 
 
+@pytest.mark.parametrize("name", ["../escaped", f"a{os.sep}b", "a\0b"])
+def test_a_variant_name_holds_no_path_separator(name):
+    """A cell's artifacts are named after its variant; a separator would
+    put them outside the run's directories."""
+    obj = sweep_config()
+    obj["variants"][1]["name"] = name
+    with pytest.raises(ConfigError, match=f"^variants: name "
+                                          f"{re.escape(repr(name))} must not"):
+        experiment_from_config(obj)
+
+
 def test_nan_read_from_a_file_names_its_path(tmp_path):
     text = json.dumps(sweep_config()).replace('"alpha": 5.0', '"alpha": NaN')
     assert "NaN" in text

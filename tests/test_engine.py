@@ -15,6 +15,7 @@ from servesim.schedulers import (
     VllmLike,
     next_batch,
 )
+from servesim.traces import read_trace, write_trace
 from servesim.workload import RequestSpec, Synthetic, UniformInt, WorkloadConfig, generate
 
 ENG = EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
@@ -288,6 +289,34 @@ def test_rogue_plan_diagnostics(engine, rogue, message):
                 RequestSpec("c", 5.0, 60, 50)]
     with pytest.raises(SchedulerViolation, match=message):
         run(workload, engine, rogue)
+
+
+def _decode_released_at(release):
+    """VllmLike, with each decode-only batch released at ``release(clock)``."""
+    def schedule(state):
+        plan = next_batch(VllmLike(), state)
+        if plan.prefill_items:
+            return plan
+        return BatchPlan(decode_ids=plan.decode_ids,
+                         release_s=release(state.clock))
+    return schedule
+
+
+def test_an_int_release_is_held_as_a_float(tmp_path):
+    # Each decode batch of a callable is released at a whole second, an int
+    # past its end.
+    records = run(TWO_REQ, ENG, _decode_released_at(
+        lambda clock: math.ceil(clock + 1))).requests
+    delivery = [t for rec in records for t in rec.delivery_times]
+    assert 2 in delivery and {type(t) for t in delivery} == {float}
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, records)
+    assert read_trace(path) == records
+
+
+def test_a_bool_release_is_refused():
+    with pytest.raises(ValueError, match="^release_s: expected real numbers"):
+        run(TWO_REQ, ENG, _decode_released_at(lambda clock: True))
 
 
 @pytest.mark.parametrize("costs, message", [

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -83,11 +84,18 @@ def test_trace_cycle_is_byte_stable(records):
     assert first == second
 
 
-# Arbitrary floats, NaN and infinities included, in any order; sorted lists
-# too, so that many records are accepted.
-any_times = st.lists(st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf,
-                                      -math.inf]) | st.floats(), max_size=5)
-any_times = any_times | any_times.map(sorted)
+# Arbitrary floats, NaN and infinities included, ints of any size, past the
+# float range too, float subclasses and bools, in any order and with strings
+# among them; sorted lists of numbers too, so that many records are accepted.
+numbers = (st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf,
+                            2**53 + 1, 10**400])
+           | st.floats() | st.integers() | st.floats().map(np.float64)
+           | st.booleans())
+# np.float64 compares with an int past the float range by converting it.
+any_times = (st.lists(numbers | st.text(max_size=2), max_size=5)
+             | st.lists(numbers, max_size=5).map(lambda times: sorted(
+                 times, key=lambda t: float(t) if type(t) is np.float64
+                 else t)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,11 +116,9 @@ def test_record_is_rejected_or_read_back_equal(arrival, token_times,
         assert read_trace(path) == [rec]
 
 
-# A scalar of any JSON kind.  Ints stay within what a float holds exactly:
-# an arrival keeps the time rule, so a larger int is written as it is and
-# read back rounded.
-scalars = (st.none() | st.booleans() | st.integers(-2**53, 2**53)
-           | st.floats() | st.text(max_size=4))
+# A scalar of any JSON kind.
+scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=4))
 
 
 def _written_and_read(write, read, items):
@@ -199,8 +205,11 @@ def engines(draw):
 
 @st.composite
 def experiments(draw):
-    names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1,
-                          max_size=4, unique=True))
+    # A variant names its artifacts, so no path separator or NUL.
+    name_chars = st.characters(
+        exclude_characters=os.sep + (os.altsep or "") + "\0")
+    names = draw(st.lists(st.text(name_chars, min_size=1, max_size=8),
+                          min_size=1, max_size=4, unique=True))
     variants = tuple(Variant(name, draw(schedulers), draw(deliveries))
                      for name in names)
     # Each rate names its cells' artifacts as {rate:g}; no two may share one.

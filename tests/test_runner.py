@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import typing
 import numpy as np
 import pytest
 
+from servesim import engine
 from servesim.deadlines import ReadingSpeed, deadlines_for
+from servesim.delivery import DelayConfig
 from servesim.engine import EngineConfig
 from servesim.metrics import BenefitParams, TokensEquivalent
 from servesim.config import (
@@ -23,7 +26,7 @@ from servesim.runner import (
     run_experiment,
     _write_token_timeline,
 )
-from servesim.schedulers import VllmLike
+from servesim.schedulers import ChunkedPrefill, VllmLike
 from servesim.traces import read_trace
 from servesim.workload import Constant, Synthetic, UniformInt, WorkloadConfig
 
@@ -150,6 +153,7 @@ def test_failed_cell_becomes_error_row(tmp_path):
             Variant("vllm", VllmLike()),
             Variant("chunked",
                     __import__("servesim").ChunkedPrefill(chunk_tokens=64)),
+            Variant("vllm_delayed", VllmLike(), DelayConfig(0.1)),
         ),
         policy=ReadingSpeed(0.05, 2.0),
         benefit=BenefitParams(5.0, TokensEquivalent(0.05)),
@@ -159,8 +163,37 @@ def test_failed_cell_becomes_error_row(tmp_path):
     errors = {c.variant: c.error for c in result.cells}
     assert errors["vllm"] is not None and "cannot fit" in errors["vllm"]
     assert errors["chunked"] is None
+    # A failed simulation is not kept: the variant that shares its
+    # scheduler fails with the same message.
+    assert errors["vllm_delayed"] == errors["vllm"]
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert any("cannot fit" in line for line in summary)
+
+
+def test_variants_that_share_a_scheduler_simulate_once(monkeypatch,
+                                                      tmp_path):
+    config = dataclasses.replace(small_config(), variants=(
+        Variant("vllm", VllmLike()),
+        Variant("vllm_delayed", VllmLike(), DelayConfig(0.1)),
+        Variant("chunked", ChunkedPrefill(64))))
+    schedulers = []
+    run = engine.run
+
+    def counted(specs, engine_config, scheduler):
+        schedulers.append(scheduler)
+        return run(specs, engine_config, scheduler)
+
+    monkeypatch.setattr(engine, "run", counted)
+    result = run_experiment(config, out_dir=str(tmp_path / "out"))
+    assert all(c.error is None for c in result.cells)
+    assert schedulers == [VllmLike(), ChunkedPrefill(64)] * 2
+    # Each variant still writes its own trace: the delayed one is paced.
+    cells = tmp_path / "out" / "cells"
+    plain = read_trace(cells / "vllm_rate1" / "trace.jsonl")
+    paced = read_trace(cells / "vllm_delayed_rate1" / "trace.jsonl")
+    assert [r.token_times for r in plain] == [r.token_times for r in paced]
+    assert all(r.delivery_times is None for r in plain)
+    assert any(r.delivery_times is not None for r in paced)
 
 
 def test_timeline_plot_deadlines_follow_the_scored_timeline(fixtures_dir,

@@ -277,5 +277,5 @@ def test_bools_in_time_lists_are_rejected(tmp_path, field, text):
     p.write_text(f'{{"request_id": "a", "arrival_s": 0.0, {fields}, '
                  '"prompt_len": 4, "completed": true}\n')
     with pytest.raises(TraceFormatError,
-                       match=f"line 1: {field}: expected a list of numbers"):
+                       match="line 1: a: expected real numbers"):
         read_trace(p)

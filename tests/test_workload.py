@@ -183,7 +183,8 @@ def test_request_spec_rejects_bad_arrival(arrival):
 
 def test_request_spec_rejects_a_negative_zero_arrival():
     # The engine's records of it would hold -0.0, which read_trace refuses.
-    with pytest.raises(ValueError, match="^x: arrival must not be -0.0"):
+    with pytest.raises(ValueError, match="^x: arrival and times must not "
+                       "be -0.0"):
         RequestSpec("x", -0.0, 10, 10)
 
 
