@@ -75,7 +75,7 @@ def cmd_metrics(args) -> int:
         write_report_json(os.path.join(args.out, "report.json"), report)
         write_report_csv(os.path.join(args.out, "report.csv"), report)
     agg = report.to_json_dict()["aggregates"]
-    print(json.dumps(agg, indent=2))
+    print(json.dumps(agg, indent=2, allow_nan=False))
     return 0
 
 

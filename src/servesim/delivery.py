@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .traces import RequestTrace, TokenTimeline, _unchecked
+from .traces import RequestTrace, TokenTimeline, _floats, _unchecked
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,9 @@ class DelayConfig:
     first_token_delayed: bool = False
 
     def __post_init__(self):
+        # Held as a float, by the records' rule, so that paced times are
+        # floats.
+        self.__dict__["hold_s"], = _floats("hold_s", (self.hold_s,))
         # Written so that NaN fails too: a NaN hold would pace nothing.
         if not (0 < self.hold_s < math.inf):
             raise ValueError("hold budget must be positive and finite")

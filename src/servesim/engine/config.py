@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..traces import _floats
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -27,6 +29,11 @@ class EngineConfig:
     kv_capacity_tokens: int = 120_000
 
     def __post_init__(self):
+        # The costs are held as floats, by the records' rule, so that the
+        # clock and every time the engine builds from them are floats.
+        fields = self.__dict__
+        for name in ("base_s", "prefill_per_token_s", "decode_per_seq_s"):
+            fields[name], = _floats(name, (fields[name],))
         # Each cost check is written so that NaN fails it too.
         if not (0 < self.base_s < math.inf):
             # Token timestamps must be strictly increasing per request, so

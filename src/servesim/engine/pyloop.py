@@ -47,8 +47,10 @@ check.  ``itertools.accumulate`` adds the duration sequentially, exactly as
 one iteration at a time would advance the clock, and the run's ends are
 built at C level.  Every other batch, and every batch of a custom callable,
 is a run of one iteration.  The iteration log gets one entry per run, its
-first start and its length; the ``IterationLog`` rebuilds the run's starts
-by the same additions when it is read.
+first start and its length, with the queue, running and KV state the plan
+saw and the release instant applied to its decode tokens; the
+``IterationLog`` rebuilds the run's starts by the same additions when it is
+read.
 
 Records: the clock check refuses a plan whose end does not exceed its last
 start or is not finite, so every request's token times strictly increase
@@ -210,7 +212,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     decoding: list[RequestState] = []
     decoding_ids: list[str] = []
     # One entry per plan run: (start, count, duration, prefill_tokens,
-    # decode_seqs, prefill_ids, decode_ids, queue_depth).
+    # decode_seqs, prefill_ids, decode_ids, queue_depth, running,
+    # kv_reserved, release_s).
     runs: list[tuple] = []
     records: list[RequestTrace | None] = [None] * len(states)
     clock = 0.0
@@ -285,6 +288,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
 
         duration = iteration_time(prefill_tokens, len(ids), engine)
         release = plan.release_s
+        # The release instant applied to the plan's decode tokens, if any.
+        released = None
         if builtin and whole and not plan.prefill_items and release is None:
             # A built-in policy's plain decode batch depends only on the
             # queue, which stays the same until a member runs out of output
@@ -322,6 +327,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 step_ends.append(end)
                 if hold:
                     held = True
+                    released = release
                     step_deliveries.append(release)
                 else:
                     step_deliveries.append(end)
@@ -336,7 +342,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                 f"{duration} s takes it to {end}")
         runs.append((clock, m, duration, prefill_tokens, len(ids),
                      tuple(i.request_id for i in plan.prefill_items), ids,
-                     len(waiting)))
+                     len(waiting), len(running), kv_reserved, released))
         now = len(step_ends)
 
         for r in (decoding if whole else map(by_id.__getitem__, ids)):

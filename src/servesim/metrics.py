@@ -264,7 +264,10 @@ class MetricsReport:
                 "slo_attainment": self.slo_attainment,
                 "ttft_percentiles_s": self.ttft_percentiles,
                 "tbt_percentiles_s": self.tbt_percentiles,
-                "mean_ttft_s": self.mean_ttft,
+                # NaN when no request got a token: null, as a request's
+                # ttft_s is then.
+                "mean_ttft_s": (None if math.isnan(self.mean_ttft)
+                                else self.mean_ttft),
                 "mean_idle_latency_s": self.mean_idle_latency,
             },
             "requests": [{key: getattr(r, name) for name, key in _REQUEST_KEYS}
@@ -408,15 +411,20 @@ def write_report_csv(path, report: MetricsReport) -> None:
 # A request row holds only scalars, so it needs no indent= (which forces the
 # pure-Python encoder): separators that carry the indentation give the bytes
 # of indent=2 from the C encoder.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "),
+                               allow_nan=False)
 
 
 def write_report_json(path, report: MetricsReport) -> None:
-    """``report.to_json_dict()`` as ``json.dump(..., indent=2)`` writes it."""
+    """``report.to_json_dict()`` as ``json.dump(..., indent=2)`` writes it.
+
+    A NaN or an infinity, which strict JSON has no literal for, raises
+    ValueError.
+    """
     obj = report.to_json_dict()
     rows = [_ROW_ENCODER.encode(row)[1:-1] for row in obj.pop("requests")]
     requests = ("[\n    {\n      " + "\n    },\n    {\n      ".join(rows)
                 + "\n    }\n  ]") if rows else "[]"
-    head = json.dumps(obj, indent=2)[:-len("\n}")]
+    head = json.dumps(obj, indent=2, allow_nan=False)[:-len("\n}")]
     with open(path, "w", encoding="utf-8") as f:
         f.write(f'{head},\n  "requests": {requests}\n}}\n')

@@ -31,8 +31,9 @@ construction is built with ``_unchecked`` instead, which skips them:
 
 The engine's iteration log is an ``IterationLog``: one entry per plan run,
 read as one ``IterationRecord`` per iteration.  ``write_iterations_csv``
-writes it per entry: an entry's starts, each followed by the entry's one
-formatted row tail.
+writes one row per entry, its first start and its iteration count; a reader
+rebuilds the later starts by adding the duration sequentially, as the engine
+advanced its clock.
 
 Timestamps are serialized with Python's shortest round-trip float repr, so a
 load/save cycle is byte-stable and value-lossless at full double precision.
@@ -222,9 +223,13 @@ class RequestTrace:
 
 
 class IterationRecord(NamedTuple):
-    """One engine iteration: timing, batch composition, and queue depth.
+    """One engine iteration: timing, batch composition and engine state.
 
-    The records of one plan share its ``decode_ids`` tuple.
+    ``queue_depth``, ``running`` and ``kv_reserved`` are the waiting
+    requests, the running requests and the reserved KV tokens as the plan
+    saw them.  ``release_s`` is the instant the plan's decode tokens were
+    released at, or None when they were delivered at generation.  The
+    records of one plan share its ``decode_ids`` tuple.
     """
 
     start: float
@@ -234,6 +239,9 @@ class IterationRecord(NamedTuple):
     prefill_ids: tuple[str, ...]
     decode_ids: tuple[str, ...]
     queue_depth: int
+    running: int
+    kv_reserved: int
+    release_s: float | None
 
 
 def _starts(run: tuple) -> Iterable[float]:
@@ -252,13 +260,13 @@ class IterationLog(Sequence):
     """The engine's iteration log, one entry per plan run.
 
     An entry is ``(start, count, duration, prefill_tokens, decode_seqs,
-    prefill_ids, decode_ids, queue_depth)``: ``count`` iterations of one
-    plan, the first starting at ``start``, each later one ``duration`` after
-    the one before, added sequentially as the engine advances its clock.
-    The log reads as one :class:`IterationRecord` per iteration.  An int
-    index finds its entry by bisection and builds that entry's records
-    only, while slicing builds the whole log first.  Two logs are equal
-    when their records are.
+    prefill_ids, decode_ids, queue_depth, running, kv_reserved,
+    release_s)``: ``count`` iterations of one plan, the first starting at
+    ``start``, each later one ``duration`` after the one before, added
+    sequentially as the engine advances its clock.  The log reads as one
+    :class:`IterationRecord` per iteration.  An int index finds its entry
+    by bisection and builds that entry's records only, while slicing builds
+    the whole log first.  Two logs are equal when their records are.
     """
 
     __slots__ = ("_runs", "_ends", "_len")
@@ -405,34 +413,26 @@ def read_trace(path) -> list[RequestTrace]:
 
 
 ITERATIONS_CSV_HEADER = [
-    "start_s", "duration_s", "prefill_tokens", "decode_seqs",
-    "prefill_ids", "decode_ids", "queue_depth",
+    "start_s", "iterations", "duration_s", "prefill_tokens", "decode_seqs",
+    "prefill_ids", "decode_ids", "queue_depth", "running", "kv_reserved",
+    "release_s",
 ]
-
-
-class _Echo:
-    """A ``csv.writer`` target: ``writerow`` returns the row's text."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
 
 
 def write_iterations_csv(path, iterations: IterationLog) -> None:
     """Iteration log for replay and audit of scheduler decisions.
 
-    Written per log entry: the iterations of one entry differ only in
-    ``start_s``, so the text after it (``duration_s`` to ``queue_depth``) is
-    formatted once and written after each of the entry's starts.  The bytes
-    are those of one ``csv.writer`` row per record.
+    One row per log entry: its first start, its iteration count and the
+    entry's other fields, ids ``|``-joined and no release an empty cell.
+    The start of each later iteration of the entry is the one before plus
+    ``duration_s``, added sequentially as the engine advanced its clock.
     """
-    row_text = csv.writer(_Echo()).writerow
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(row_text(ITERATIONS_CSV_HEADER))
-        for run in iterations._runs:
-            (_, _, duration, prefill_tokens, decode_seqs, prefill_ids,
-             decode_ids, queue_depth) = run
-            tail = "," + row_text([repr(duration), prefill_tokens,
-                                   decode_seqs, "|".join(prefill_ids),
-                                   "|".join(decode_ids), queue_depth])
-            f.write(tail.join(map(repr, _starts(run))) + tail)
+        writer = csv.writer(f)
+        writer.writerow(ITERATIONS_CSV_HEADER)
+        # csv writes a float as its repr and None as an empty cell.
+        writer.writerows(
+            (start, count, duration, prefill_tokens, decode_seqs,
+             "|".join(prefill_ids), "|".join(decode_ids), *state)
+            for (start, count, duration, prefill_tokens, decode_seqs,
+                 prefill_ids, decode_ids, *state) in iterations._runs)

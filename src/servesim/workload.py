@@ -221,8 +221,8 @@ def generate(config: WorkloadConfig) -> list[RequestSpec]:
         raise TypeError(f"unknown length source: {src!r}")
 
     return [
-        RequestSpec(f"r{i:06d}", float(arrivals[i]), int(p), int(o))
-        for i, (p, o) in enumerate(pairs)
+        RequestSpec(f"r{i:06d}", arrival, int(p), int(o))
+        for i, (arrival, (p, o)) in enumerate(zip(arrivals.tolist(), pairs))
     ]
 
 

@@ -7,11 +7,12 @@ other.  Keep it dumb.
 The per-request numpy scorer after ``nearest_rank`` is the bit-exact
 reference for ``build_report``, which scores a whole window at once.
 ``iteration_records`` builds the engine's iteration log one record at a
-time, the reference for ``IterationLog``.  The artifact writers at the end
+time, the reference for ``IterationLog``, and ``read_iterations_csv``
+rebuilds those records from a written log.  The artifact writers at the end
 are the reference for the package's: one
-``json.dumps`` per trace record, one ``csv.writer`` row per iteration, one
+``json.dumps`` per trace record, one ``csv.writer`` row per plan run, one
 ``np.diff`` per timeline and one ``csv.writer`` row per TBT CDF grid point,
-one ``json.dump(indent=2)`` per report and one ``csv.writer`` row per
+one strict ``json.dump(indent=2)`` per report and one ``csv.writer`` row per
 report row.
 """
 
@@ -215,18 +216,52 @@ def write_trace(path, records):
             f.write("\n")
 
 
-def write_iterations_csv(path, iterations):
+ITERATIONS_HEADER = ["start_s", "iterations", "duration_s",
+                     "prefill_tokens", "decode_seqs", "prefill_ids",
+                     "decode_ids", "queue_depth", "running", "kv_reserved",
+                     "release_s"]
+
+
+def write_iterations_csv(path, runs):
+    """One row per ``(start, count, duration, ...)`` run of a log."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["start_s", "duration_s", "prefill_tokens",
-                         "decode_seqs", "prefill_ids", "decode_ids",
-                         "queue_depth"])
-        for (start, duration, prefill_tokens, decode_seqs, prefill_ids,
-             decode_ids, queue_depth) in iterations:
+        writer.writerow(ITERATIONS_HEADER)
+        for (start, count, duration, prefill_tokens, decode_seqs,
+             prefill_ids, decode_ids, queue_depth, running, kv_reserved,
+             release) in runs:
             writer.writerow([
-                repr(start), repr(duration), prefill_tokens, decode_seqs,
-                "|".join(prefill_ids), "|".join(decode_ids), queue_depth,
+                repr(start), str(count), repr(duration), str(prefill_tokens),
+                str(decode_seqs), "|".join(prefill_ids),
+                "|".join(decode_ids), str(queue_depth), str(running),
+                str(kv_reserved), "" if release is None else repr(release),
             ])
+
+
+def _ids(text):
+    return tuple(text.split("|")) if text else ()
+
+
+def read_iterations_csv(path):
+    """The record tuples of a written log: each row's ``iterations``
+    records, the first at ``start_s``, each later one ``duration_s`` after
+    the one before.  Ids holding ``|``, or an empty id, do not read back."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ITERATIONS_HEADER
+    out = []
+    for (start, count, duration, prefill_tokens, decode_seqs, prefill_ids,
+         decode_ids, queue_depth, running, kv_reserved, release) in rows[1:]:
+        t = float(start)
+        d = float(duration)
+        rest = (int(prefill_tokens), int(decode_seqs), _ids(prefill_ids),
+                _ids(decode_ids), int(queue_depth), int(running),
+                int(kv_reserved), None if release == "" else float(release))
+        for k in range(int(count)):
+            if k > 0:
+                t = t + d
+            out.append((t, d, *rest))
+    return out
 
 
 def write_tbt_cdf(path, records):
@@ -253,7 +288,7 @@ def write_tbt_cdf(path, records):
 
 def write_report_json(path, report):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_json_dict(), f, indent=2)
+        json.dump(report.to_json_dict(), f, indent=2, allow_nan=False)
         f.write("\n")
 
 
@@ -282,7 +317,9 @@ def write_report_csv(path, report):
                 ("goodput_requests_per_s", report.goodput_requests_per_s),
                 ("smooth_goodput_per_s", report.smooth_goodput_per_s),
                 ("slo_attainment", report.slo_attainment),
-                ("mean_ttft_s", report.mean_ttft),
+                # NaN when no request got a token: an empty cell.
+                ("mean_ttft_s", None if math.isnan(report.mean_ttft)
+                 else report.mean_ttft),
                 ("mean_idle_latency_s", report.mean_idle_latency)):
             writer.writerow(["#agg", name, _report_cell(value)])
         for scope, percentiles in (("ttft", report.ttft_percentiles),

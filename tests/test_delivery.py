@@ -176,3 +176,17 @@ def test_config_validation():
         with pytest.raises(ValueError, match="hold budget must be positive "
                                              "and finite"):
             DelayConfig(hold, True)
+
+
+def test_hold_is_held_as_a_float():
+    # A float subclass converts as the records' values do, so the paced
+    # delivery times are floats; a bool or a string is refused.
+    config = DelayConfig(np.float64(0.1))
+    assert type(config.hold_s) is float and DelayConfig(1).hold_s == 1.0
+    rec = RequestTrace("a", 0.0, (0.1, 0.12, 0.9), 10, True)
+    out = delay_trace([rec], config)[0]
+    assert {type(t) for t in out.delivery_times} == {float}
+    assert out == delay_trace([rec], DelayConfig(0.1))[0]
+    for hold in (True, "0.1"):
+        with pytest.raises(ValueError, match="^hold_s: expected real numbers"):
+            DelayConfig(hold)

@@ -15,7 +15,7 @@ from servesim.schedulers import (
     VllmLike,
     next_batch,
 )
-from servesim.traces import read_trace, write_trace
+from servesim.traces import read_trace, write_iterations_csv, write_trace
 from servesim.workload import RequestSpec, Synthetic, UniformInt, WorkloadConfig, generate
 
 ENG = EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
@@ -305,10 +305,15 @@ def _decode_released_at(release):
 def test_an_int_release_is_held_as_a_float(tmp_path):
     # Each decode batch of a callable is released at a whole second, an int
     # past its end.
-    records = run(TWO_REQ, ENG, _decode_released_at(
-        lambda clock: math.ceil(clock + 1))).requests
+    trace = run(TWO_REQ, ENG, _decode_released_at(
+        lambda clock: math.ceil(clock + 1)))
+    records = trace.requests
     delivery = [t for rec in records for t in rec.delivery_times]
     assert 2 in delivery and {type(t) for t in delivery} == {float}
+    # The log holds each applied release as the records do.
+    releases = [it.release_s for it in trace.iterations
+                if it.release_s is not None]
+    assert 2 in releases and {type(t) for t in releases} == {float}
     path = tmp_path / "trace.jsonl"
     write_trace(path, records)
     assert read_trace(path) == records
@@ -332,6 +337,50 @@ def test_engine_config_rejects_non_finite_costs(costs, message):
     # NaN fails every check written `not (lo < x < inf)`; `x <= 0` let it in.
     with pytest.raises(ValueError, match=message):
         EngineConfig(**costs)
+
+
+def test_engine_config_holds_its_costs_as_floats(tmp_path):
+    # A float subclass or an int converts as the records' values do, so the
+    # clock, the token times and the iteration log hold floats, and the
+    # log's CSV is that of the equal float config.
+    costs = ("base_s", "prefill_per_token_s", "decode_per_seq_s")
+    odd = EngineConfig(base_s=np.float64(0.01), prefill_per_token_s=0)
+    assert [type(getattr(odd, name)) for name in costs] == [float] * 3
+    trace = run(TWO_REQ, odd, VllmLike())
+    plain = run(TWO_REQ, EngineConfig(base_s=0.01, prefill_per_token_s=0.0),
+                VllmLike())
+    assert trace == plain
+    assert {type(t) for rec in trace.requests for t in rec.token_times} == \
+        {float}
+    write_iterations_csv(tmp_path / "odd.csv", trace.iterations)
+    write_iterations_csv(tmp_path / "plain.csv", plain.iterations)
+    text = (tmp_path / "odd.csv").read_text()
+    assert "np." not in text
+    assert text == (tmp_path / "plain.csv").read_text()
+    for name in costs:
+        for value in (True, "0.01"):
+            with pytest.raises(ValueError,
+                               match=f"^{name}: expected real numbers"):
+                EngineConfig(**{name: value})
+
+
+def test_the_log_holds_the_engine_state_each_plan_saw():
+    # a prefills alone, then decodes alone until b arrives at 0.34; b's
+    # prefill stalls a's decode, then both decode.
+    trace = run(TWO_REQ, ENG, VllmLike())
+    state = [(it.queue_depth, it.running, it.kv_reserved, it.release_s)
+             for it in trace.iterations]
+    a, b = 150, 305
+    assert state[0] == (1, 0, 0, None)
+    first_b = next(k for k, it in enumerate(trace.iterations)
+                   if it.prefill_ids == ("b",))
+    assert set(state[1:first_b]) == {(0, 1, a, None)}
+    assert state[first_b] == (1, 1, a, None)
+    assert state[first_b + 1] == (0, 2, a + b, None)
+    # Prepone holds its decode tokens until the prefill's projected end.
+    held = [it.release_s for it in run(TWO_REQ, ENG, DecodePrepone(n=2))
+            .iterations if it.release_s is not None]
+    assert held and all(type(t) is float for t in held)
 
 
 @pytest.mark.parametrize("prompt_len", [4, 100], ids=["prefill", "decode_run"])

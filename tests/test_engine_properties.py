@@ -71,7 +71,8 @@ def check_limits(trace, specs, engine):
 
     A request is admitted by the first batch that prefills it and leaves with
     its last token: its last prefill chunk when it has one output token, else
-    its (output_len - 1)-th decode.
+    its (output_len - 1)-th decode.  The engine state each entry logs is
+    re-derived from them too.
     """
     admit, leave, decodes = {}, {}, dict.fromkeys(specs, 0)
     for k, it in enumerate(trace.iterations):
@@ -96,11 +97,19 @@ def check_limits(trace, specs, engine):
         queued = arrived - bisect_left(left, k)
         assert it.start == (prev_end if queued else arrivals[arrived])
         prev_end = it.start + it.duration
-    for k in range(len(trace.iterations)):
+    for k, it in enumerate(trace.iterations):
         live = [s for rid, s in specs.items() if admit[rid] <= k <= leave[rid]]
         assert len(live) <= engine.max_running_seqs
         assert sum(s.prompt_len + s.output_len for s in live) \
             <= engine.kv_capacity_tokens
+        # As the plan saw it: admitted by an earlier batch, not yet left.
+        running = [s for rid, s in specs.items()
+                   if admit[rid] < k <= leave[rid]]
+        assert it.running == len(running)
+        assert it.kv_reserved == sum(s.prompt_len + s.output_len
+                                     for s in running)
+        assert it.queue_depth == bisect_right(arrivals, it.start) - sum(
+            a < k for a in admit.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,7 +188,8 @@ log_runs = st.lists(st.tuples(
     st.just(1) | st.integers(1, 6),
     st.sampled_from([0.0, -0.0, 0, 1, 0.25]) | st.floats(0.0, 1.0),
     st.integers(0, 64), st.integers(0, 8), ids_tuples, ids_tuples,
-    st.integers(0, 9)), max_size=6)
+    st.integers(0, 9), st.integers(0, 8), st.integers(0, 1000),
+    st.none() | st.floats(0.0, 1e3)), max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,6 +248,14 @@ def alternating_halves(policy, engine, pattern, holds, log):
     return schedule
 
 
+def held_release(clock, plan, engine):
+    """The release the engine logs for ``plan``: None unless it holds the
+    plan's decode tokens past the batch end."""
+    end = clock + iteration_time(plan.prefill_tokens, len(plan.decode_ids),
+                                 engine)
+    return None if plan.release_s in (None, end) else plan.release_s
+
+
 def replayed_requests(workload, engine, log):
     """Each request's record, replayed from the plans one iteration each."""
     specs = {s.request_id: s for s in workload}
@@ -282,10 +300,11 @@ def test_alternating_halves_match_a_replay_of_their_plans(case, pattern,
     trace = run(workload, engine,
                 alternating_halves(policy, engine, pattern, holds, log))
     assert trace.requests == replayed_requests(workload, engine, log)
-    assert [(it.start, it.prefill_ids, it.decode_ids)
+    assert [(it.start, it.prefill_ids, it.decode_ids, it.release_s)
             for it in trace.iterations] == [
         (clock, tuple(i.request_id for i in plan.prefill_items),
-         plan.decode_ids) for clock, plan in log]
+         plan.decode_ids, held_release(clock, plan, engine))
+        for clock, plan in log]
     check_limits(trace, {s.request_id: s for s in workload}, engine)
     run(workload, engine, checking_emitted(
         alternating_halves(policy, engine, pattern, holds, []), trace))

@@ -421,6 +421,32 @@ def test_cli_metrics_rejects_an_unscorable_trace(fixtures_dir, tmp_path,
     assert "line 3: b1: " in error["error"]["message"]
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_metrics_writes_strict_json_for_a_window_with_no_token(
+        fixtures_dir, tmp_path, capsys):
+    # r1's last token sets the makespan to 10.0, so the trimmed window is
+    # [0.5, 9.5): it holds r2 alone, whose token comes after it.
+    lines = [{"request_id": "r1", "arrival_s": 0.0, "token_times_s": [10.0],
+              "prompt_len": 4, "completed": True},
+             {"request_id": "r2", "arrival_s": 1.0, "token_times_s": [9.8],
+              "prompt_len": 4, "completed": True}]
+    trace = tmp_path / "late.jsonl"
+    trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    config_path = os.path.join(fixtures_dir, "experiment.json")
+    assert run_cli(["metrics", "--config", config_path, "--trace", str(trace),
+                    "--out", str(tmp_path / "m")]) == 0
+    agg = _strict_json(capsys.readouterr().out)
+    report = _strict_json((tmp_path / "m" / "report.json").read_text())
+    assert agg == report["aggregates"]
+    assert agg["mean_ttft_s"] is None
+    assert [r["ttft_s"] for r in report["requests"]] == [None]
+
+
 @pytest.mark.parametrize("lines", [
     [], [{"request_id": "a", "arrival_s": 0.0, "token_times_s": [],
           "prompt_len": 4, "completed": False}]], ids=["empty", "no_tokens"])

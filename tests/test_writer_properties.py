@@ -1,19 +1,22 @@
 """The artifact writers write the bytes of the reference writers in oracles.
 
 The package formats each distinct trace time once, each iteration-log
-entry's row tail once, each TBT CDF from one sorted gap pool per timeline
-and each report row with the C encoder; these tests hold every byte to a
-plain ``json.dumps`` per record, a ``csv.writer`` row per iteration, an
-``np.diff`` per request and a ``csv.writer`` row per CDF point,
+entry as one row, each TBT CDF from one sorted gap pool per timeline and
+each report row with the C encoder; these tests hold every byte to a plain
+``json.dumps`` per record, a ``csv.writer`` row per plan run, an
+``np.diff`` per request and a ``csv.writer`` row per CDF point, a strict
 ``json.dump(indent=2)`` per report and a ``csv.writer`` row per report row.
+A written iteration log also reads back as the log's records.
 """
 
+import dataclasses
 import math
 import os
 import tempfile
 from itertools import accumulate
 from operator import add
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,12 +116,15 @@ def test_trace_bytes_past_the_map_bound(step, size, overlap):
 
 
 @st.composite
-def iteration_logs(draw):
+def iteration_logs(draw, ints=True, ids=ids):
+    """Logs whose times are floats, and ints too if ``ints``."""
+    numbers = floats | st.integers(0, 10) if ints else floats
+    equal = [0.0, -0.0, 0, 1.0, 1, 2.0, 2] if ints else [0.0, -0.0, 1.0, 2.0]
     counts = st.integers(0, 10**6)
     id_tuples = st.lists(ids, max_size=3).map(tuple)
     tails = draw(st.lists(
-        st.tuples(floats | st.integers(0, 10), counts, counts, id_tuples,
-                  id_tuples, counts),
+        st.tuples(numbers, counts, counts, id_tuples, id_tuples, counts,
+                  counts, counts, st.none() | numbers),
         min_size=1, max_size=4))
     runs = []
     # Neighbouring entries may share a tail, or differ only in the sign or
@@ -126,25 +132,43 @@ def iteration_logs(draw):
     for _ in range(draw(st.integers(0, 12))):
         duration, *rest = draw(st.sampled_from(tails))
         if draw(st.booleans()):
-            duration = draw(st.sampled_from([0.0, -0.0, 0, 1.0, 1, 2.0, 2]))
-        start = draw(floats | st.integers(0, 10))
+            duration = draw(st.sampled_from(equal))
+        start = draw(numbers)
         runs.append((start, draw(st.integers(1, 6)), duration, *rest))
     return IterationLog(runs)
 
 
 def write_log_reference(path, log):
-    oracles.write_iterations_csv(path, oracles.iteration_records(log._runs))
+    oracles.write_iterations_csv(path, log._runs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(iteration_logs())
-@example(IterationLog([(0.0, 1, 0.0, 1, 1, (), ("a",), 0),
-                       (0.5, 2, 0.0, 1, 1, (), ("a",), 0),
-                       (1.0, 1, -0.0, 1, 1, (), ("a",), 0)]))
-@example(IterationLog([(0.0, 1, 1.0, 0, 2, ("x,y",), ('"q"', "日"), 3),
-                       (1.0, 3, 1, 0, 2, ("x,y",), ('"q"', "日"), 3)]))
+@example(IterationLog([(0.0, 1, 0.0, 1, 1, (), ("a",), 0, 1, 5, None),
+                       (0.5, 2, 0.0, 1, 1, (), ("a",), 0, 1, 5, None),
+                       (1.0, 1, -0.0, 1, 1, (), ("a",), 0, 1, 5, 1.25)]))
+@example(IterationLog([(0.0, 1, 1.0, 0, 2, ("x,y",), ('"q"', "日"), 3, 2,
+                        9, None),
+                       (1.0, 3, 1, 0, 2, ("x,y",), ('"q"', "日"), 3, 2, 9,
+                        None)]))
 def test_iterations_bytes_match_reference(log):
     assert_same_bytes(write_iterations_csv, write_log_reference, log)
+
+
+# Floats only, as the engine logs them, and ids that neither are empty nor
+# hold the "|" that joins them.
+@settings(max_examples=300, deadline=None)
+@given(iteration_logs(False, ids.filter(lambda i: i and "|" not in i)))
+@example(IterationLog([(0.1, 3, 0.2, 0, 1, (), ("a",), 0, 1, 7, None),
+                       (0.7000000000000001, 1, -0.0, 4, 0, ("b",), (), 1, 1,
+                        7, 0.75)]))
+def test_written_iterations_read_back_as_the_log(log):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "iterations.csv")
+        write_iterations_csv(path, log)
+        got = oracles.read_iterations_csv(path)
+    # repr is exact for a float and tells -0.0 from 0.0.
+    assert [repr(r) for r in got] == [repr(tuple(r)) for r in log]
 
 
 # Token times as the engine and read_trace give them, floats, and ints,
@@ -191,42 +215,75 @@ def test_tbt_cdf_bytes_match_reference(records):
     assert_same_bytes(_write_tbt_cdf, oracles.write_tbt_cdf, records)
 
 
-optional = st.none() | floats
-request_rows = st.builds(RequestMetrics, ids, floats, st.integers(),
-                         st.booleans(), optional, optional, optional,
-                         optional, floats, optional, floats, st.booleans())
-percentiles = st.dictionaries(st.sampled_from(["p50", "p90", "p99"]), floats)
+def report_strategy(values, mean_ttft):
+    """Reports whose floats are drawn from ``values``."""
+    optional = st.none() | values
+    request_rows = st.builds(RequestMetrics, ids, values, st.integers(),
+                             st.booleans(), optional, optional, optional,
+                             optional, values, optional, values,
+                             st.booleans())
+    percentiles = st.dictionaries(st.sampled_from(["p50", "p90", "p99"]),
+                                  values)
+    return st.builds(MetricsReport, values, values,
+                     st.lists(request_rows, max_size=40).map(tuple),
+                     values, values, values, values, values, percentiles,
+                     percentiles, mean_ttft, values)
 
 
-reports = st.builds(MetricsReport, floats, floats,
-                    st.lists(request_rows, max_size=40).map(tuple),
-                    floats, floats, floats, floats, floats, percentiles,
-                    percentiles, floats, floats)
+reports = report_strategy(floats, floats)
+# What report.json can hold: finite numbers, and a NaN mean TTFT, which is
+# written as null.
+finite = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+finite_reports = report_strategy(finite, finite | st.just(math.nan))
 EMPTY_REPORT = MetricsReport(0.0, 1.0, (), 0.0, 0.0, 0.0, 0.0, 0.0, {}, {},
                              math.nan, 0.0)
-LARGE_REPORT = MetricsReport(
-    0.0, 100.0,
-    tuple(RequestMetrics(f"r{i},\"é\"", i * 0.5, i, i % 2 == 0,
-                         *([None] * 4 if i % 3 == 0 else [0.1 * i, -0.0,
-                                                          math.inf, 0.2]),
-                         float(i), None if i % 3 == 0 else -0.0, -1.5 * i,
-                         i % 5 == 0)
-          for i in range(500)),
-    1.0, 2.0, 3.0, -4.0, 0.5, {"p50": 0.1, "p90": 0.2, "p99": 0.3},
-    {"p50": math.nan}, 0.25, 0.125)
+
+
+def large_report(big, odd):
+    """500 request rows, some with None fields, ids that csv quotes."""
+    return MetricsReport(
+        0.0, 100.0,
+        tuple(RequestMetrics(f"r{i},\"é\"", i * 0.5, i, i % 2 == 0,
+                             *([None] * 4 if i % 3 == 0 else [0.1 * i, -0.0,
+                                                              big, 0.2]),
+                             float(i), None if i % 3 == 0 else -0.0,
+                             -1.5 * i, i % 5 == 0)
+              for i in range(500)),
+        1.0, 2.0, 3.0, -4.0, 0.5, {"p50": 0.1, "p90": 0.2, "p99": 0.3},
+        {"p50": odd}, 0.25, 0.125)
 
 
 @settings(max_examples=200, deadline=None)
-@given(reports)
+@given(finite_reports)
 @example(EMPTY_REPORT)
-@example(LARGE_REPORT)
+@example(large_report(1e300, 0.4))
 def test_report_json_bytes_match_reference(report):
     assert_same_bytes(write_report_json, oracles.write_report_json, report)
 
 
+@settings(max_examples=100, deadline=None)
+@given(finite_reports, st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.sampled_from(["aggregate", "percentile", "request"]))
+def test_report_json_refuses_a_number_strict_json_cannot_hold(report, bad,
+                                                              where):
+    # Strict JSON has no NaN or Infinity literal, so the writer raises
+    # rather than write a file a strict parser refuses.
+    if where == "aggregate":
+        report = dataclasses.replace(report, smooth_goodput_per_s=bad)
+    elif where == "percentile":
+        report = dataclasses.replace(report, tbt_percentiles={"p99": bad})
+    else:
+        row = RequestMetrics("r", 0.0, 1, True, benefit=bad)
+        report = dataclasses.replace(
+            report, per_request=(*report.per_request, row))
+    with tempfile.TemporaryDirectory() as d, pytest.raises(ValueError):
+        write_report_json(os.path.join(d, "report.json"), report)
+
+
 @settings(max_examples=200, deadline=None)
 @given(reports)
 @example(EMPTY_REPORT)
-@example(LARGE_REPORT)
+@example(large_report(math.inf, math.nan))
 def test_report_csv_bytes_match_reference(report):
     assert_same_bytes(write_report_csv, oracles.write_report_csv, report)
