@@ -74,8 +74,7 @@ def cmd_metrics(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         write_report_json(os.path.join(args.out, "report.json"), report)
         write_report_csv(os.path.join(args.out, "report.csv"), report)
-    agg = report.to_json_dict()["aggregates"]
-    print(json.dumps(agg, indent=2, allow_nan=False))
+    print(json.dumps(report.aggregates(), indent=2, allow_nan=False))
     return 0
 
 
@@ -95,13 +94,13 @@ def cmd_capacity(args) -> int:
         "attainment_threshold": args.threshold,
         "probes": [{"rate": r, "slo_attainment": a} for r, a in probes],
     }
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "capacity.json"), "w",
                   encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-    print(json.dumps(payload, indent=2))
+            f.write(text + "\n")
+    print(text)
     return 0
 
 

@@ -253,23 +253,27 @@ class MetricsReport:
     mean_ttft: float
     mean_idle_latency: float
 
+    def aggregates(self) -> dict:
+        """The aggregates of report.json and ``servesim metrics``."""
+        return {
+            "throughput_tokens_per_s": self.throughput_tokens_per_s,
+            "goodput_tokens_per_s": self.goodput_tokens_per_s,
+            "goodput_requests_per_s": self.goodput_requests_per_s,
+            "smooth_goodput_per_s": self.smooth_goodput_per_s,
+            "slo_attainment": self.slo_attainment,
+            "ttft_percentiles_s": self.ttft_percentiles,
+            "tbt_percentiles_s": self.tbt_percentiles,
+            # NaN when no request got a token: null, as a request's ttft_s
+            # is then.
+            "mean_ttft_s": (None if math.isnan(self.mean_ttft)
+                            else self.mean_ttft),
+            "mean_idle_latency_s": self.mean_idle_latency,
+        }
+
     def to_json_dict(self) -> dict:
         return {
             "window": {"start_s": self.window_start, "end_s": self.window_end},
-            "aggregates": {
-                "throughput_tokens_per_s": self.throughput_tokens_per_s,
-                "goodput_tokens_per_s": self.goodput_tokens_per_s,
-                "goodput_requests_per_s": self.goodput_requests_per_s,
-                "smooth_goodput_per_s": self.smooth_goodput_per_s,
-                "slo_attainment": self.slo_attainment,
-                "ttft_percentiles_s": self.ttft_percentiles,
-                "tbt_percentiles_s": self.tbt_percentiles,
-                # NaN when no request got a token: null, as a request's
-                # ttft_s is then.
-                "mean_ttft_s": (None if math.isnan(self.mean_ttft)
-                                else self.mean_ttft),
-                "mean_idle_latency_s": self.mean_idle_latency,
-            },
+            "aggregates": self.aggregates(),
             "requests": [{key: getattr(r, name) for name, key in _REQUEST_KEYS}
                          for r in self.per_request],
         }
@@ -399,7 +403,7 @@ def write_report_csv(path, report: MetricsReport) -> None:
         writer.writerow(REPORT_CSV_HEADER)
         for r in report.per_request:
             writer.writerow([_cell(getattr(r, name)) for name in _CSV_FIELDS])
-        agg = report.to_json_dict()["aggregates"]
+        agg = report.aggregates()
         for name, value in agg.items():
             if not isinstance(value, dict):
                 writer.writerow(["#agg", name, _cell(value)])

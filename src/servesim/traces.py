@@ -29,17 +29,12 @@ construction is built with ``_unchecked`` instead, which skips them:
   never decrease nor precede generation; it checks only that the last one is
   finite.
 
-The engine's iteration log is an ``IterationLog``: one entry per plan run,
-read as one ``IterationRecord`` per iteration.  ``write_iterations_csv``
-writes one row per entry, its first start and its iteration count; a reader
-rebuilds the later starts by adding the duration sequentially, as the engine
-advanced its clock.
-
-Timestamps are serialized with Python's shortest round-trip float repr, so a
-load/save cycle is byte-stable and value-lossless at full double precision.
-The members of a decode batch share its end instant, so ``write_trace``
-formats each distinct time once per file, in a bounded map, and writes the
-bytes ``json.dumps`` would.
+orjson is the JSON-lines codec.  The readers decode a line with the stdlib
+decoder only when orjson refuses it: the NaN and Infinity literals, a number
+past the double range, a lone surrogate.  orjson reads an int outside
+[-2**63, 2**64) as a float, so the constructors refuse such an int field.
+``write_trace`` writes the bytes of ``json.dumps``, each float its shortest
+round-trip repr, so a load/save cycle is byte-stable and lossless.
 """
 
 from __future__ import annotations
@@ -55,6 +50,8 @@ from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import ge, itemgetter, not_
 from typing import Iterable, NamedTuple
 
+import orjson
+
 
 class TraceFormatError(ValueError):
     """A trace or workload file does not match the expected schema."""
@@ -62,13 +59,16 @@ class TraceFormatError(ValueError):
 
 def _check_scalars(record, kinds: tuple[tuple[str, type], ...]) -> None:
     """Raise TypeError unless each ``(name, kind)`` field of ``record`` is
-    exactly of its kind: the readers' rules, so that a record's file line
-    reads back."""
+    exactly of its kind, and ValueError for an int the reader reads as a
+    float: the readers' rules, so that a record's file line reads back."""
     fields = record.__dict__
     for name, kind in kinds:
-        if type(fields[name]) is not kind:
+        value = fields[name]
+        if type(value) is not kind:
             raise TypeError(f"{name}: expected {kind.__name__}, "
-                            f"got {fields[name]!r}")
+                            f"got {value!r}")
+        if kind is int and not -2**63 <= value < 2**64:
+            raise ValueError(f"{name}: an int outside [-2**63, 2**64)")
 
 
 def _floats(request_id, values) -> tuple[float, ...]:
@@ -78,14 +78,16 @@ def _floats(request_id, values) -> tuple[float, ...]:
     string or any other value, and an int past the float range, raise
     ValueError naming the request.
     """
-    if type(values) not in (list, tuple) or not (
-            set(map(type, values)) <= {float, int}
-            or all(isinstance(t, float) or type(t) is int for t in values)):
-        raise ValueError(f"{request_id}: expected real numbers")
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        raise ValueError(f"{request_id}: an int past the float range") from None
+    if type(values) in (list, tuple):
+        if set(map(type, values)) <= {float}:
+            return tuple(values)
+        if all(isinstance(t, float) or type(t) is int for t in values):
+            try:
+                return tuple(map(float, values))
+            except OverflowError:
+                raise ValueError(f"{request_id}: an int past the float "
+                                 f"range") from None
+    raise ValueError(f"{request_id}: expected real numbers")
 
 
 def _hold_floats(record, *times: str) -> None:
@@ -320,55 +322,38 @@ class SimTrace:
         return sum(len(r.token_times) for r in self.requests)
 
 
-# Records come in arrival order, so the batch-mates that share an instant are
-# neighbours: a map of this many texts keeps nearly every repeat.
-_MAX_TEXTS = 4096
-
-
-class _NumberTexts(dict):
-    """Each float's JSON text, its ``repr``: a record's times are finite
-    floats, none of them -0.0.  The map is emptied when it is full."""
-
-    def __missing__(self, x: float) -> str:
-        text = float.__repr__(x)
-        if len(self) >= _MAX_TEXTS:
-            self.clear()
-        self[x] = text
-        return text
-
-    def join(self, values) -> str:
-        """``values`` as the items of a JSON list, ``", "``-separated."""
-        return ", ".join(map(self.__getitem__, values))
+def _times_json(times: tuple[float, ...]) -> bytes:
+    """A record's times as ``json.dumps`` writes them: by orjson, whose
+    float text is the repr for 0.0 and in [1e-4, 1e16).  The times are
+    sorted and ``>= 0``, so the first nonzero one and the last decide."""
+    nonzero = bisect.bisect_right(times, 0.0)
+    if (nonzero == len(times) or times[nonzero] >= 1e-4) and (
+            not times or times[-1] < 1e16):
+        return orjson.dumps(times).replace(b",", b", ")
+    return json.dumps(times).encode()
 
 
 def write_trace(path, records: Iterable[RequestTrace]) -> None:
-    """One JSON line per record, as ``json.dumps`` writes its object.
-
-    Each distinct time is formatted once per file, in a bounded map; the
-    bytes are those of ``json.dumps`` with its default separators.
-    """
-    texts = _NumberTexts()
-    dumps = json.dumps
-    with open(path, "w", encoding="utf-8") as f:
+    """One JSON line per record, the bytes ``json.dumps`` writes of its
+    object."""
+    with open(path, "wb") as f:
         for rec in records:
-            delivery = ""
-            if rec.delivery_times is not None:
-                delivery = (', "delivery_times_s": '
-                            f'[{texts.join(rec.delivery_times)}]')
-            f.write(f'{{"request_id": {dumps(rec.request_id)}, '
-                    f'"arrival_s": {dumps(rec.arrival)}, '
-                    f'"token_times_s": [{texts.join(rec.token_times)}], '
-                    f'"prompt_len": {dumps(rec.prompt_len)}, '
-                    f'"completed": {dumps(rec.completed)}{delivery}}}\n')
+            delivery = b"" if rec.delivery_times is None else (
+                b', "delivery_times_s": ' + _times_json(rec.delivery_times))
+            f.write(b'{"request_id": %b, "arrival_s": %b, "token_times_s": '
+                    b'%b, "prompt_len": %d, "completed": %b%b}\n' % (
+                        json.dumps(rec.request_id).encode(),
+                        float.__repr__(rec.arrival).encode(),
+                        _times_json(rec.token_times), rec.prompt_len,
+                        b"true" if rec.completed else b"false", delivery))
 
 
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
-# Trace and workload times must be finite, so NaN and +-Infinity are
-# rejected.  One shared decoder: json.loads with arguments builds a new one
-# for every line.
+# The decoder of a line orjson refuses.  Trace and workload times must be
+# finite, so NaN and +-Infinity are rejected.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
@@ -393,7 +378,11 @@ def _read_jsonl(path, parse) -> list:
             if not line.strip():
                 continue
             try:
-                obj = _DECODER.decode(line)
+                try:
+                    obj = orjson.loads(line)
+                except orjson.JSONDecodeError:
+                    # The stdlib reads it, or refuses it by name.
+                    obj = _DECODER.decode(line)
                 if type(obj) is not dict:
                     raise TypeError(f"expected object, got {obj!r}")
                 out.append(parse(obj))
@@ -424,6 +413,8 @@ def write_iterations_csv(path, iterations: IterationLog) -> None:
 
     One row per log entry: its first start, its iteration count and the
     entry's other fields, ids ``|``-joined and no release an empty cell.
+    An id reads back unless it is empty or holds ``|``, which the engine's
+    ids, those of its ``RequestSpec``s, never are.
     The start of each later iteration of the entry is the one before plus
     ``duration_s``, added sequentially as the engine advanced its clock.
     """

@@ -43,6 +43,9 @@ class RequestSpec:
     def __post_init__(self):
         _check_scalars(self, (("request_id", str), ("prompt_len", int),
                               ("output_len", int)))
+        if not self.request_id or "|" in self.request_id:
+            raise ValueError(f"{self.request_id!r}: iterations.csv needs "
+                             f"an id that is not empty and holds no '|'")
         # The arrival rule of the engine's records, so that they load.
         _hold_floats(self)
         _check_timeline(self.request_id, self.arrival, (), False)

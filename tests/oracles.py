@@ -8,7 +8,9 @@ The per-request numpy scorer after ``nearest_rank`` is the bit-exact
 reference for ``build_report``, which scores a whole window at once.
 ``iteration_records`` builds the engine's iteration log one record at a
 time, the reference for ``IterationLog``, and ``read_iterations_csv``
-rebuilds those records from a written log.  The artifact writers at the end
+rebuilds those records from a written log.  ``read_trace`` decodes a trace
+with the stdlib ``json`` alone, the reference for the package's reader,
+which decodes with orjson.  The artifact writers at the end
 are the reference for the package's: one
 ``json.dumps`` per trace record, one ``csv.writer`` row per plan run, one
 ``np.diff`` per timeline and one ``csv.writer`` row per TBT CDF grid point,
@@ -207,6 +209,34 @@ def _record_to_obj(rec):
     if rec.delivery_times is not None:
         obj["delivery_times_s"] = list(rec.delivery_times)
     return obj
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def read_trace(path):
+    """The records of a trace file, each line decoded by ``json.loads`` and
+    built by ``RequestTrace``; a line either refuses raises
+    TraceFormatError naming the line."""
+    from servesim.traces import RequestTrace, TraceFormatError
+
+    records = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line, parse_constant=_refuse_constant)
+                if type(obj) is not dict:
+                    raise TypeError("not an object")
+                records.append(RequestTrace(
+                    obj["request_id"], obj["arrival_s"], obj["token_times_s"],
+                    obj["prompt_len"], obj["completed"],
+                    obj.get("delivery_times_s")))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceFormatError(f"{path}: line {lineno}: {exc}")
+    return records
 
 
 def write_trace(path, records):

@@ -7,12 +7,14 @@ built-in policy, or is refused with a ValueError."""
 import copy
 import json
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from servesim.config import ConfigError, load_experiment
 from servesim.engine import EngineConfig, run
 from servesim.schedulers import ChunkedPrefill, DecodePrepone, VllmLike
@@ -113,6 +115,37 @@ def test_readers_load_or_name_the_line(reader, values):
                 assert read_trace(again) == loaded
             elif reader is load_workload:
                 check_runs_or_refuses(loaded)
+
+
+def _read_outcome(read, path):
+    """What ``read`` gives for ``path``: its records, or the number of the
+    line a TraceFormatError names."""
+    try:
+        return read(path)
+    except TraceFormatError as exc:
+        return int(re.search(r": line (\d+): ", str(exc)).group(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=lines)
+# Lines orjson refuses or reads otherwise than the stdlib: a literal, a
+# number past the double range, a lone surrogate, ints past 64 bits.
+@example(values=[VALID, {**VALID, "token_times_s": [1.0, float("nan")]}])
+@example(values=[{**VALID, "token_times_s": [1.0, 10**400]}])
+@example(values=[{**VALID, "request_id": "\ud800"}])
+@example(values=[{**VALID, "prompt_len": 2**64}, VALID])
+@example(values=[{**VALID, "prompt_len": 2**64 - 1, "arrival_s": -2**63 - 1}])
+@example(values=[{**VALID, "token_times_s": [10**30, 2**64 + 1],
+                  "delivery_times_s": [10**30, 2**70]}])
+def test_read_trace_gives_what_the_stdlib_reference_gives(values):
+    """The same records, or a refusal naming the same line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            for value in values:
+                f.write(json.dumps(value) + "\n")
+        assert (_read_outcome(read_trace, path)
+                == _read_outcome(oracles.read_trace, path))
 
 
 SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "configs",

@@ -463,7 +463,7 @@ def test_cli_metrics_names_a_trace_with_no_tokens(fixtures_dir, tmp_path,
         "no request in the trace has a token")
 
 
-def test_cli_capacity(tmp_path, capsys):
+def test_cli_capacity(tmp_path, capsys, monkeypatch):
     config = {
         "workload": {"count": 40, "seed": 3, "rate": 1.0,
                      "length_source": {"type": "synthetic",
@@ -498,6 +498,18 @@ def test_cli_capacity(tmp_path, capsys):
     assert error["error"] == {"type": "ConfigError", "message":
                               "bracket (1, inf): need 0 < bracket_lo < "
                               "bracket_hi < inf"}
+    # capacity.json and stdout are strict JSON: a NaN is an error, and
+    # nothing is written.
+    monkeypatch.setattr("servesim.cli.capacity_search",
+                        lambda *args, **kwargs: (4.0, [(4.0, math.nan)]))
+    assert run_cli(["capacity", "--config", str(path), "--threshold", "1.0",
+                    "--bracket-lo", "1.0", "--bracket-hi", "4.0",
+                    "--out", str(tmp_path / "nan")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"]["type"] == (
+        "ValueError")
+    assert not (tmp_path / "nan" / "capacity.json").exists()
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):

@@ -279,3 +279,36 @@ def test_bools_in_time_lists_are_rejected(tmp_path, field, text):
     with pytest.raises(TraceFormatError,
                        match="line 1: a: expected real numbers"):
         read_trace(p)
+
+
+@pytest.mark.parametrize("prompt_len", [-2**63 - 1, 2**64, 10**400])
+def test_record_refuses_an_int_the_reader_reads_as_a_float(prompt_len):
+    # The reader holds ints in [-2**63, 2**64) only; it reads one past them
+    # as a float, so such a record would be written and then refused.
+    with pytest.raises(ValueError, match="^prompt_len: an int outside"):
+        RequestTrace("a", 0.0, (), prompt_len, False)
+
+
+@pytest.mark.parametrize("prompt_len", [-2**63, 2**64 - 1])
+def test_ints_at_the_64_bit_ends_read_back(tmp_path, prompt_len):
+    rec = RequestTrace("a", 0.0, (0.5,), prompt_len, True)
+    p = tmp_path / "t.jsonl"
+    write_trace(p, [rec])
+    assert read_trace(p) == [rec]
+    assert type(read_trace(p)[0].prompt_len) is int
+
+
+def test_a_prompt_len_past_64_bits_reports_line(tmp_path):
+    p = tmp_path / "big.jsonl"
+    p.write_text('{"request_id": "a", "arrival_s": 0.0, "token_times_s": [1.0],'
+                 ' "prompt_len": 18446744073709551616, "completed": true}\n')
+    with pytest.raises(TraceFormatError, match="line 1: prompt_len: "):
+        read_trace(p)
+
+
+def test_a_lone_surrogate_id_loads(tmp_path):
+    # orjson refuses the line; the stdlib decoder reads it.
+    rec = RequestTrace("\ud800", 0.0, (0.5,), 4, True)
+    p = tmp_path / "t.jsonl"
+    write_trace(p, [rec])
+    assert read_trace(p) == [rec]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,28 @@ def test_request_spec_rejects_a_negative_zero_arrival():
     with pytest.raises(ValueError, match="^x: arrival and times must not "
                        "be -0.0"):
         RequestSpec("x", -0.0, 10, 10)
+
+
+@pytest.mark.parametrize("field", ["prompt_len", "output_len"])
+@pytest.mark.parametrize("length", [2**64, -2**63 - 1])
+def test_request_spec_refuses_an_int_the_reader_reads_as_a_float(field,
+                                                                 length):
+    lengths = {"prompt_len": 10, "output_len": 10, field: length}
+    with pytest.raises(ValueError, match=f"^{field}: an int outside"):
+        RequestSpec("x", 0.0, **lengths)
+
+
+@pytest.mark.parametrize("request_id", ["", "a|b", "|"])
+def test_request_spec_refuses_an_id_iterations_csv_cannot_give_back(
+        tmp_path, request_id):
+    # iterations.csv joins a batch's ids with "|".
+    with pytest.raises(ValueError, match=re.escape(repr(request_id))):
+        RequestSpec(request_id, 0.0, 10, 10)
+    p = tmp_path / "wl.jsonl"
+    p.write_text(json.dumps({"request_id": request_id, "arrival_s": 0.0,
+                             "prompt_len": 4, "output_len": 2}) + "\n")
+    with pytest.raises(TraceFormatError, match="line 1: "):
+        load_workload(p)
 
 
 @pytest.mark.parametrize("field, text", [

@@ -1,6 +1,7 @@
 """The artifact writers write the bytes of the reference writers in oracles.
 
-The package formats each distinct trace time once, each iteration-log
+The package writes each trace time list with orjson where its number text
+is the repr and with ``json.dumps`` elsewhere, each iteration-log
 entry as one row, each TBT CDF from one sorted gap pool per timeline and
 each report row with the C encoder; these tests hold every byte to a plain
 ``json.dumps`` per record, a ``csv.writer`` row per plan run, an
@@ -15,7 +16,9 @@ import os
 import tempfile
 from itertools import accumulate
 from operator import add
+from types import SimpleNamespace
 
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +32,6 @@ from servesim.metrics import (
 )
 from servesim.runner import _write_tbt_cdf
 from servesim.traces import (
-    _MAX_TEXTS,
     IterationLog,
     RequestTrace,
     write_iterations_csv,
@@ -78,8 +80,9 @@ def traces(draw):
                      st.sampled_from([None, 0, 3, 2**60]),
                      min_size=len(token_times), max_size=len(token_times))))),
                 max))
+        # The reader holds an int in [-2**63, 2**64) as an int.
         records.append(RequestTrace(request_id, arrival, tuple(token_times),
-                                    draw(st.integers()),
+                                    draw(st.integers(-2**63, 2**64 - 1)),
                                     bool(token_times) and draw(st.booleans()),
                                     delivery))
     return records
@@ -101,18 +104,45 @@ def test_trace_bytes_match_reference(records):
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(1e-6, 1e6), st.integers(1, 50), st.integers(0, 40))
-def test_trace_bytes_past_the_map_bound(step, size, overlap):
-    """More distinct times than the map holds: it is emptied and refilled."""
-    times = [i * step for i in range(1, _MAX_TEXTS + 2 * size + 100)]
+def test_trace_bytes_of_many_distinct_times(step, size, overlap):
+    """Thousands of distinct times, records that share some, then times seen
+    before and a zero."""
+    times = [i * step for i in range(1, 4096 + 2 * size + 100)]
     records = [RequestTrace(f"r{k}", 0.0,
                             tuple(times[k * size:(k + 1) * size + overlap]),
                             1, True)
                for k in range(len(times) // size)]
-    # Times from before the map was emptied, then a zero.
     records.append(RequestTrace("again", 0.0, tuple(times[:size]), 1, True))
     records.append(RequestTrace("zero", 0.0, (0.0,), 1, True))
-    assert len(times) > _MAX_TEXTS
     assert_same_bytes(write_trace, oracles.write_trace, records)
+
+
+# Times in {0.0} and [1e-4, 1e16), where orjson's number text is the repr,
+# and times below and at the ends of that range: orjson writes 1e-07 and
+# 1e+16 as 1e-7 and 1e16, so json.dumps writes such a list.
+@pytest.mark.parametrize("times, by_orjson", [
+    ((), True),
+    ((0.0, 0.0), True),
+    ((0.0, 1e-4, 0.5, 9999999999999998.0), True),
+    ((0.0, 1e-7, 0.5), False),
+    ((0.0, 9.999999999999999e-05), False),
+    ((0.5, 1e16), False),
+    ((5e-324, 1.0), False),
+])
+def test_trace_time_lists_are_written_as_json_dumps(monkeypatch, times,
+                                                    by_orjson):
+    lists = []
+
+    def dumps(value):
+        lists.append(value)
+        return orjson.dumps(value)
+
+    monkeypatch.setattr("servesim.traces.orjson",
+                        SimpleNamespace(dumps=dumps))
+    rec = RequestTrace("a", 0.0, times, 2**64 - 1, bool(times), times)
+    assert_same_bytes(write_trace, oracles.write_trace, [rec])
+    # The token and the delivery times.
+    assert lists == ([times, times] if by_orjson else [])
 
 
 @st.composite
