@@ -75,7 +75,6 @@ def delay_trace(records, config: DelayConfig) -> list[RequestTrace]:
             raise ValueError(f"{rec.request_id}: times must be finite, "
                              f"non-decreasing and not precede arrival")
         out.append(_unchecked(
-            RequestTrace, request_id=rec.request_id, arrival=rec.arrival,
-            token_times=rec.token_times, prompt_len=rec.prompt_len,
-            completed=rec.completed, delivery_times=paced))
+            RequestTrace, rec.request_id, rec.arrival, rec.token_times,
+            rec.prompt_len, rec.completed, paced))
     return out

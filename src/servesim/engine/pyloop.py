@@ -410,9 +410,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                             f"{rid}: a held release reorders its "
                             f"tokens") from exc
             records[rank[rid]] = _unchecked(
-                RequestTrace, request_id=rid, arrival=req.spec.arrival,
-                token_times=times, prompt_len=req.spec.prompt_len,
-                completed=True, delivery_times=delivery)
+                RequestTrace, rid, req.spec.arrival, times,
+                req.spec.prompt_len, True, delivery)
         if started:
             if running[-len(started):] == started:
                 # The last admitted, as under every built-in policy: they

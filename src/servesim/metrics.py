@@ -38,17 +38,26 @@ the nearest rank, and a left-to-right ``+=`` for the benefit total.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .deadlines import DeadlinePolicy, deadlines_for
-from .traces import RequestTrace, TokenTimeline
+from .traces import (
+    RequestTrace,
+    TokenTimeline,
+    _chunks,
+    _csv_texts,
+    _number_texts,
+    _unchecked,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +344,17 @@ def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
         ttft_k, e2e_k, late = next(per_request)
         tpot_k, tbt_k = next(per_gap) if k >= 2 else (None, None)
         idle = max(0.0, late)
-        records.append(RequestMetrics(
-            tl.request_id, tl.arrival, k, tl.complete,
-            ttft=ttft_k, tpot=tpot_k, e2e=e2e_k, max_tbt=tbt_k,
-            idle_latency=idle, peak_lateness=late,
-            benefit=k - params.alpha * params.penalty(idle),
+        # Every field is a value of this pass, so the record skips the
+        # frozen __init__.  Its fields: request_id, arrival, n_tokens,
+        # complete, ttft, tpot, e2e, max_tbt, idle_latency, peak_lateness,
+        # benefit and met_slo.
+        records.append(_unchecked(
+            RequestMetrics, tl.request_id, tl.arrival, k, tl.complete,
+            ttft_k, tpot_k, e2e_k, tbt_k, idle, late,
+            k - params.alpha * params.penalty(idle),
             # For finite doubles, "every token at or before its deadline";
             # only a fully delivered request attains its SLO.
-            met_slo=tl.complete and late <= 0.0))
+            tl.complete and late <= 0.0))
     return records, tbt_percentiles
 
 
@@ -387,6 +399,31 @@ def build_report(window: EvalWindow, policy: DeadlinePolicy,
 _CSV_FIELDS = [name for name, _ in _REQUEST_KEYS if name != "peak_lateness"]
 REPORT_CSV_HEADER = [key for name, key in _REQUEST_KEYS if name in _CSV_FIELDS]
 
+_STRINGS = {"request_id"}
+_INTS = {"n_tokens"}
+_BOOLS = {"complete", "met_slo"}
+
+
+def _text_columns(records: Sequence[RequestMetrics], names: list[str],
+                  none: str, bools: tuple[str, str], strings) -> list:
+    """The ``names`` fields of ``records``, one column each: numbers as
+    their repr and None as ``none``, bools as ``bools[True]``, the ids as
+    ``strings`` gives them and ints as they are."""
+    columns = []
+    for name, column in zip(names, zip(*map(attrgetter(*names), records))):
+        if name in _STRINGS:
+            columns.append(strings(column))
+        elif name in _INTS:
+            columns.append(column)
+        elif name in _BOOLS:
+            columns.append([bools[v] for v in column])
+        else:
+            columns.append(_number_texts(column, none))
+    return columns
+
+
+_CSV_ROW = ",".join(["%s"] * len(_CSV_FIELDS)) + "\r\n"
+
 
 def _cell(value) -> str:
     if value is None:
@@ -396,39 +433,80 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_ids(ids) -> list[str]:
+    try:
+        return _csv_texts(ids)
+    except TypeError:  # an id that is not a str, as a cell of its value
+        return _csv_texts(list(map(_cell, ids)))
+
+
 def write_report_csv(path, report: MetricsReport) -> None:
-    """Flat CSV: one row per request, aggregate rows prefixed ``#agg``."""
+    """Flat CSV: one row per request, aggregate rows prefixed ``#agg``.
+
+    The bytes are those ``csv.writer`` writes of the rows, each float its
+    repr, None an empty cell and a bool 1 or 0.
+    """
+    agg = report.aggregates()
+    rows = [(name, value) for name, value in agg.items()
+            if not isinstance(value, dict)]
+    for scope in ("ttft", "tbt"):
+        rows += [(f"{scope}_{label}_s", value)
+                 for label, value in agg[f"{scope}_percentiles_s"].items()]
+    names, values = zip(*rows)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(REPORT_CSV_HEADER)
-        for r in report.per_request:
-            writer.writerow([_cell(getattr(r, name)) for name in _CSV_FIELDS])
-        agg = report.aggregates()
-        for name, value in agg.items():
-            if not isinstance(value, dict):
-                writer.writerow(["#agg", name, _cell(value)])
-        for scope in ("ttft", "tbt"):
-            for label, value in agg[f"{scope}_percentiles_s"].items():
-                writer.writerow(["#agg", f"{scope}_{label}_s", _cell(value)])
+        f.write(",".join(REPORT_CSV_HEADER) + "\r\n")
+        for records in _chunks(report.per_request):
+            f.writelines(map(_CSV_ROW.__mod__, zip(*_text_columns(
+                records, _CSV_FIELDS, "", ("0", "1"), _csv_ids))))
+        f.writelines(map("#agg,%s,%s\r\n".__mod__,
+                         zip(_csv_texts(names), _number_texts(values))))
 
 
-# A request row holds only scalars, so it needs no indent= (which forces the
-# pure-Python encoder): separators that carry the indentation give the bytes
-# of indent=2 from the C encoder.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "),
-                               allow_nan=False)
+def _json_ids(ids) -> list[str]:
+    try:
+        return list(map(encode_basestring_ascii, ids))
+    except TypeError:  # an id that is not a str, as json writes it
+        return [json.dumps(i, allow_nan=False) for i in ids]
+
+
+_JSON_FIELDS = [name for name, _ in _REQUEST_KEYS]
+# A report.json request row as json.dump(..., indent=2) writes it, one %s
+# per field.
+_JSON_ROW = ("    {\n      " + ",\n      ".join(
+    f'"{key}": %s' for _, key in _REQUEST_KEYS) + "\n    }")
+_NOT_JSON = {"nan", "inf", "-inf"}
 
 
 def write_report_json(path, report: MetricsReport) -> None:
     """``report.to_json_dict()`` as ``json.dump(..., indent=2)`` writes it.
 
     A NaN or an infinity, which strict JSON has no literal for, raises
-    ValueError.
+    ValueError; a report that cannot be written leaves no file.
     """
-    obj = report.to_json_dict()
-    rows = [_ROW_ENCODER.encode(row)[1:-1] for row in obj.pop("requests")]
-    requests = ("[\n    {\n      " + "\n    },\n    {\n      ".join(rows)
-                + "\n    }\n  ]") if rows else "[]"
-    head = json.dumps(obj, indent=2, allow_nan=False)[:-len("\n}")]
+    # to_json_dict() up to its requests, which are written a chunk at a time.
+    head = json.dumps({"window": {"start_s": report.window_start,
+                                  "end_s": report.window_end},
+                       "aggregates": report.aggregates()},
+                      indent=2, allow_nan=False)[:-len("\n}")]
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f'{head},\n  "requests": {requests}\n}}\n')
+        try:
+            f.write(head)
+            sep = ',\n  "requests": [\n'
+            for records in _chunks(report.per_request):
+                columns = _text_columns(records, _JSON_FIELDS, "null",
+                                        ("false", "true"), _json_ids)
+                # An id's text is quoted, so only a number's can be one of
+                # these.
+                for name, column in zip(_JSON_FIELDS, columns):
+                    if not _NOT_JSON.isdisjoint(column):
+                        raise ValueError(f"{name}: out of range float "
+                                         f"values are not JSON compliant")
+                f.write(sep)
+                f.write(",\n".join(map(_JSON_ROW.__mod__, zip(*columns))))
+                sep = ",\n"
+            f.write('\n  ]\n}\n' if report.per_request
+                    else ',\n  "requests": []\n}\n')
+        except Exception:
+            f.close()
+            os.remove(path)
+            raise

@@ -21,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -44,7 +45,13 @@ from .metrics import (
     write_report_csv,
     write_report_json,
 )
-from .traces import RequestTrace, SimTrace, write_iterations_csv, write_trace
+from .traces import (
+    RequestTrace,
+    SimTrace,
+    _number_texts,
+    write_iterations_csv,
+    write_trace,
+)
 from .workload import generate, save_workload
 
 
@@ -84,29 +91,26 @@ SUMMARY_HEADER = [
 ]
 
 
-def _summary_row(cell: CellResult) -> list[str]:
-    if cell.report is None:
-        return [cell.variant, repr(cell.rate), cell.error or "error"] + [""] * 9
-    rep = cell.report
-    return [
-        cell.variant, repr(cell.rate), "",
-        str(len(rep.per_request)),
-        repr(rep.throughput_tokens_per_s),
-        repr(rep.goodput_tokens_per_s),
-        repr(rep.goodput_requests_per_s),
-        repr(rep.smooth_goodput_per_s),
-        repr(rep.slo_attainment),
-        repr(rep.mean_ttft),
-        repr(rep.tbt_percentiles.get("p99", float("nan"))),
-        repr(rep.mean_idle_latency),
-    ]
-
-
 def _write_summary(path, cells: list[CellResult]) -> None:
+    reports = [cell.report for cell in cells if cell.report is not None]
+    numbers = iter(_number_texts([
+        value for rep in reports for value in (
+            rep.throughput_tokens_per_s, rep.goodput_tokens_per_s,
+            rep.goodput_requests_per_s, rep.smooth_goodput_per_s,
+            rep.slo_attainment, rep.mean_ttft,
+            rep.tbt_percentiles.get("p99", math.nan),
+            rep.mean_idle_latency)]))
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(SUMMARY_HEADER)
-        writer.writerows(map(_summary_row, cells))
+        for cell, rate in zip(cells, _number_texts([c.rate for c in cells])):
+            if cell.report is None:
+                writer.writerow([cell.variant, rate,
+                                 cell.error or "error"] + [""] * 9)
+            else:
+                writer.writerow([cell.variant, rate, "",
+                                 len(cell.report.per_request),
+                                 *islice(numbers, 8)])
 
 
 @dataclass
@@ -129,7 +133,7 @@ TBT_CDF_GRID = 1000
 
 # Each grid row's q, and its text.
 _CDF_QS = np.arange(TBT_CDF_GRID + 1) / TBT_CDF_GRID
-_CDF_Q_TEXTS = [repr(k / TBT_CDF_GRID) for k in range(TBT_CDF_GRID + 1)]
+_CDF_Q_TEXTS = _number_texts(_CDF_QS.tolist())
 
 
 def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
@@ -153,8 +157,9 @@ def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
         for label, gaps in (("generation", generation),
                             ("delivery", delivery)):
             if gaps.size:
-                f.write("".join([f"{label},{gap!r},{q}\r\n" for gap, q in zip(
-                    _nearest_ranks(gaps, _CDF_QS).tolist(), _CDF_Q_TEXTS)]))
+                f.write("".join([f"{label},{gap},{q}\r\n" for gap, q in zip(
+                    _number_texts(_nearest_ranks(gaps, _CDF_QS).tolist()),
+                    _CDF_Q_TEXTS)]))
 
 
 def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
@@ -166,17 +171,17 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
     """
     delivery = rec.delivery_timeline()
     scored = delivery if use_delivery else rec.generation_timeline()
-    deadlines = deadlines_for(
-        policy, np.subtract(scored.token_times, scored.arrival)).tolist()
+    # arrival + deadline, the float sum, as one numpy addition.
+    deadlines = np.add(rec.arrival, deadlines_for(
+        policy, np.subtract(scored.token_times, scored.arrival))).tolist()
+    arrival, = _number_texts([rec.arrival])
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["token_index", "generated_s", "delivered_s",
                          "deadline_s", "arrival_s"])
-        for i, (g, d, dl) in enumerate(zip(rec.token_times,
-                                           delivery.token_times, deadlines),
-                                       start=1):
-            writer.writerow([i, repr(g), repr(d), repr(rec.arrival + dl),
-                             repr(rec.arrival)])
+        writer.writerows(zip(count(1), _number_texts(rec.token_times),
+                             _number_texts(delivery.token_times),
+                             _number_texts(deadlines), repeat(arrival)))
 
 
 # ---------------------------------------------------------------------------

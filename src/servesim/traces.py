@@ -29,18 +29,20 @@ construction is built with ``_unchecked`` instead, which skips them:
   never decrease nor precede generation; it checks only that the last one is
   finite.
 
-orjson is the JSON-lines codec.  The readers decode a line with the stdlib
-decoder only when orjson refuses it: the NaN and Infinity literals, a number
-past the double range, a lone surrogate.  orjson reads an int outside
+orjson is the JSON-lines codec.  The readers read lines as bytes and decode
+one with the stdlib decoder only when orjson refuses it: the NaN and
+Infinity literals, a number past the double range, a lone surrogate; a line
+that is not UTF-8 is refused by name.  orjson reads an int outside
 [-2**63, 2**64) as a float, so the constructors refuse such an int field.
 ``write_trace`` writes the bytes of ``json.dumps``, each float its shortest
-round-trip repr, so a load/save cycle is byte-stable and lossless.
+round-trip repr, so a load/save cycle is byte-stable and lossless.  Every
+artifact writer takes that text from orjson where it is the repr, a column
+at a time by ``_number_texts``.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import json
 import math
 import operator
@@ -50,6 +52,7 @@ from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import ge, itemgetter, not_
 from typing import Iterable, NamedTuple
 
+import numpy as np
 import orjson
 
 
@@ -176,22 +179,26 @@ class TokenTimeline:
         return _view(self, self.token_times[:kept], False)
 
 
-def _unchecked(cls, **fields):
-    """A ``cls`` record holding ``fields``, built without its checks.
+def _unchecked(cls, *values):
+    """A ``cls`` record holding ``values``, one per field in declaration
+    order, built without its checks.
 
     For values that are good by construction only: the record is frozen, so
     nothing checks them later.
     """
     record = object.__new__(cls)
-    record.__dict__.update(fields)
+    # Field by field, as the constructor sets them, so that the record's
+    # dict shares its keys with the class's other instances; merging a
+    # dict of the fields would give each record its own key table, up to
+    # twice the record's size.
+    record.__dict__.update(zip(cls.__dataclass_fields__, values))
     return record
 
 
 def _view(of, times: tuple[float, ...], complete: bool) -> TokenTimeline:
     """A TokenTimeline of ``of``'s checked times, not checked again."""
-    return _unchecked(TokenTimeline, request_id=of.request_id,
-                      arrival=of.arrival, token_times=times,
-                      complete=complete)
+    return _unchecked(TokenTimeline, of.request_id, of.arrival, times,
+                      complete)
 
 
 @dataclass(frozen=True)
@@ -322,15 +329,58 @@ class SimTrace:
         return sum(len(r.token_times) for r in self.requests)
 
 
+# orjson's float text is the repr for +-0.0 and for every magnitude in
+# [_REPR_LOW, _REPR_HIGH).  Below it orjson writes 9.999999999999999e-05 in
+# positional notation, from its top it writes 1e+16 as 1e16, and it writes
+# NaN and the infinities as null.
+_REPR_LOW = 1e-4
+_REPR_HIGH = 1e16
+
+# The rows an artifact writer formats and holds at once.
+_CHUNK_ROWS = 1024
+
+
+def _chunks(rows: Sequence) -> Iterable[Sequence]:
+    """``rows`` in slices of at most ``_CHUNK_ROWS``."""
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        yield rows[i:i + _CHUNK_ROWS]
+
+
 def _times_json(times: tuple[float, ...]) -> bytes:
-    """A record's times as ``json.dumps`` writes them: by orjson, whose
-    float text is the repr for 0.0 and in [1e-4, 1e16).  The times are
-    sorted and ``>= 0``, so the first nonzero one and the last decide."""
+    """A record's times as ``json.dumps`` writes them: by orjson where its
+    float text is the repr.  The times are sorted and ``>= 0``, so the first
+    nonzero one and the last decide."""
     nonzero = bisect.bisect_right(times, 0.0)
-    if (nonzero == len(times) or times[nonzero] >= 1e-4) and (
-            not times or times[-1] < 1e16):
+    if (nonzero == len(times) or times[nonzero] >= _REPR_LOW) and (
+            not times or times[-1] < _REPR_HIGH):
         return orjson.dumps(times).replace(b",", b", ")
     return json.dumps(times).encode()
+
+
+def _number_texts(values: Sequence, none: str = "") -> list[str]:
+    """The ``repr`` of each of ``values``, floats and ints, as ``json`` and
+    ``csv`` write them, and ``none`` for a None.
+
+    One ``orjson.dumps`` writes the whole column; a value whose orjson text
+    is not the repr, a nonzero one outside [_REPR_LOW, _REPR_HIGH), NaN or
+    an infinity, takes ``repr``, and so does every value of a column
+    holding an int past 64 bits.
+    """
+    if None in values:
+        texts = iter(_number_texts([v for v in values if v is not None]))
+        return [none if v is None else next(texts) for v in values]
+    if not values:
+        return []
+    try:
+        texts = orjson.dumps(values)[1:-1].decode().split(",")
+    except orjson.JSONEncodeError:
+        return list(map(repr, values))
+    magnitudes = np.abs(np.array(values, dtype=float))
+    outside = (magnitudes != 0.0) & ~((magnitudes >= _REPR_LOW)
+                                      & (magnitudes < _REPR_HIGH))
+    for i in np.flatnonzero(outside).tolist():
+        texts[i] = repr(values[i])
+    return texts
 
 
 def write_trace(path, records: Iterable[RequestTrace]) -> None:
@@ -368,12 +418,13 @@ def _field(obj: dict, key: str, kind: tuple[type, ...]):
 def _read_jsonl(path, parse) -> list:
     """``parse(obj)`` for the JSON object on each non-blank line of ``path``.
 
-    A line that is not an object, or that ``parse`` rejects with a
-    ``KeyError``, ``TypeError`` or ``ValueError``, raises
-    :class:`TraceFormatError` naming the file and the line.
+    Lines end at a line feed.  A line that is not UTF-8 or not an object, or
+    that ``parse`` rejects with a ``KeyError``, ``TypeError`` or
+    ``ValueError``, raises :class:`TraceFormatError` naming the file and
+    the line.
     """
     out = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -382,7 +433,10 @@ def _read_jsonl(path, parse) -> list:
                     obj = orjson.loads(line)
                 except orjson.JSONDecodeError:
                     # The stdlib reads it, or refuses it by name.
-                    obj = _DECODER.decode(line)
+                    text = line.decode("utf-8")
+                    if not text.strip():
+                        continue  # a line of Unicode white space is blank
+                    obj = _DECODER.decode(text)
                 if type(obj) is not dict:
                     raise TypeError(f"expected object, got {obj!r}")
                 out.append(parse(obj))
@@ -408,6 +462,22 @@ ITERATIONS_CSV_HEADER = [
 ]
 
 
+# A field csv.writer quotes, doubling its quotes: one holding a comma, a
+# quote or a line break.
+_CSV_SPECIALS = (",", '"', "\r", "\n")
+_ITERATIONS_ROW = ",".join(["%s"] * len(ITERATIONS_CSV_HEADER)) + "\r\n"
+
+
+def _csv_texts(texts: Sequence[str]) -> Sequence[str]:
+    """Each of ``texts`` as ``csv.writer`` writes it as a field."""
+    joined = "".join(texts)
+    if not any(c in joined for c in _CSV_SPECIALS):
+        return texts
+    return ['"' + text.replace('"', '""') + '"'
+            if any(c in text for c in _CSV_SPECIALS) else text
+            for text in texts]
+
+
 def write_iterations_csv(path, iterations: IterationLog) -> None:
     """Iteration log for replay and audit of scheduler decisions.
 
@@ -417,13 +487,19 @@ def write_iterations_csv(path, iterations: IterationLog) -> None:
     ids, those of its ``RequestSpec``s, never are.
     The start of each later iteration of the entry is the one before plus
     ``duration_s``, added sequentially as the engine advanced its clock.
+    The bytes are those ``csv.writer`` writes of the rows, the times their
+    repr.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(ITERATIONS_CSV_HEADER)
-        # csv writes a float as its repr and None as an empty cell.
-        writer.writerows(
-            (start, count, duration, prefill_tokens, decode_seqs,
-             "|".join(prefill_ids), "|".join(decode_ids), *state)
-            for (start, count, duration, prefill_tokens, decode_seqs,
-                 prefill_ids, decode_ids, *state) in iterations._runs)
+        f.write(",".join(ITERATIONS_CSV_HEADER) + "\r\n")
+        for runs in _chunks(iterations._runs):
+            (starts, counts, durations, prefill_tokens, decode_seqs,
+             prefill_ids, decode_ids, queue_depths, running, kv_reserved,
+             releases) = zip(*runs)
+            f.writelines(map(_ITERATIONS_ROW.__mod__, zip(
+                _number_texts(starts), counts, _number_texts(durations),
+                prefill_tokens, decode_seqs,
+                _csv_texts(list(map("|".join, prefill_ids))),
+                _csv_texts(list(map("|".join, decode_ids))),
+                queue_depths, running, kv_reserved,
+                _number_texts(releases))))

@@ -14,8 +14,9 @@ which decodes with orjson.  The artifact writers at the end
 are the reference for the package's: one
 ``json.dumps`` per trace record, one ``csv.writer`` row per plan run, one
 ``np.diff`` per timeline and one ``csv.writer`` row per TBT CDF grid point,
-one strict ``json.dump(indent=2)`` per report and one ``csv.writer`` row per
-report row.
+one strict ``json.dump(indent=2)`` per report, one ``csv.writer`` row per
+report row, per summary cell and per token of a plotted timeline, each float
+its ``repr``.
 """
 
 import csv
@@ -357,3 +358,53 @@ def write_report_csv(path, report):
             for label, value in percentiles.items():
                 writer.writerow(["#agg", f"{scope}_{label}_s",
                                  _report_cell(value)])
+
+
+SUMMARY_HEADER = ["variant", "rate", "error", "n_requests",
+                  "throughput_tokens_per_s", "goodput_tokens_per_s",
+                  "goodput_requests_per_s", "smooth_goodput_per_s",
+                  "slo_attainment", "mean_ttft_s", "p99_tbt_s",
+                  "mean_idle_latency_s"]
+
+
+def write_summary(path, cells):
+    """One row per cell; an error cell holds its error and empty cells."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(SUMMARY_HEADER)
+        for cell in cells:
+            rep = cell.report
+            if rep is None:
+                writer.writerow([cell.variant, repr(cell.rate),
+                                 cell.error or "error"] + [""] * 9)
+                continue
+            writer.writerow([
+                cell.variant, repr(cell.rate), "",
+                str(len(rep.per_request)),
+                repr(rep.throughput_tokens_per_s),
+                repr(rep.goodput_tokens_per_s),
+                repr(rep.goodput_requests_per_s),
+                repr(rep.smooth_goodput_per_s),
+                repr(rep.slo_attainment),
+                repr(rep.mean_ttft),
+                repr(rep.tbt_percentiles.get("p99", float("nan"))),
+                repr(rep.mean_idle_latency),
+            ])
+
+
+def write_token_timeline(path, rec, policy, use_delivery):
+    """One row per token: its generation and delivery instants, its
+    deadline on the scored timeline from the arrival, and the arrival."""
+    delivered = (rec.token_times if rec.delivery_times is None
+                 else rec.delivery_times)
+    scored = delivered if use_delivery else rec.token_times
+    deadlines = deadline_series(policy, rec.arrival, scored)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["token_index", "generated_s", "delivered_s",
+                         "deadline_s", "arrival_s"])
+        for i in range(len(rec.token_times)):
+            writer.writerow([str(i + 1), repr(rec.token_times[i]),
+                             repr(delivered[i]),
+                             repr(rec.arrival + float(deadlines[i])),
+                             repr(rec.arrival)])

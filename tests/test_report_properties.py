@@ -194,6 +194,9 @@ def test_a_request_scores_the_same_alone_and_in_a_window(
         for tl, got, want in zip(window.requests, report.per_request,
                                  expected):
             assert field_reprs(got) == {k: repr(v) for k, v in want.items()}
+            # Built without the constructor, the record still equals its
+            # constructor-built twin.
+            assert got == RequestMetrics(**want)
             assert field_reprs(score(tl, policy, params)) == field_reprs(got)
         assert (repr(report.tbt_percentiles)
                 == repr(oracles.tbt_percentiles(gaps)))

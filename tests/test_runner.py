@@ -421,6 +421,22 @@ def test_cli_metrics_rejects_an_unscorable_trace(fixtures_dir, tmp_path,
     assert "line 3: b1: " in error["error"]["message"]
 
 
+def test_cli_metrics_names_the_line_that_is_not_utf8(fixtures_dir, tmp_path,
+                                                    capsys):
+    line = json.dumps({"request_id": "r1", "arrival_s": 0.0,
+                       "token_times_s": [0.3, 0.6], "prompt_len": 4,
+                       "completed": True}).encode() + b"\n"
+    trace = tmp_path / "bad.jsonl"
+    trace.write_bytes(line + line.replace(b"r1", b"r\xff"))
+    config_path = os.path.join(fixtures_dir, "experiment.json")
+    assert run_cli(["metrics", "--config", config_path,
+                    "--trace", str(trace)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"]["type"] == "TraceFormatError"
+    assert f"{trace}: line 2: " in error["error"]["message"]
+    assert "utf-8" in error["error"]["message"]
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"{name} is not JSON")

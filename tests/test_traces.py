@@ -179,6 +179,19 @@ def test_malformed_trace_reports_line(tmp_path):
         read_trace(p)
 
 
+def test_trace_lines_of_white_space_are_blank(tmp_path):
+    """Lines of any white space, Unicode's too, are skipped, CRLF endings
+    read as LF ones, and a later line is still named by its number."""
+    line = ('{"request_id": "a", "arrival_s": 0.0, "token_times_s": [1.0],'
+            ' "prompt_len": 4, "completed": true}')
+    p = tmp_path / "trace.jsonl"
+    p.write_bytes(f"{line}\r\n\u3000\u00a0\n \t\r\n{line}\n".encode())
+    assert len(read_trace(p)) == 2
+    p.write_bytes(f"{line}\n\u3000\n{{}}\n".encode())
+    with pytest.raises(TraceFormatError, match="line 3"):
+        read_trace(p)
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_trace_number_reports_line(tmp_path, literal):
     p = tmp_path / "bad.jsonl"

@@ -1,21 +1,25 @@
 """The artifact writers write the bytes of the reference writers in oracles.
 
 The package writes each trace time list with orjson where its number text
-is the repr and with ``json.dumps`` elsewhere, each iteration-log
-entry as one row, each TBT CDF from one sorted gap pool per timeline and
-each report row with the C encoder; these tests hold every byte to a plain
-``json.dumps`` per record, a ``csv.writer`` row per plan run, an
-``np.diff`` per request and a ``csv.writer`` row per CDF point, a strict
-``json.dump(indent=2)`` per report and a ``csv.writer`` row per report row.
-A written iteration log also reads back as the log's records.
+is the repr and with ``json.dumps`` elsewhere.  The other writers take each
+column of numbers as text from one orjson pass, ``_number_texts``, and fill
+rows from the columns: each iteration-log entry, each TBT CDF grid point of
+one sorted gap pool per timeline, each report row from one template, each
+summary cell and each token of a plotted timeline.  These tests hold every
+byte to a plain ``json.dumps`` per record, a ``csv.writer`` row per plan
+run, an ``np.diff`` per request and a ``csv.writer`` row per CDF point, a
+strict ``json.dump(indent=2)`` per report and a ``csv.writer`` row with
+each float's ``repr`` per report row, summary cell and token.  A written
+iteration log also reads back as the log's records.
 """
 
 import dataclasses
+import json
 import math
 import os
 import tempfile
 from itertools import accumulate
-from operator import add
+from operator import add, attrgetter
 from types import SimpleNamespace
 
 import orjson
@@ -30,10 +34,20 @@ from servesim.metrics import (
     write_report_csv,
     write_report_json,
 )
-from servesim.runner import _write_tbt_cdf
+from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt
+from servesim.runner import (
+    CellResult,
+    _write_summary,
+    _write_tbt_cdf,
+    _write_token_timeline,
+)
 from servesim.traces import (
+    _REPR_HIGH,
+    _REPR_LOW,
     IterationLog,
     RequestTrace,
+    _number_texts,
+    _times_json,
     write_iterations_csv,
     write_trace,
 )
@@ -52,6 +66,45 @@ def assert_same_bytes(write, reference, value):
         reference(want, value)
         with open(got, "rb") as f, open(want, "rb") as g:
             assert f.read() == g.read()
+
+
+# Each end of orjson's repr range, from both sides, and values of each
+# kind outside it.
+EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+         9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats() | st.integers(-2**63, 2**64 - 1), max_size=12))
+@example(EDGES)
+@example([-x for x in EDGES])
+@example([0, 1, -1, 2**64 - 1, -2**63, 10**16])
+@example([1.5, 2**64])
+def test_number_texts_are_the_repr(values):
+    assert _number_texts(values) == list(map(repr, values))
+
+
+def test_number_texts_write_none_as_asked():
+    assert _number_texts([None, 0.5, None, 1e16], "null") == [
+        "null", "0.5", "null", "1e+16"]
+    assert _number_texts((None,)) == [""]
+    assert _number_texts([]) == []
+
+
+@pytest.mark.parametrize("bound", [_REPR_LOW, _REPR_HIGH])
+def test_orjson_writes_the_repr_inside_the_range_only(bound):
+    """orjson's text is the repr from _REPR_LOW up to below _REPR_HIGH and
+    not past either end; both writers that rely on it hold at each end."""
+    below = math.nextafter(bound, 0.0)
+    inside, outside = (bound, below) if bound == _REPR_LOW else (below, bound)
+    for x in (inside, -inside):
+        assert orjson.dumps(x).decode() == repr(x)
+    for x in (outside, -outside):
+        assert orjson.dumps(x).decode() != repr(x)
+    for x in (below, bound):
+        assert _number_texts([x, -x]) == [repr(x), repr(-x)]
+        assert _times_json((0.0, x)) == json.dumps([0.0, x]).encode()
+    assert _times_json((below, bound)) == json.dumps([below, bound]).encode()
 
 
 # What a record may be given: non-negative finite numbers other than -0.0,
@@ -181,6 +234,9 @@ def write_log_reference(path, log):
                         9, None),
                        (1.0, 3, 1, 0, 2, ("x,y",), ('"q"', "日"), 3, 2, 9,
                         None)]))
+@example(IterationLog([(i * 0.25, 1 + i % 3, 1e-7 * (i % 2), i, 1, (),
+                        ("a",), 0, 1, 5, None if i % 5 else i * 0.3)
+                       for i in range(2500)]))
 def test_iterations_bytes_match_reference(log):
     assert_same_bytes(write_iterations_csv, write_log_reference, log)
 
@@ -270,8 +326,8 @@ EMPTY_REPORT = MetricsReport(0.0, 1.0, (), 0.0, 0.0, 0.0, 0.0, 0.0, {}, {},
                              math.nan, 0.0)
 
 
-def large_report(big, odd):
-    """500 request rows, some with None fields, ids that csv quotes."""
+def large_report(big, odd, rows=500):
+    """Request rows, some with None fields, ids that csv quotes."""
     return MetricsReport(
         0.0, 100.0,
         tuple(RequestMetrics(f"r{i},\"é\"", i * 0.5, i, i % 2 == 0,
@@ -279,22 +335,34 @@ def large_report(big, odd):
                                                               big, 0.2]),
                              float(i), None if i % 3 == 0 else -0.0,
                              -1.5 * i, i % 5 == 0)
-              for i in range(500)),
+              for i in range(rows)),
         1.0, 2.0, 3.0, -4.0, 0.5, {"p50": 0.1, "p90": 0.2, "p99": 0.3},
         {"p50": odd}, 0.25, 0.125)
+
+
+# A TokenTimeline takes any id, and its record keeps it.
+NON_STR_IDS = dataclasses.replace(EMPTY_REPORT, per_request=(
+    RequestMetrics(5, 0.0, 1, True), RequestMetrics("r,1", 0.5, 0, False),
+    RequestMetrics(None, 1.0, 2, True)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(finite_reports)
 @example(EMPTY_REPORT)
 @example(large_report(1e300, 0.4))
+@example(large_report(1e-300, 0.4, rows=2500))
+@example(NON_STR_IDS)
 def test_report_json_bytes_match_reference(report):
     assert_same_bytes(write_report_json, oracles.write_report_json, report)
 
 
+FLOAT_REQUEST_FIELDS = ["arrival", "ttft", "tpot", "e2e", "max_tbt",
+                        "idle_latency", "peak_lateness", "benefit"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(finite_reports, st.sampled_from([math.nan, math.inf, -math.inf]),
-       st.sampled_from(["aggregate", "percentile", "request"]))
+       st.sampled_from(["aggregate", "percentile", *FLOAT_REQUEST_FIELDS]))
 def test_report_json_refuses_a_number_strict_json_cannot_hold(report, bad,
                                                               where):
     # Strict JSON has no NaN or Infinity literal, so the writer raises
@@ -304,16 +372,69 @@ def test_report_json_refuses_a_number_strict_json_cannot_hold(report, bad,
     elif where == "percentile":
         report = dataclasses.replace(report, tbt_percentiles={"p99": bad})
     else:
-        row = RequestMetrics("r", 0.0, 1, True, benefit=bad)
+        row = dataclasses.replace(RequestMetrics("r", 0.0, 1, True),
+                                  **{where: bad})
         report = dataclasses.replace(
             report, per_request=(*report.per_request, row))
-    with tempfile.TemporaryDirectory() as d, pytest.raises(ValueError):
-        write_report_json(os.path.join(d, "report.json"), report)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "report.json")
+        with pytest.raises(ValueError):
+            write_report_json(path, report)
+        assert not os.path.exists(path)
+
+
+def test_report_json_refused_past_its_first_rows_leaves_no_file(tmp_path):
+    report = large_report(1.0, 0.4, rows=2500)
+    bad = RequestMetrics("late", 0.0, 1, True, e2e=math.inf)
+    report = dataclasses.replace(
+        report, per_request=(*report.per_request, bad))
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="e2e"):
+        write_report_json(path, report)
+    assert not path.exists()
 
 
 @settings(max_examples=200, deadline=None)
 @given(reports)
 @example(EMPTY_REPORT)
 @example(large_report(math.inf, math.nan))
+@example(large_report(1e-300, 0.4, rows=2500))
+@example(NON_STR_IDS)
 def test_report_csv_bytes_match_reference(report):
     assert_same_bytes(write_report_csv, oracles.write_report_csv, report)
+
+
+positive = st.floats(1e-9, 1e9)
+deadline_policies = (st.builds(ReadingSpeed, positive, positive)
+                     | st.builds(EndToEnd, positive)
+                     | st.builds(TtftTbt, positive, positive))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdf_records(), deadline_policies, st.booleans())
+@example([RequestTrace("a", 0.0, (0.0, 1e-7, 0.5, 1e16), 1, True,
+                       (0.0, 0.25, 0.75, 1e16))],
+         TtftTbt(1e-5, 0.25), True)
+def test_token_timeline_bytes_match_reference(records, policy, use_delivery):
+    # The runner plots a scored request, which has a token.
+    for rec in filter(attrgetter("token_times"), records):
+        assert_same_bytes(
+            lambda path, r: _write_token_timeline(path, r, policy,
+                                                  use_delivery),
+            lambda path, r: oracles.write_token_timeline(path, r, policy,
+                                                         use_delivery),
+            rec)
+
+
+cells = st.builds(CellResult, ids, floats | st.integers(0, 10),
+                  st.none() | reports, st.none() | ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cells, max_size=8))
+@example([])
+@example([CellResult("a", 1.0, EMPTY_REPORT), CellResult("b", 1e-7),
+          CellResult("c", 1e16, error="ValueError: x"),
+          CellResult("d,\"", 2, large_report(1.0, 0.4, rows=3))])
+def test_summary_bytes_match_reference(cells):
+    assert_same_bytes(_write_summary, oracles.write_summary, cells)
