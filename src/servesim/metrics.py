@@ -53,10 +53,10 @@ from .deadlines import DeadlinePolicy, deadlines_for
 from .traces import (
     RequestTrace,
     TokenTimeline,
-    _chunks,
-    _csv_texts,
+    _CHUNK_ROWS,
     _number_texts,
     _unchecked,
+    write_csv,
 )
 
 
@@ -399,74 +399,47 @@ def build_report(window: EvalWindow, policy: DeadlinePolicy,
 _CSV_FIELDS = [name for name, _ in _REQUEST_KEYS if name != "peak_lateness"]
 REPORT_CSV_HEADER = [key for name, key in _REQUEST_KEYS if name in _CSV_FIELDS]
 
-_STRINGS = {"request_id"}
-_INTS = {"n_tokens"}
 _BOOLS = {"complete", "met_slo"}
 
 
-def _text_columns(records: Sequence[RequestMetrics], names: list[str],
-                  none: str, bools: tuple[str, str], strings) -> list:
-    """The ``names`` fields of ``records``, one column each: numbers as
-    their repr and None as ``none``, bools as ``bools[True]``, the ids as
-    ``strings`` gives them and ints as they are."""
-    columns = []
-    for name, column in zip(names, zip(*map(attrgetter(*names), records))):
-        if name in _STRINGS:
-            columns.append(strings(column))
-        elif name in _INTS:
-            columns.append(column)
-        elif name in _BOOLS:
-            columns.append([bools[v] for v in column])
-        else:
-            columns.append(_number_texts(column, none))
-    return columns
-
-
-_CSV_ROW = ",".join(["%s"] * len(_CSV_FIELDS)) + "\r\n"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
-def _csv_ids(ids) -> list[str]:
-    try:
-        return _csv_texts(ids)
-    except TypeError:  # an id that is not a str, as a cell of its value
-        return _csv_texts(list(map(_cell, ids)))
+def _columns(records: Sequence[RequestMetrics], names: list[str]) -> list:
+    """The ``names`` fields of ``records``, one column each."""
+    return list(zip(*map(attrgetter(*names), records)))
 
 
 def write_report_csv(path, report: MetricsReport) -> None:
     """Flat CSV: one row per request, aggregate rows prefixed ``#agg``.
 
-    The bytes are those ``csv.writer`` writes of the rows, each float its
-    repr, None an empty cell and a bool 1 or 0.
+    Written by ``write_csv``: each float its repr, None an empty cell and
+    a bool 1 or 0.
     """
     agg = report.aggregates()
-    rows = [(name, value) for name, value in agg.items()
-            if not isinstance(value, dict)]
+    # The percentiles follow the other aggregates, one row each.
     for scope in ("ttft", "tbt"):
-        rows += [(f"{scope}_{label}_s", value)
-                 for label, value in agg[f"{scope}_percentiles_s"].items()]
-    names, values = zip(*rows)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(REPORT_CSV_HEADER) + "\r\n")
-        for records in _chunks(report.per_request):
-            f.writelines(map(_CSV_ROW.__mod__, zip(*_text_columns(
-                records, _CSV_FIELDS, "", ("0", "1"), _csv_ids))))
-        f.writelines(map("#agg,%s,%s\r\n".__mod__,
-                         zip(_csv_texts(names), _number_texts(values))))
+        for label, value in agg.pop(f"{scope}_percentiles_s").items():
+            agg[f"{scope}_{label}_s"] = value
+    write_csv(path, REPORT_CSV_HEADER, [
+        list(map(int, column)) if name in _BOOLS else column
+        for name, column in zip(_CSV_FIELDS, _columns(report.per_request,
+                                                      _CSV_FIELDS))],
+        [["#agg"] * len(agg), list(agg), list(agg.values())])
 
 
-def _json_ids(ids) -> list[str]:
-    try:
-        return list(map(encode_basestring_ascii, ids))
-    except TypeError:  # an id that is not a str, as json writes it
-        return [json.dumps(i, allow_nan=False) for i in ids]
+def _json_texts(name: str, column) -> list:
+    """A request field's column as report.json writes it: an id quoted,
+    an int as it is, a bool false or true, a number its repr and None
+    null.  A NaN or an infinity raises ValueError."""
+    if name == "request_id":
+        return list(map(encode_basestring_ascii, column))
+    if name in _BOOLS:
+        return [("false", "true")[v] for v in column]
+    if name == "n_tokens":
+        return column
+    texts = _number_texts(column, "null")
+    if not _NOT_JSON.isdisjoint(texts):
+        raise ValueError(f"{name}: out of range float values are not JSON "
+                         f"compliant")
+    return texts
 
 
 _JSON_FIELDS = [name for name, _ in _REQUEST_KEYS]
@@ -492,15 +465,10 @@ def write_report_json(path, report: MetricsReport) -> None:
         try:
             f.write(head)
             sep = ',\n  "requests": [\n'
-            for records in _chunks(report.per_request):
-                columns = _text_columns(records, _JSON_FIELDS, "null",
-                                        ("false", "true"), _json_ids)
-                # An id's text is quoted, so only a number's can be one of
-                # these.
-                for name, column in zip(_JSON_FIELDS, columns):
-                    if not _NOT_JSON.isdisjoint(column):
-                        raise ValueError(f"{name}: out of range float "
-                                         f"values are not JSON compliant")
+            for i in range(0, len(report.per_request), _CHUNK_ROWS):
+                records = report.per_request[i:i + _CHUNK_ROWS]
+                columns = list(map(_json_texts, _JSON_FIELDS,
+                                   _columns(records, _JSON_FIELDS)))
                 f.write(sep)
                 f.write(",\n".join(map(_JSON_ROW.__mod__, zip(*columns))))
                 sep = ",\n"

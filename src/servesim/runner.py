@@ -16,12 +16,10 @@ a fixed config.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import count, islice, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -48,7 +46,7 @@ from .metrics import (
 from .traces import (
     RequestTrace,
     SimTrace,
-    _number_texts,
+    write_csv,
     write_iterations_csv,
     write_trace,
 )
@@ -92,25 +90,19 @@ SUMMARY_HEADER = [
 
 
 def _write_summary(path, cells: list[CellResult]) -> None:
-    reports = [cell.report for cell in cells if cell.report is not None]
-    numbers = iter(_number_texts([
-        value for rep in reports for value in (
-            rep.throughput_tokens_per_s, rep.goodput_tokens_per_s,
-            rep.goodput_requests_per_s, rep.smooth_goodput_per_s,
-            rep.slo_attainment, rep.mean_ttft,
-            rep.tbt_percentiles.get("p99", math.nan),
-            rep.mean_idle_latency)]))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(SUMMARY_HEADER)
-        for cell, rate in zip(cells, _number_texts([c.rate for c in cells])):
-            if cell.report is None:
-                writer.writerow([cell.variant, rate,
-                                 cell.error or "error"] + [""] * 9)
-            else:
-                writer.writerow([cell.variant, rate, "",
-                                 len(cell.report.per_request),
-                                 *islice(numbers, 8)])
+    """One row per cell; a failed cell holds its error and empty cells, and
+    a missing mean TTFT or p99 TBT is an empty cell, as in report.csv."""
+    rows = []
+    for cell in cells:
+        if cell.report is None:
+            rows.append([cell.variant, cell.rate, cell.error or "error",
+                         *[None] * 9])
+            continue
+        agg = cell.report.aggregates()
+        agg["p99_tbt_s"] = agg["tbt_percentiles_s"].get("p99")
+        rows.append([cell.variant, cell.rate, "", len(cell.report.per_request),
+                     *(agg[name] for name in SUMMARY_HEADER[4:])])
+    write_csv(path, SUMMARY_HEADER, list(zip(*rows)))
 
 
 @dataclass
@@ -133,7 +125,7 @@ TBT_CDF_GRID = 1000
 
 # Each grid row's q, and its text.
 _CDF_QS = np.arange(TBT_CDF_GRID + 1) / TBT_CDF_GRID
-_CDF_Q_TEXTS = _number_texts(_CDF_QS.tolist())
+_CDF_Q_TEXTS = list(map(repr, _CDF_QS.tolist()))
 
 
 def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
@@ -144,7 +136,7 @@ def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
     pool, gap and rank rules of every TBT number in ``metrics``, so the
     file size does not grow with the tokens.
     The times are read as floats.  With no records, or none with two
-    tokens, the file holds the header only.
+    tokens, the file holds the header only.  Written by ``write_csv``.
     """
     generation = _sorted_gaps([rec.token_times for rec in records])
     if all(rec.delivery_times is None for rec in records):
@@ -152,14 +144,11 @@ def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
     else:
         delivery = _sorted_gaps([rec.token_times if rec.delivery_times is None
                                  else rec.delivery_times for rec in records])
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("timeline,tbt_s,cdf\r\n")
+    write_csv(path, ["timeline", "tbt_s", "cdf"], *(
+        [[label] * len(_CDF_Q_TEXTS),
+         _nearest_ranks(gaps, _CDF_QS).tolist(), _CDF_Q_TEXTS]
         for label, gaps in (("generation", generation),
-                            ("delivery", delivery)):
-            if gaps.size:
-                f.write("".join([f"{label},{gap},{q}\r\n" for gap, q in zip(
-                    _number_texts(_nearest_ranks(gaps, _CDF_QS).tolist()),
-                    _CDF_Q_TEXTS)]))
+                            ("delivery", delivery)) if gaps.size))
 
 
 def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
@@ -168,20 +157,18 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
 
     Deadlines chain on the timeline the report scored, so a TTFT/TBT
     deadline follows the delivery instants when delivery was scored.
+    Written by ``write_csv``.
     """
     delivery = rec.delivery_timeline()
     scored = delivery if use_delivery else rec.generation_timeline()
     # arrival + deadline, the float sum, as one numpy addition.
     deadlines = np.add(rec.arrival, deadlines_for(
         policy, np.subtract(scored.token_times, scored.arrival))).tolist()
-    arrival, = _number_texts([rec.arrival])
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["token_index", "generated_s", "delivered_s",
-                         "deadline_s", "arrival_s"])
-        writer.writerows(zip(count(1), _number_texts(rec.token_times),
-                             _number_texts(delivery.token_times),
-                             _number_texts(deadlines), repeat(arrival)))
+    n = len(rec.token_times)
+    write_csv(path, ["token_index", "generated_s", "delivered_s",
+                     "deadline_s", "arrival_s"],
+              [list(range(1, n + 1)), rec.token_times, delivery.token_times,
+               deadlines, [rec.arrival] * n])
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ that is not UTF-8 is refused by name.  orjson reads an int outside
 [-2**63, 2**64) as a float, so the constructors refuse such an int field.
 ``write_trace`` writes the bytes of ``json.dumps``, each float its shortest
 round-trip repr, so a load/save cycle is byte-stable and lossless.  Every
-artifact writer takes that text from orjson where it is the repr, a column
-at a time by ``_number_texts``.
+CSV artifact is written by ``write_csv``, which takes that text from orjson
+where it is the repr, a column at a time by ``_number_texts``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import bisect
 import json
 import math
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, takewhile
@@ -159,6 +160,7 @@ class TokenTimeline:
     complete: bool = True
 
     def __post_init__(self):
+        _check_scalars(self, (("request_id", str),))
         _hold_floats(self, "token_times")
         _check_timeline(self.request_id, self.arrival, self.token_times,
                         self.complete)
@@ -253,15 +255,10 @@ class IterationRecord(NamedTuple):
     release_s: float | None
 
 
-def _starts(run: tuple) -> Iterable[float]:
-    """The start of each iteration of one log entry, each one its duration
-    after the one before, added as the engine advances its clock."""
-    return accumulate(repeat(run[2], run[1] - 1), initial=run[0])
-
-
 def _expand(run: tuple) -> Iterable[IterationRecord]:
-    """The records of one log entry."""
-    for start in _starts(run):
+    """The records of one log entry, each start its duration after the one
+    before, added as the engine advances its clock."""
+    for start in accumulate(repeat(run[2], run[1] - 1), initial=run[0]):
         yield IterationRecord(start, *run[2:])
 
 
@@ -340,12 +337,6 @@ _REPR_HIGH = 1e16
 _CHUNK_ROWS = 1024
 
 
-def _chunks(rows: Sequence) -> Iterable[Sequence]:
-    """``rows`` in slices of at most ``_CHUNK_ROWS``."""
-    for i in range(0, len(rows), _CHUNK_ROWS):
-        yield rows[i:i + _CHUNK_ROWS]
-
-
 def _times_json(times: tuple[float, ...]) -> bytes:
     """A record's times as ``json.dumps`` writes them: by orjson where its
     float text is the repr.  The times are sorted and ``>= 0``, so the first
@@ -359,7 +350,7 @@ def _times_json(times: tuple[float, ...]) -> bytes:
 
 def _number_texts(values: Sequence, none: str = "") -> list[str]:
     """The ``repr`` of each of ``values``, floats and ints, as ``json`` and
-    ``csv`` write them, and ``none`` for a None.
+    ``csv`` write them, and ``none`` for a None; a str raises TypeError.
 
     One ``orjson.dumps`` writes the whole column; a value whose orjson text
     is not the repr, a nonzero one outside [_REPR_LOW, _REPR_HIGH), NaN or
@@ -372,9 +363,14 @@ def _number_texts(values: Sequence, none: str = "") -> list[str]:
     if not values:
         return []
     try:
-        texts = orjson.dumps(values)[1:-1].decode().split(",")
-    except orjson.JSONEncodeError:
+        dumped = orjson.dumps(values)
+    except orjson.JSONEncodeError:  # an int past 64 bits
+        if any(isinstance(v, str) for v in values):
+            raise TypeError("a column of numbers holds a str") from None
         return list(map(repr, values))
+    if b'"' in dumped:  # only a str's text holds a quote
+        raise TypeError("a column of numbers holds a str")
+    texts = dumped[1:-1].decode().split(",")
     magnitudes = np.abs(np.array(values, dtype=float))
     outside = (magnitudes != 0.0) & ~((magnitudes >= _REPR_LOW)
                                       & (magnitudes < _REPR_HIGH))
@@ -465,7 +461,6 @@ ITERATIONS_CSV_HEADER = [
 # A field csv.writer quotes, doubling its quotes: one holding a comma, a
 # quote or a line break.
 _CSV_SPECIALS = (",", '"', "\r", "\n")
-_ITERATIONS_ROW = ",".join(["%s"] * len(ITERATIONS_CSV_HEADER)) + "\r\n"
 
 
 def _csv_texts(texts: Sequence[str]) -> Sequence[str]:
@@ -478,6 +473,34 @@ def _csv_texts(texts: Sequence[str]) -> Sequence[str]:
             for text in texts]
 
 
+def write_csv(path, header: Sequence[str], *tables: Sequence) -> None:
+    """``header``, then each table's rows, the bytes ``csv.writer`` writes.
+
+    A table is a list of equal-length columns.  A ``str`` column is quoted
+    as ``csv.writer`` quotes it; any other holds numbers, each written as
+    its repr, and None, an empty field.  Mixing the two raises TypeError,
+    unequal columns ValueError, and a file that cannot be finished is
+    removed.  ``_CHUNK_ROWS`` rows are formatted at a time.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        try:
+            for table in ([[name] for name in header], *tables):
+                strs = [bool(c) and isinstance(c[0], str) for c in table]
+                for i in range(0, max(map(len, table), default=0),
+                               _CHUNK_ROWS):
+                    texts = [_csv_texts(c[i:i + _CHUNK_ROWS]) if is_str
+                             else _number_texts(c[i:i + _CHUNK_ROWS])
+                             for c, is_str in zip(table, strs)]
+                    if len(texts) == 1:  # a lone empty field is quoted
+                        texts = [[text or '""' for text in texts[0]]]
+                    rows = map(",".join, zip(*texts, strict=True))
+                    f.write("\r\n".join(rows) + "\r\n")
+        except Exception:
+            f.close()
+            os.remove(path)
+            raise
+
+
 def write_iterations_csv(path, iterations: IterationLog) -> None:
     """Iteration log for replay and audit of scheduler decisions.
 
@@ -487,19 +510,9 @@ def write_iterations_csv(path, iterations: IterationLog) -> None:
     ids, those of its ``RequestSpec``s, never are.
     The start of each later iteration of the entry is the one before plus
     ``duration_s``, added sequentially as the engine advanced its clock.
-    The bytes are those ``csv.writer`` writes of the rows, the times their
-    repr.
+    Written by ``write_csv``.
     """
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(ITERATIONS_CSV_HEADER) + "\r\n")
-        for runs in _chunks(iterations._runs):
-            (starts, counts, durations, prefill_tokens, decode_seqs,
-             prefill_ids, decode_ids, queue_depths, running, kv_reserved,
-             releases) = zip(*runs)
-            f.writelines(map(_ITERATIONS_ROW.__mod__, zip(
-                _number_texts(starts), counts, _number_texts(durations),
-                prefill_tokens, decode_seqs,
-                _csv_texts(list(map("|".join, prefill_ids))),
-                _csv_texts(list(map("|".join, decode_ids))),
-                queue_depths, running, kv_reserved,
-                _number_texts(releases))))
+    write_csv(path, ITERATIONS_CSV_HEADER, [
+        list(map("|".join, column)) if name.endswith("_ids") else column
+        for name, column in zip(ITERATIONS_CSV_HEADER,
+                                zip(*iterations._runs))])

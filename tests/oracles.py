@@ -16,7 +16,7 @@ are the reference for the package's: one
 ``np.diff`` per timeline and one ``csv.writer`` row per TBT CDF grid point,
 one strict ``json.dump(indent=2)`` per report, one ``csv.writer`` row per
 report row, per summary cell and per token of a plotted timeline, each float
-its ``repr``.
+its ``repr``, and ``write_csv`` is one ``csv.writer`` row per table row.
 """
 
 import csv
@@ -367,6 +367,16 @@ SUMMARY_HEADER = ["variant", "rate", "error", "n_requests",
                   "mean_idle_latency_s"]
 
 
+def write_csv(path, header, *tables):
+    """The header row, then one row per index of each table's columns."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for table in tables:
+            for i in range(len(table[0]) if table else 0):
+                writer.writerow([column[i] for column in table])
+
+
 def write_summary(path, cells):
     """One row per cell; an error cell holds its error and empty cells."""
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -386,8 +396,10 @@ def write_summary(path, cells):
                 repr(rep.goodput_requests_per_s),
                 repr(rep.smooth_goodput_per_s),
                 repr(rep.slo_attainment),
-                repr(rep.mean_ttft),
-                repr(rep.tbt_percentiles.get("p99", float("nan"))),
+                # No mean TTFT or p99 TBT is an empty cell, as in report.csv.
+                "" if math.isnan(rep.mean_ttft) else repr(rep.mean_ttft),
+                repr(rep.tbt_percentiles["p99"])
+                if "p99" in rep.tbt_percentiles else "",
                 repr(rep.mean_idle_latency),
             ])
 

@@ -40,6 +40,13 @@ def test_complete_timeline_must_have_tokens():
     TokenTimeline("x", 0.0, (), complete=False)  # clipped-empty is fine
 
 
+@pytest.mark.parametrize("request_id", [5, None, b"x", 1.5])
+def test_timeline_refuses_an_id_that_is_not_a_str(request_id):
+    # The rule of RequestTrace, whose file line holds a JSON string id.
+    with pytest.raises(TypeError, match="^request_id: expected str"):
+        TokenTimeline(request_id, 0.0, (1.0,))
+
+
 def test_clipped_marks_incomplete():
     tl = TokenTimeline("x", 0.0, (0.5, 1.5, 2.5))
     cut = tl.clipped(2.0)

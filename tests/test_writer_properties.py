@@ -1,16 +1,18 @@
 """The artifact writers write the bytes of the reference writers in oracles.
 
 The package writes each trace time list with orjson where its number text
-is the repr and with ``json.dumps`` elsewhere.  The other writers take each
-column of numbers as text from one orjson pass, ``_number_texts``, and fill
-rows from the columns: each iteration-log entry, each TBT CDF grid point of
-one sorted gap pool per timeline, each report row from one template, each
-summary cell and each token of a plotted timeline.  These tests hold every
-byte to a plain ``json.dumps`` per record, a ``csv.writer`` row per plan
-run, an ``np.diff`` per request and a ``csv.writer`` row per CDF point, a
-strict ``json.dump(indent=2)`` per report and a ``csv.writer`` row with
-each float's ``repr`` per report row, summary cell and token.  A written
-iteration log also reads back as the log's records.
+is the repr and with ``json.dumps`` elsewhere.  Every CSV artifact goes
+through one writer, ``write_csv``: it takes each column of numbers as text
+from one orjson pass, ``_number_texts``, quotes each column of str as
+``csv.writer`` does, and joins the rows of a table a chunk at a time.
+``report.json`` fills one row template per request from such columns.
+These tests hold ``write_csv`` to a ``csv.writer`` row per table row, and
+every byte of the artifacts to a plain ``json.dumps`` per record, a
+``csv.writer`` row per plan run, an ``np.diff`` per request and a
+``csv.writer`` row per CDF point, a strict ``json.dump(indent=2)`` per
+report and a ``csv.writer`` row with each float's ``repr`` per report row,
+summary cell and token.  A written iteration log also reads back as the
+log's records.
 """
 
 import dataclasses
@@ -48,6 +50,7 @@ from servesim.traces import (
     RequestTrace,
     _number_texts,
     _times_json,
+    write_csv,
     write_iterations_csv,
     write_trace,
 )
@@ -89,6 +92,64 @@ def test_number_texts_write_none_as_asked():
         "null", "0.5", "null", "1e+16"]
     assert _number_texts((None,)) == [""]
     assert _number_texts([]) == []
+
+
+# What a column of numbers may hold: ints past 64 bits, floats at and past
+# each end of orjson's repr range, NaN, the infinities and None.
+csv_numbers = (st.none() | floats | st.integers(-2**70, 2**70)
+               | st.sampled_from(EDGES + [-x for x in EDGES]))
+
+
+@st.composite
+def csv_tables(draw):
+    """Tables of one to four columns, each of str or of numbers."""
+    size = draw(st.integers(0, 6))
+    return [draw(st.lists(ids if draw(st.booleans()) else csv_numbers,
+                          min_size=size, max_size=size))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+# Tables past two chunks of rows: ids csv quotes, numbers outside orjson's
+# repr range and None, then a narrower table and a lone column of empty
+# fields, which csv.writer quotes.
+LONG_TABLES = [
+    [[f'r{i},"é"' for i in range(2500)],
+     [None if i % 3 == 0 else 1e-7 * i for i in range(2500)],
+     [2**64 + i if i % 7 == 0 else i for i in range(2500)]],
+    [["#agg"] * 2049, [math.nan if i % 2 else 1e16 for i in range(2049)]],
+    [[""] * 1030],
+    [[None] * 1025],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ids, min_size=1, max_size=4), st.lists(csv_tables(),
+                                                     max_size=3))
+@example(["timeline", "tbt_s", "cdf"], LONG_TABLES)
+@example([""], [[[""]], [["a", ""]]])
+def test_write_csv_bytes_match_reference(header, tables):
+    assert_same_bytes(lambda path, t: write_csv(path, header, *t),
+                      lambda path, t: oracles.write_csv(path, header, *t),
+                      tables)
+
+
+@pytest.mark.parametrize("column", [
+    [1.0, "a"], ["a", 1.0], [None, "a,b"], ["a", None], [2**65, "a"],
+    ["a"] * 1024 + [0.5], [0.5] * 1024 + ["a"]])
+def test_write_csv_refuses_a_column_of_str_and_numbers(tmp_path, column):
+    # Either way round: written, the str would shift the row's fields.
+    path = tmp_path / "mixed.csv"
+    with pytest.raises(TypeError):
+        write_csv(path, ["x", "y"], [list(range(len(column))), column])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("lengths", [(2, 3), (3, 2), (1030, 1024)])
+def test_write_csv_refuses_columns_of_unequal_lengths(tmp_path, lengths):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["x", "y"], *[[[0.5] * n for n in lengths]])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bound", [_REPR_LOW, _REPR_HIGH])
@@ -340,10 +401,21 @@ def large_report(big, odd, rows=500):
         {"p50": odd}, 0.25, 0.125)
 
 
-# A TokenTimeline takes any id, and its record keeps it.
-NON_STR_IDS = dataclasses.replace(EMPTY_REPORT, per_request=(
-    RequestMetrics(5, 0.0, 1, True), RequestMetrics("r,1", 0.5, 0, False),
-    RequestMetrics(None, 1.0, 2, True)))
+# Ids that are not all str, which only a hand-built record can hold: every
+# record constructor refuses one.
+NON_STR_IDS = [(5, "r,1", None), ("r,1", 5), ("a", b"b")]
+
+
+@pytest.mark.parametrize("write", [write_report_json, write_report_csv])
+@pytest.mark.parametrize("request_ids", NON_STR_IDS)
+def test_report_writers_refuse_an_id_that_is_not_a_str(tmp_path, write,
+                                                       request_ids):
+    report = dataclasses.replace(EMPTY_REPORT, per_request=tuple(
+        RequestMetrics(rid, 0.5, 1, True) for rid in request_ids))
+    path = tmp_path / "report"
+    with pytest.raises(TypeError):
+        write(path, report)
+    assert not path.exists()
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,7 +423,6 @@ NON_STR_IDS = dataclasses.replace(EMPTY_REPORT, per_request=(
 @example(EMPTY_REPORT)
 @example(large_report(1e300, 0.4))
 @example(large_report(1e-300, 0.4, rows=2500))
-@example(NON_STR_IDS)
 def test_report_json_bytes_match_reference(report):
     assert_same_bytes(write_report_json, oracles.write_report_json, report)
 
@@ -399,7 +470,6 @@ def test_report_json_refused_past_its_first_rows_leaves_no_file(tmp_path):
 @example(EMPTY_REPORT)
 @example(large_report(math.inf, math.nan))
 @example(large_report(1e-300, 0.4, rows=2500))
-@example(NON_STR_IDS)
 def test_report_csv_bytes_match_reference(report):
     assert_same_bytes(write_report_csv, oracles.write_report_csv, report)
 
