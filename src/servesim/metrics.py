@@ -23,13 +23,17 @@ scored on the tokens it received only; with none, its idle latency and
 benefit are 0.  Tokens never delivered are not charged, so cutting a late
 request short can raise its benefit and smooth goodput (ROADMAP item 1).
 
-Flat layout: a window's token times are one float array, its requests end
-to end, and ``starts`` indexes each first token.  The runner's TBT CDF
-takes the report's pool, gap rule and nearest rank.  One deadline series
-covers the window; each per-request value is one whole-window numpy
-operation (a gather at the first and last tokens, or a
-``np.maximum.reduceat`` over each request's slice), not numpy calls per
-request.  The values are bit for bit those of scoring each request alone
+Flat layout: a window holds its requests as columns, per request its id,
+arrival, completeness and token count, and all its token times in one
+float array, the requests end to end; ``starts`` indexes each first token.
+:func:`window_from_traces` takes a read trace's columns as they are, or
+gathers a list of records' in one pass; it selects requests by arrival
+with one mask and clips them at the window end with one pass over the flat
+times.  The runner's TBT CDF takes the report's pool, gap rule and nearest
+rank.  One deadline series covers the window; each per-request value is
+one whole-window numpy operation (a gather at the first and last tokens,
+or a ``np.maximum.reduceat`` over each request's slice), not numpy calls
+per request.  The values are bit for bit those of scoring each request alone
 (``tests/oracles.py`` keeps that reference), because the element-wise
 operations keep their order, ``(times - arrival) - deadline``, and the
 aggregates are still taken over the records in window order: ``np.mean``,
@@ -42,10 +46,10 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +57,9 @@ from .deadlines import DeadlinePolicy, deadlines_for
 from .traces import (
     RequestTrace,
     TokenTimeline,
+    TraceRecords,
     _CHUNK_ROWS,
+    _flat,
     _number_texts,
     _unchecked,
     write_csv,
@@ -148,32 +154,102 @@ class RequestMetrics:
 def score(timeline: TokenTimeline, policy: DeadlinePolicy,
           params: BenefitParams = BenefitParams()) -> RequestMetrics:
     """One request's record, as :func:`build_report` lists it."""
-    return _score_window((timeline,), policy, params)[0][0]
+    return _score_window(_timeline_columns((timeline,)), policy, params)[0][0]
 
 
 # ---------------------------------------------------------------------------
 # Evaluation windows and aggregates.
 
 
-@dataclass(frozen=True)
+class _Columns(NamedTuple):
+    """Timelines in the flat layout: per request its id, arrival, whether
+    it is complete and its token count, and all the token times in one
+    float array, the requests end to end."""
+
+    request_ids: Sequence[str]
+    arrivals: np.ndarray
+    complete: np.ndarray
+    counts: np.ndarray
+    times: np.ndarray
+
+
+def _gathered(items: Sequence, complete: Iterable[bool],
+              timelines: Sequence[Sequence[float]]) -> _Columns:
+    """The ids and arrivals of ``items``, records or timelines, with their
+    ``complete`` flags and ``timelines``, in the flat layout."""
+    n = len(items)
+    return _Columns([item.request_id for item in items],
+                    np.fromiter((item.arrival for item in items), float, n),
+                    np.fromiter(complete, bool, n), *_flat(timelines))
+
+
+def _timeline_columns(timelines: Sequence[TokenTimeline]) -> _Columns:
+    return _gathered(timelines, (tl.complete for tl in timelines),
+                     [tl.token_times for tl in timelines])
+
+
 class EvalWindow:
-    """A set of request timelines observed over [start, end)."""
+    """A set of request timelines observed over [start, end).
 
-    start: float
-    end: float
-    requests: tuple[TokenTimeline, ...]
+    It holds them as ``columns`` in the flat layout; ``requests`` builds
+    their :class:`~servesim.traces.TokenTimeline` views on first access.
+    """
 
-    def __post_init__(self):
-        if not self.end > self.start:
+    __slots__ = ("start", "end", "columns", "_requests")
+
+    def __init__(self, start: float, end: float,
+                 requests: Sequence[TokenTimeline]):
+        if not end > start:
             raise ValueError("window end must exceed start")
-        for tl in self.requests:
-            if not (self.start <= tl.arrival < self.end):
-                raise ValueError(
-                    f"{tl.request_id}: arrival outside window [start, end)")
+        columns = _timeline_columns(requests)
+        arrivals = columns.arrivals
+        outside = np.flatnonzero(~((start <= arrivals) & (arrivals < end)))
+        if outside.size:
+            raise ValueError(f"{columns.request_ids[outside[0]]}: arrival "
+                             f"outside window [start, end)")
+        self.start, self.end, self.columns, self._requests = (
+            start, end, columns, None)
+
+    @classmethod
+    def _of(cls, start: float, end: float, columns: _Columns) -> "EvalWindow":
+        """The window of ``columns``, whose arrivals lie in [start, end)."""
+        window = object.__new__(cls)
+        window.start, window.end, window.columns, window._requests = (
+            start, end, columns, None)
+        return window
+
+    @property
+    def requests(self) -> tuple[TokenTimeline, ...]:
+        if self._requests is None:
+            ids, arrivals, complete, counts, times = self.columns
+            times = times.tolist()
+            ends = accumulate(counts.tolist())
+            self._requests = tuple(
+                _unchecked(TokenTimeline, rid, arrival,
+                           tuple(times[stop - k:stop]), done)
+                for rid, arrival, done, k, stop in zip(
+                    ids, arrivals.tolist(), complete.tolist(),
+                    counts.tolist(), ends))
+        return self._requests
 
     @property
     def length(self) -> float:
         return self.end - self.start
+
+
+def _trace_columns(records: Sequence[RequestTrace],
+                   use_delivery: bool) -> _Columns:
+    """Each record's generation timeline, or its delivery timeline when it
+    has one and ``use_delivery`` is set, in the flat layout: a read trace's
+    columns as they are, and a list's gathered in one pass."""
+    if isinstance(records, TraceRecords):
+        return _Columns(records.request_ids, records.arrivals,
+                        records.completed, records.counts,
+                        records.delivery_times if use_delivery
+                        else records.token_times)
+    return _gathered(records, (rec.completed for rec in records), [
+        rec.delivery_times if use_delivery and rec.delivery_times is not None
+        else rec.token_times for rec in records])
 
 
 def window_from_traces(records: Sequence[RequestTrace], start: float, end: float,
@@ -181,38 +257,45 @@ def window_from_traces(records: Sequence[RequestTrace], start: float, end: float
     """Build a window from trace records, clipping timelines at ``end``.
 
     Requests arriving outside [start, end) are dropped; tokens after ``end``
-    are clipped and the timeline marked incomplete.
+    are clipped and the timeline marked incomplete.  ``records`` may be a
+    read trace's :class:`~servesim.traces.TraceRecords`, taken as columns.
     """
-    picked = []
-    for rec in records:
-        if not (start <= rec.arrival < end):
-            continue
-        tl = rec.delivery_timeline() if use_delivery else rec.generation_timeline()
-        picked.append(tl.clipped(end))
-    return EvalWindow(start, end, tuple(picked))
+    if not end > start:
+        raise ValueError("window end must exceed start")
+    ids, arrivals, completed, counts, times = _trace_columns(records,
+                                                             use_delivery)
+    picked = (start <= arrivals) & (arrivals < end)
+    # Times never decrease, so the tokens past end are a suffix of each
+    # timeline; each is counted against the request whose slice holds it.
+    past = np.flatnonzero(times > end)
+    kept_counts = counts - np.bincount(
+        np.searchsorted(np.cumsum(counts), past, side="right"),
+        minlength=len(counts))
+    kept = np.repeat(picked, counts)
+    kept[past] = False
+    return EvalWindow._of(start, end, _Columns(
+        list(compress(ids, picked.tolist())), arrivals[picked],
+        (completed & (kept_counts == counts))[picked], kept_counts[picked],
+        times[kept]))
 
 
-def _pool(timelines: Sequence[Sequence[float]]
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each timeline's token count, the first token's index of each one
-    that has a token, and all the times in one float array, end to end."""
-    counts = np.fromiter(map(len, timelines), np.intp, len(timelines))
-    times = np.fromiter(chain.from_iterable(timelines), float,
-                        int(counts.sum()))
-    starts = (np.cumsum(counts) - counts)[counts > 0]
-    return counts, starts, times
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """The first token's index in the flat layout of each timeline that
+    has a token."""
+    return (np.cumsum(counts) - counts)[counts > 0]
 
 
 def _gaps(times: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The gaps of :func:`_pool`'s times but those that span two
-    timelines: the k-th timeline's gaps start at ``starts[k] - k``."""
+    """The gaps of flat times but those that span two timelines, ``starts``
+    being :func:`_starts`: the k-th timeline's gaps start at
+    ``starts[k] - k``."""
     return np.delete(np.diff(times), starts[1:] - 1)
 
 
 def _sorted_gaps(timelines: Sequence[Sequence[float]]) -> np.ndarray:
     """Every token gap within each timeline, pooled and sorted."""
-    _, starts, times = _pool(timelines)
-    gaps = _gaps(times, starts)
+    counts, times = _flat(timelines)
+    gaps = _gaps(times, _starts(counts))
     gaps.sort()
     return gaps
 
@@ -298,20 +381,18 @@ def _percentiles(ordered: np.ndarray) -> dict[str, float]:
                 ) if len(ordered) else {}
 
 
-def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
+def _score_window(columns: _Columns, policy: DeadlinePolicy,
                   params: BenefitParams
                   ) -> tuple[list[RequestMetrics], dict[str, float]]:
     """Every request's record, in order, and the TBT percentiles of them all.
 
-    The token times go into one flat array, the requests end to end; each
-    per-request value is a whole-window numpy operation on it, and at most
-    three token-length arrays are alive at once.
+    Each per-request value is a whole-window numpy operation on the flat
+    token times, and at most two token-length arrays are made at once.
     """
-    counts, starts, times = _pool([tl.token_times for tl in requests])
+    ids, arrivals, complete, counts, times = columns
+    starts = _starts(counts)
     scored = counts > 0
     n = counts[scored]
-    arrivals = np.fromiter((tl.arrival for tl in requests), float,
-                           len(requests))
     first, last = times[starts], times[starts + n - 1]
     ttft = (first - arrivals[scored]).tolist()
     e2e = (last - arrivals[scored]).tolist()
@@ -328,7 +409,6 @@ def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
     # Lateness in place, element-wise (times - arrival) - deadline.
     rel = np.repeat(arrivals, counts)
     np.subtract(times, rel, out=rel)
-    del times
     np.subtract(rel, deadlines_for(policy, rel, starts), out=rel)
     lateness = np.maximum.reduceat(rel, starts).tolist()
     del rel
@@ -336,10 +416,10 @@ def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
     records = []
     per_request = zip(ttft, e2e, lateness)
     per_gap = zip(tpot, max_tbt)
-    for tl, k in zip(requests, counts.tolist()):
+    for rid, arrival, done, k in zip(ids, arrivals.tolist(), complete.tolist(),
+                                     counts.tolist()):
         if not k:
-            records.append(RequestMetrics(tl.request_id, tl.arrival, 0,
-                                          tl.complete))
+            records.append(RequestMetrics(rid, arrival, 0, done))
             continue
         ttft_k, e2e_k, late = next(per_request)
         tpot_k, tbt_k = next(per_gap) if k >= 2 else (None, None)
@@ -349,12 +429,12 @@ def _score_window(requests: Sequence[TokenTimeline], policy: DeadlinePolicy,
         # complete, ttft, tpot, e2e, max_tbt, idle_latency, peak_lateness,
         # benefit and met_slo.
         records.append(_unchecked(
-            RequestMetrics, tl.request_id, tl.arrival, k, tl.complete,
+            RequestMetrics, rid, arrival, k, done,
             ttft_k, tpot_k, e2e_k, tbt_k, idle, late,
             k - params.alpha * params.penalty(idle),
             # For finite doubles, "every token at or before its deadline";
             # only a fully delivered request attains its SLO.
-            tl.complete and late <= 0.0))
+            done and late <= 0.0))
     return records, tbt_percentiles
 
 
@@ -368,9 +448,9 @@ def build_report(window: EvalWindow, policy: DeadlinePolicy,
     ``np.maximum.reduceat`` over each request's slice.  Throughput, both
     goodputs, smooth goodput and attainment are read off the records.
     """
-    if not window.requests:
+    if not len(window.columns.request_ids):
         raise ValueError("cannot report on an empty window")
-    records, tbt_percentiles = _score_window(window.requests, policy, params)
+    records, tbt_percentiles = _score_window(window.columns, policy, params)
     # Left to right, as a plain loop: sum() compensates float rounding from
     # Python 3.12 on.  A no-token record adds an exact 0.0.
     total_benefit = 0.0
@@ -418,11 +498,11 @@ def write_report_csv(path, report: MetricsReport) -> None:
     for scope in ("ttft", "tbt"):
         for label, value in agg.pop(f"{scope}_percentiles_s").items():
             agg[f"{scope}_{label}_s"] = value
-    write_csv(path, REPORT_CSV_HEADER, [
+    write_csv(path, REPORT_CSV_HEADER, [[
         list(map(int, column)) if name in _BOOLS else column
         for name, column in zip(_CSV_FIELDS, _columns(report.per_request,
                                                       _CSV_FIELDS))],
-        [["#agg"] * len(agg), list(agg), list(agg.values())])
+        [["#agg"] * len(agg), list(agg), list(agg.values())]])
 
 
 def _json_texts(name: str, column) -> list:

@@ -21,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .metrics import (
 from .traces import (
     RequestTrace,
     SimTrace,
+    TraceRecords,
     write_csv,
     write_iterations_csv,
     write_trace,
@@ -57,15 +59,20 @@ from .workload import generate, save_workload
 # Windows and summary rows.
 
 
-def trimmed_window(records: list[RequestTrace], trim_start: float,
+def trimmed_window(records: Sequence[RequestTrace], trim_start: float,
                    trim_end: float, use_delivery: bool):
     """Evaluation window over the trace with warm-up/drain margins dropped.
 
     The time axis runs from 0 to the generation makespan; the window keeps
-    [trim_start, 1 - trim_end] of it.
+    [trim_start, 1 - trim_end] of it.  ``records`` may be a read trace's
+    :class:`~servesim.traces.TraceRecords`, taken as columns.
     """
-    makespan = max((rec.token_times[-1] for rec in records if rec.token_times),
-                   default=None)
+    if isinstance(records, TraceRecords):
+        lasts = records.token_times[
+            np.cumsum(records.counts)[records.counts > 0] - 1].tolist()
+    else:
+        lasts = [rec.token_times[-1] for rec in records if rec.token_times]
+    makespan = max(lasts, default=None)
     if makespan is None:
         raise ValueError("no request in the trace has a token, so it has no "
                          "makespan to trim a window from")
@@ -102,7 +109,7 @@ def _write_summary(path, cells: list[CellResult]) -> None:
         agg["p99_tbt_s"] = agg["tbt_percentiles_s"].get("p99")
         rows.append([cell.variant, cell.rate, "", len(cell.report.per_request),
                      *(agg[name] for name in SUMMARY_HEADER[4:])])
-    write_csv(path, SUMMARY_HEADER, list(zip(*rows)))
+    write_csv(path, SUMMARY_HEADER, [list(zip(*rows))])
 
 
 @dataclass
@@ -144,7 +151,7 @@ def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
     else:
         delivery = _sorted_gaps([rec.token_times if rec.delivery_times is None
                                  else rec.delivery_times for rec in records])
-    write_csv(path, ["timeline", "tbt_s", "cdf"], *(
+    write_csv(path, ["timeline", "tbt_s", "cdf"], (
         [[label] * len(_CDF_Q_TEXTS),
          _nearest_ranks(gaps, _CDF_QS).tolist(), _CDF_Q_TEXTS]
         for label, gaps in (("generation", generation),
@@ -167,8 +174,8 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
     n = len(rec.token_times)
     write_csv(path, ["token_index", "generated_s", "delivered_s",
                      "deadline_s", "arrival_s"],
-              [list(range(1, n + 1)), rec.token_times, delivery.token_times,
-               deadlines, [rec.arrival] * n])
+              [[list(range(1, n + 1)), rec.token_times, delivery.token_times,
+                deadlines, [rec.arrival] * n]])
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,24 @@ earlier than the matching generation instant.
 The record constructors, ``TokenTimeline``, ``RequestTrace`` and the
 workload's ``RequestSpec``, decide what a time or an arrival may be: each
 stores them as floats, by ``_floats``, and checks its timelines with one
-rule, ``_check_timeline``.  The readers only decode JSON for them, and
-``write_trace`` writes floats only.  A record whose values are good by
-construction is built with ``_unchecked`` instead, which skips them:
+rule, ``_check_timeline``.  The workload readers only decode JSON for them,
+and ``write_trace`` writes floats only.
+
+``read_trace`` holds a trace as columns, a :class:`TraceRecords`, and reads
+it ``_CHUNK_ROWS`` lines at a time.  ``_screened`` passes a chunk only when
+orjson reads every line and each value has the exact type a record stores:
+a str id, float arrival and times, an int ``prompt_len`` and a bool
+``completed``.  ``_timelines_hold`` then states ``_check_timeline``'s rule
+once more, over the chunk's flat arrays.  Any chunk in doubt goes line by
+line to the constructors, which convert an int time or refuse the first
+bad line with their own message, so the reader accepts what they accept.
+
+A record whose values are good by construction is built with
+``_unchecked`` instead, which skips the checks:
 
 * a record's timeline views and their clipped prefixes hold its checked
-  times;
+  times, and so do a read trace's records and a window's timelines, built
+  from their columns on access;
 * the engine builds each request's token times strictly increasing from its
   arrival, and refuses a clock that stops advancing or overflows; only a
   held delivery timeline, which a scheduler's release instants shape, is
@@ -50,7 +62,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, takewhile
-from operator import ge, itemgetter, not_
+from operator import attrgetter, ge, itemgetter, not_
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -411,34 +423,41 @@ def _field(obj: dict, key: str, kind: tuple[type, ...]):
     return value
 
 
-def _read_jsonl(path, parse) -> list:
-    """``parse(obj)`` for the JSON object on each non-blank line of ``path``.
+def _parse_lines(path, numbered: Iterable[tuple[int, bytes]], parse) -> list:
+    """``parse(obj)`` for the JSON object on each of the ``numbered`` lines
+    that is not blank.
 
-    Lines end at a line feed.  A line that is not UTF-8 or not an object, or
-    that ``parse`` rejects with a ``KeyError``, ``TypeError`` or
-    ``ValueError``, raises :class:`TraceFormatError` naming the file and
-    the line.
+    A line that is not UTF-8 or not an object, or that ``parse`` rejects
+    with a ``KeyError``, ``TypeError`` or ``ValueError``, raises
+    :class:`TraceFormatError` naming the file and the line.
     """
     out = []
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    for lineno, line in numbered:
+        if not line.strip():
+            continue
+        try:
             try:
-                try:
-                    obj = orjson.loads(line)
-                except orjson.JSONDecodeError:
-                    # The stdlib reads it, or refuses it by name.
-                    text = line.decode("utf-8")
-                    if not text.strip():
-                        continue  # a line of Unicode white space is blank
-                    obj = _DECODER.decode(text)
-                if type(obj) is not dict:
-                    raise TypeError(f"expected object, got {obj!r}")
-                out.append(parse(obj))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                # The stdlib reads it, or refuses it by name.
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue  # a line of Unicode white space is blank
+                obj = _DECODER.decode(text)
+            if type(obj) is not dict:
+                raise TypeError(f"expected object, got {obj!r}")
+            out.append(parse(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
     return out
+
+
+def _read_jsonl(path, parse) -> list:
+    """``parse(obj)`` for the JSON object on each non-blank line of
+    ``path``, as :func:`_parse_lines` reads them.  Lines end at a line
+    feed."""
+    with open(path, "rb") as f:
+        return _parse_lines(path, enumerate(f, start=1), parse)
 
 
 def _parse_trace_record(obj: dict) -> RequestTrace:
@@ -447,8 +466,204 @@ def _parse_trace_record(obj: dict) -> RequestTrace:
                         obj["completed"], obj.get("delivery_times_s"))
 
 
-def read_trace(path) -> list[RequestTrace]:
-    return _read_jsonl(path, _parse_trace_record)
+def _flat(timelines: Sequence[Sequence[float]]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Each timeline's token count, and all the times in one float array,
+    the timelines end to end."""
+    counts = np.fromiter(map(len, timelines), np.intp, len(timelines))
+    return counts, np.fromiter(chain.from_iterable(timelines), float,
+                               int(counts.sum()))
+
+
+def _columns(request_ids, arrivals, token_times, prompt_lens, completed,
+             delivery_times) -> tuple:
+    """The per-request fields of some records, a field each, in
+    :class:`TraceRecords`' layout: the times flat, and a record without
+    delivery times holding its token times in the delivery array."""
+    has_delivery = [d is not None for d in delivery_times]
+    counts, times = _flat(token_times)
+    delivery = times if not any(has_delivery) else np.fromiter(
+        chain.from_iterable(t if d is None else d
+                            for t, d in zip(token_times, delivery_times)),
+        float, len(times))
+    return (list(request_ids), np.array(arrivals, float), list(prompt_lens),
+            np.array(completed, bool), counts, times, delivery,
+            np.array(has_delivery, bool))
+
+
+def _timelines_hold(arrivals, completed, counts, times, delivery) -> bool:
+    """Whether every request of :func:`_columns`' layout passes
+    ``_check_timeline``, its delivery times with its token times as floor.
+
+    The same rule, over the flat arrays at once; the caller has checked
+    that each delivery timeline is as long as its tokens.
+    """
+    # Written so that NaN fails, as in _check_timeline; the sign bits below
+    # refuse a negative arrival.
+    if not np.all(arrivals < math.inf):
+        return False
+    if np.any(completed & (counts == 0)):
+        return False
+    # Each time is at least the one before it, or its arrival when it is
+    # its request's first, and below infinity.
+    has_tokens = counts > 0
+    starts = (np.cumsum(counts) - counts)[has_tokens]
+    for flat in (times, delivery):
+        before = np.empty_like(flat)
+        before[1:] = flat[:-1]
+        before[starts] = arrivals[has_tokens]
+        if not np.all((flat >= before) & (flat < math.inf)):
+            return False
+    # A sign bit is a negative arrival or a -0.0: every time is at least
+    # its arrival by now.
+    if (np.signbit(arrivals).any() or np.signbit(times).any()
+            or np.signbit(delivery).any()):
+        return False
+    return bool(np.all(delivery >= times))
+
+
+# A trace line's fields, as the screen reads them.
+_TRACE_KEYS = itemgetter("request_id", "arrival_s", "token_times_s",
+                         "prompt_len", "completed")
+
+
+def _screened(lines: list[bytes]) -> tuple | None:
+    """:func:`_columns` of a chunk of trace lines when orjson reads each
+    line and every value passes a screen that accepts only records the
+    constructors accept, else None.
+
+    The screen takes exact types only: an int arrival or time, which the
+    constructors convert, fails it.  orjson reads an int outside
+    [-2**63, 2**64) as a float, so every int it gives is in the
+    constructors' range.
+    """
+    try:
+        objs = list(map(orjson.loads, lines))
+    except orjson.JSONDecodeError:
+        return None
+    if set(map(type, objs)) != {dict}:
+        return None
+    try:
+        ids, arrivals, times, prompt_lens, completed = zip(
+            *map(_TRACE_KEYS, objs))
+    except KeyError:
+        return None
+    delivery = [obj.get("delivery_times_s") for obj in objs]
+    if not (set(map(type, ids)) == {str}
+            and set(map(type, arrivals)) == {float}
+            and set(map(type, prompt_lens)) == {int}
+            and set(map(type, completed)) == {bool}
+            and set(map(type, times)) == {list}
+            and set(map(type, delivery)) <= {list, type(None)}
+            and set(map(type, chain.from_iterable(times))) <= {float}
+            and set(map(type, chain.from_iterable(filter(None, delivery))))
+            <= {float}
+            and all(d is None or len(d) == len(t)
+                    for t, d in zip(times, delivery))):
+        return None
+    columns = _columns(ids, arrivals, times, prompt_lens, completed, delivery)
+    _, arrivals, _, completed, counts, times, delivery, _ = columns
+    return columns if _timelines_hold(arrivals, completed, counts, times,
+                                      delivery) else None
+
+
+def read_trace(path) -> TraceRecords:
+    """The records of a trace file, as columns.
+
+    The file is read ``_CHUNK_ROWS`` lines at a time.  A chunk whose
+    lines but the blank ones :func:`_screened` passes goes to the columns
+    as it is; any other goes line by line through the record constructors,
+    which refuse its first bad line by name or convert its values.
+    """
+    parts = []
+    with open(path, "rb") as f:
+        lineno = 1
+        while chunk := list(islice(f, _CHUNK_ROWS)):
+            columns = _screened([line for line in chunk
+                                 if not line.isspace()])
+            if columns is None:
+                columns = _record_columns(_parse_lines(
+                    path, enumerate(chunk, start=lineno),
+                    _parse_trace_record))
+            parts.append(columns)
+            lineno += len(chunk)
+    return TraceRecords(*(
+        np.concatenate(column) if type(column[0]) is np.ndarray
+        else list(chain.from_iterable(column))
+        for column in zip(*(parts or [_record_columns([])]))))
+
+
+_RECORD_FIELDS = attrgetter("request_id", "arrival", "token_times",
+                            "prompt_len", "completed", "delivery_times")
+
+
+def _record_columns(records: list[RequestTrace]) -> tuple:
+    """:func:`_columns` of checked records."""
+    return _columns(*(zip(*map(_RECORD_FIELDS, records)) if records
+                      else [()] * 6))
+
+
+class TraceRecords(Sequence):
+    """Trace records held as columns, each record built on access.
+
+    Per request, in order: ``request_ids``, ``arrivals``, ``prompt_lens``,
+    ``completed``, ``counts`` (its tokens) and ``has_delivery``.  The times
+    are flat, the requests end to end: ``token_times``, and
+    ``delivery_times``, where a request without delivery times holds its
+    token times.  The arrays are read-only.  Indexing, iteration and
+    equality with a list of records build :class:`RequestTrace` records of
+    the columns' checked values.
+    """
+
+    __slots__ = ("request_ids", "arrivals", "prompt_lens", "completed",
+                 "counts", "token_times", "delivery_times", "has_delivery",
+                 "_offsets")
+    __hash__ = None
+
+    def __init__(self, request_ids, arrivals, prompt_lens, completed, counts,
+                 token_times, delivery_times, has_delivery):
+        self.request_ids = tuple(request_ids)
+        self.prompt_lens = tuple(prompt_lens)
+        if not has_delivery.any():
+            delivery_times = token_times
+        for name, array in (("arrivals", arrivals), ("completed", completed),
+                            ("counts", counts), ("token_times", token_times),
+                            ("delivery_times", delivery_times),
+                            ("has_delivery", has_delivery)):
+            array.flags.writeable = False
+            setattr(self, name, array)
+        # Each request's first time and its end, as Python ints.
+        self._offsets = [0, *np.cumsum(counts).tolist()]
+
+    def __len__(self) -> int:
+        return len(self.request_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("TraceRecords index out of range")
+        first, end = self._offsets[i], self._offsets[i + 1]
+        times = tuple(self.token_times[first:end].tolist())
+        delivery = (tuple(self.delivery_times[first:end].tolist())
+                    if self.has_delivery[i] else None)
+        return _unchecked(RequestTrace, self.request_ids[i],
+                          self.arrivals[i].item(), times, self.prompt_lens[i],
+                          self.completed[i].item(), delivery)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, TraceRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"TraceRecords({len(self)} records)"
 
 
 ITERATIONS_CSV_HEADER = [
@@ -473,18 +688,20 @@ def _csv_texts(texts: Sequence[str]) -> Sequence[str]:
             for text in texts]
 
 
-def write_csv(path, header: Sequence[str], *tables: Sequence) -> None:
+def write_csv(path, header: Sequence[str], tables: Iterable[Sequence]) -> None:
     """``header``, then each table's rows, the bytes ``csv.writer`` writes.
 
-    A table is a list of equal-length columns.  A ``str`` column is quoted
-    as ``csv.writer`` quotes it; any other holds numbers, each written as
-    its repr, and None, an empty field.  Mixing the two raises TypeError,
-    unequal columns ValueError, and a file that cannot be finished is
-    removed.  ``_CHUNK_ROWS`` rows are formatted at a time.
+    ``tables`` are taken one at a time, each a list of equal-length columns,
+    so a caller can pass a long table as a generator of its chunks.  A
+    ``str`` column is quoted as ``csv.writer`` quotes it; any other holds
+    numbers, each written as its repr, and None, an empty field.  Mixing
+    the two in a table raises TypeError, unequal columns ValueError, and a
+    file that cannot be finished is removed.  ``_CHUNK_ROWS`` rows are
+    formatted at a time.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
         try:
-            for table in ([[name] for name in header], *tables):
+            for table in chain([[[name] for name in header]], tables):
                 strs = [bool(c) and isinstance(c[0], str) for c in table]
                 for i in range(0, max(map(len, table), default=0),
                                _CHUNK_ROWS):
@@ -510,9 +727,11 @@ def write_iterations_csv(path, iterations: IterationLog) -> None:
     ids, those of its ``RequestSpec``s, never are.
     The start of each later iteration of the entry is the one before plus
     ``duration_s``, added sequentially as the engine advanced its clock.
-    Written by ``write_csv``.
+    Written by ``write_csv``, ``_CHUNK_ROWS`` entries at a time.
     """
-    write_csv(path, ITERATIONS_CSV_HEADER, [
-        list(map("|".join, column)) if name.endswith("_ids") else column
-        for name, column in zip(ITERATIONS_CSV_HEADER,
-                                zip(*iterations._runs))])
+    runs = iterations._runs
+    write_csv(path, ITERATIONS_CSV_HEADER, (
+        [list(map("|".join, column)) if name.endswith("_ids") else column
+         for name, column in zip(ITERATIONS_CSV_HEADER,
+                                 zip(*runs[i:i + _CHUNK_ROWS]))]
+        for i in range(0, len(runs), _CHUNK_ROWS)))

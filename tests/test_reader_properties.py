@@ -6,19 +6,27 @@ built-in policy, or is refused with a ValueError."""
 
 import copy
 import json
+import math
 import os
 import re
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from servesim import traces
 from servesim.config import ConfigError, load_experiment
 from servesim.engine import EngineConfig, run
 from servesim.schedulers import ChunkedPrefill, DecodePrepone, VllmLike
-from servesim.traces import TraceFormatError, read_trace, write_trace
+from servesim.traces import (
+    RequestTrace,
+    TraceFormatError,
+    read_trace,
+    write_trace,
+)
 from servesim.workload import load_dataset_lengths, load_workload
 
 # Integers past the double range overflow float(); NaN and infinities are
@@ -37,11 +45,45 @@ VALID = {"request_id": "r1", "arrival_s": 0.5, "token_times_s": [1.0, 1.5],
          "completed": True}
 
 
+# Times that break one clause of the timeline rule each, or that the
+# record converts (an int time), set over VALID's arrival of 0.5 and token
+# times of [1.0, 1.5].
+TIME_MUTATIONS = [
+    {"token_times_s": [1.5, 1.0]},  # a decreasing pair
+    {"delivery_times_s": [2.0, 1.0]},
+    {"arrival_s": -0.0},
+    {"arrival_s": 0.0, "token_times_s": [-0.0, 1.5],
+     "delivery_times_s": [0.0, 2.0]},
+    {"arrival_s": 0.0, "token_times_s": [0.0, 1.5],
+     "delivery_times_s": [-0.0, 2.0]},
+    {"token_times_s": [0.25, 1.5]},  # a time before the arrival
+    {"arrival_s": 1},  # an int arrival, converted
+    {"token_times_s": [1, 1.5]},  # an int or a bool among the floats
+    {"token_times_s": [True, 1.5]},
+    {"delivery_times_s": [1.0, 2]},
+    {"delivery_times_s": [1.0, False]},
+    {"delivery_times_s": [1.0]},  # a delivery shorter than the tokens
+    {"delivery_times_s": [1.0, 1.25]},  # a delivery before its token
+    {"delivery_times_s": None},
+    {"token_times_s": [], "completed": True},
+    {"token_times_s": [], "delivery_times_s": [], "completed": False},
+    {"arrival_s": -0.5},
+    {"delivery_times_s": [1.0, 2.0, 3.0]},  # or longer
+    {"delivery_times_s": 2.0},
+    # An empty object is as long as no tokens; only its type refuses it.
+    {"token_times_s": [], "delivery_times_s": {}, "completed": False},
+]
+
+
 @st.composite
 def mutated_records(draw):
     record = dict(VALID)
+    how = draw(st.sampled_from(["set", "drop", "times"]))
+    if how == "times":
+        record.update(draw(st.sampled_from(TIME_MUTATIONS)))
+        return record
     key = draw(st.sampled_from(sorted(VALID)))
-    if draw(st.booleans()):
+    if how == "set":
         record[key] = draw(json_values)
     else:
         del record[key]
@@ -139,6 +181,30 @@ def _read_outcome(read, path):
                   "delivery_times_s": [10**30, 2**70]}])
 def test_read_trace_gives_what_the_stdlib_reference_gives(values):
     """The same records, or a refusal naming the same line."""
+    assert_read_as_the_reference(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(json_values | mutated_records() | limit_records(),
+                       min_size=1, max_size=6))
+@example(values=[VALID, VALID, {**VALID, "token_times_s": [1.5, 1.0]}])
+@example(values=[VALID, {**VALID, "arrival_s": 1}, {**VALID, "completed": 1}])
+def test_read_trace_in_chunks_of_two_gives_what_the_reference_gives(values):
+    """As above, with the reader's chunks two lines long, so that a bad line
+    can follow a good chunk or a line the screen refuses in its own chunk."""
+    with mock.patch.object(traces, "_CHUNK_ROWS", 2):
+        assert_read_as_the_reference(values)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+@pytest.mark.parametrize("mutation", TIME_MUTATIONS)
+def test_each_time_mutation_reads_as_the_reference(mutation, chunk_rows):
+    # The mutated line alone in its chunk, or after a good line in it.
+    with mock.patch.object(traces, "_CHUNK_ROWS", chunk_rows):
+        assert_read_as_the_reference([VALID, {**VALID, **mutation}, VALID])
+
+
+def assert_read_as_the_reference(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.jsonl")
         with open(path, "w", encoding="utf-8") as f:
@@ -146,6 +212,45 @@ def test_read_trace_gives_what_the_stdlib_reference_gives(values):
                 f.write(json.dumps(value) + "\n")
         assert (_read_outcome(read_trace, path)
                 == _read_outcome(oracles.read_trace, path))
+
+
+# Arrivals and times around VALID's, with the values the rule singles out.
+rule_values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, -1.0, math.inf,
+                               -math.inf, math.nan])
+
+
+@st.composite
+def timeline_rows(draw):
+    """An arrival, token times, delivery times as long or None, and a
+    completed flag."""
+    times = draw(st.lists(rule_values, max_size=3).map(sorted)
+                 | st.lists(rule_values, max_size=3))
+    delivery = draw(st.none() | st.lists(rule_values, min_size=len(times),
+                                         max_size=len(times)).map(sorted))
+    return draw(rule_values), times, delivery, draw(st.booleans())
+
+
+def _constructed(row) -> bool:
+    arrival, times, delivery, completed = row
+    try:
+        RequestTrace("r", arrival, times, 1, completed, delivery)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(timeline_rows(), min_size=1, max_size=3))
+def test_the_flat_timeline_rule_is_the_record_rule(rows):
+    """``_timelines_hold`` over a chunk's columns passes exactly when every
+    record's constructor does."""
+    arrivals, times, delivery, completed = zip(*rows)
+    (_, arrivals, _, completed, counts, times, delivery,
+     _) = traces._columns(["r"] * len(rows), arrivals, times,
+                          [1] * len(rows), completed, delivery)
+    assert (traces._timelines_hold(arrivals, completed, counts, times,
+                                   delivery)
+            == all(map(_constructed, rows)))
 
 
 SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "configs",

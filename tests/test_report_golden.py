@@ -9,10 +9,14 @@ intended change of results, and say why in CHANGES.md:
     PYTHONPATH=src python tests/test_report_golden.py
 """
 
+import json
 import os
 
 import pytest
 
+import oracles
+from servesim import cli
+from servesim.config import load_experiment
 from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt
 from servesim.metrics import (
     BenefitParams,
@@ -28,6 +32,7 @@ from servesim.traces import read_trace
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 GOLDEN = os.path.join(FIXTURES, "golden")
+EXPERIMENT = os.path.join(FIXTURES, "experiment.json")
 WINDOW = (1.0, 9.0)
 
 # name: (policy, benefit, score the delivery timeline).  Budgets are tight
@@ -74,6 +79,29 @@ def test_report_bytes_match_golden(name, ext, tmp_path):
     got = (tmp_path / f"{name}.{ext}").read_bytes()
     with open(os.path.join(GOLDEN, f"{name}.{ext}"), "rb") as f:
         assert got == f.read()
+
+
+@pytest.mark.parametrize("timeline", ["delivery", "generation"])
+def test_servesim_metrics_writes_the_reports_of_the_reference_reader(
+        timeline, tmp_path, capsys):
+    # `servesim metrics --out` reads the trace as columns; the reference
+    # reads it with the stdlib and windows its list of records.
+    trace = os.path.join(FIXTURES, "golden_trace.jsonl")
+    out = tmp_path / "cli"
+    assert cli.main(["metrics", "--config", EXPERIMENT, "--trace", trace,
+                     "--timeline", timeline, "--out", str(out)]) == 0
+    config = load_experiment(EXPERIMENT)
+    records = oracles.read_trace(trace)
+    makespan = max(rec.token_times[-1] for rec in records if rec.token_times)
+    window = window_from_traces(records, config.trim_start_frac * makespan,
+                                (1.0 - config.trim_end_frac) * makespan,
+                                use_delivery=timeline == "delivery")
+    report = build_report(window, config.policy, config.benefit)
+    write_report_json(tmp_path / "report.json", report)
+    write_report_csv(tmp_path / "report.csv", report)
+    for name in ("report.json", "report.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert json.loads(capsys.readouterr().out) == report.aggregates()
 
 
 if __name__ == "__main__":

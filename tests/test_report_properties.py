@@ -1,6 +1,8 @@
 """build_report and score against the brute-force oracles on random
 windows, and bit for bit against the per-request reference scorer."""
 
+import os
+import tempfile
 from dataclasses import fields
 
 import pytest
@@ -18,8 +20,9 @@ from servesim.metrics import (
     TokensEquivalent,
     build_report,
     score,
+    window_from_traces,
 )
-from servesim.traces import TokenTimeline
+from servesim.traces import RequestTrace, TokenTimeline, read_trace, write_trace
 
 START, END = 1.0, 6.0
 
@@ -200,3 +203,40 @@ def test_a_request_scores_the_same_alone_and_in_a_window(
             assert field_reprs(score(tl, policy, params)) == field_reprs(got)
         assert (repr(report.tbt_percentiles)
                 == repr(oracles.tbt_percentiles(gaps)))
+
+
+@st.composite
+def trace_records(draw):
+    """Records arriving before, in and after [START, END), some with
+    delivery times, some incomplete or without tokens."""
+    records = []
+    for i in range(draw(st.integers(0, 8))):
+        arrival = draw(st.integers(0, 28).map(lambda k: k * 0.25))
+        times = []
+        if draw(st.booleans()):
+            times.append(arrival + draw(st.sampled_from([0.0, 0.1, 1.0])))
+            for gap in draw(gaps):
+                times.append(times[-1] + gap)
+        delivery = draw(st.sampled_from([None, 0.0, 0.5]))
+        records.append(RequestTrace(
+            f"r{i}", arrival, tuple(times), 4,
+            bool(times) and draw(st.booleans()),
+            None if delivery is None else tuple(t + delivery for t in times)))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_records(), st.booleans())
+def test_a_window_holds_each_picked_timeline_clipped(records, use_delivery):
+    """From a list of records or from the columns of their file, the window
+    holds each timeline arriving in it, clipped at its end."""
+    expected = tuple(
+        (rec.delivery_timeline() if use_delivery
+         else rec.generation_timeline()).clipped(END)
+        for rec in records if START <= rec.arrival < END)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        write_trace(path, records)
+        for source in (records, read_trace(path)):
+            window = window_from_traces(source, START, END, use_delivery)
+            assert window.requests == expected

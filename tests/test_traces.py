@@ -1,8 +1,10 @@
+import json
 import math
 import os
 
 import pytest
 
+import oracles
 from servesim import traces
 from servesim.delivery import DelayConfig, delay_trace
 from servesim.engine import EngineConfig, pyloop, run
@@ -125,7 +127,8 @@ def test_only_untrusted_timelines_are_checked(tmp_path, check_calls):
     # The engine builds token times it has already ordered and delay_trace
     # paces checked times, so only a held delivery timeline, which the
     # scheduler's release instants shape, is checked there.  The reader
-    # checks each timeline once, and a window nothing again.
+    # checks a chunk's timelines at once over its flat arrays, the
+    # constructors none of them again, and a window nothing again.
     eng = EngineConfig(base_s=0.01, prefill_per_token_s=0.001,
                        decode_per_seq_s=0.02, max_batch_tokens=2048,
                        max_running_seqs=64, kv_capacity_tokens=100_000)
@@ -146,7 +149,7 @@ def test_only_untrusted_timelines_are_checked(tmp_path, check_calls):
     write_trace(path, records)
     del check_calls[:]
     assert read_trace(path) == records
-    assert len(check_calls) == _timelines(records)
+    assert check_calls == []
 
     del check_calls[:]
     end = records[len(records) // 2].token_times[-1]
@@ -332,3 +335,69 @@ def test_a_lone_surrogate_id_loads(tmp_path):
     p = tmp_path / "t.jsonl"
     write_trace(p, [rec])
     assert read_trace(p) == [rec]
+
+
+LINE = {"request_id": "a", "arrival_s": 0.5, "token_times_s": [1.0, 1.5],
+        "prompt_len": 4, "completed": True}
+
+
+def _write_lines(path, objs):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+
+
+def test_a_bad_timeline_is_named_before_a_later_missing_key(tmp_path):
+    # Line 3's missing key would fail the screen first; the constructors
+    # refuse the chunk's lines in order.
+    p = tmp_path / "bad.jsonl"
+    missing = dict(LINE)
+    del missing["completed"]
+    _write_lines(p, [LINE, {**LINE, "token_times_s": [1.5, 1.0]}, missing])
+    with pytest.raises(TraceFormatError,
+                       match="line 2: a: times must be finite"):
+        read_trace(p)
+
+
+def test_a_trace_of_several_chunks_reads_as_the_reference(tmp_path):
+    # Three chunks: the middle one holds an int time, which the screen
+    # leaves to the constructors; the others are read as columns.
+    n = 2 * traces._CHUNK_ROWS + 1
+    objs = [{**LINE, "request_id": f"r{i}", "arrival_s": i / 8,
+             "token_times_s": [i / 8 + 0.25 * k for k in range(1, i % 4 + 1)],
+             "completed": i % 4 != 0 and i % 5 != 0}
+            for i in range(n)]
+    for obj in objs[::3]:
+        obj["delivery_times_s"] = [t + 0.5 for t in obj["token_times_s"]]
+    objs[traces._CHUNK_ROWS + 7]["token_times_s"] = [n, n + 1]
+    p = tmp_path / "long.jsonl"
+    _write_lines(p, objs)
+    assert read_trace(p) == oracles.read_trace(p)
+
+
+def test_a_chunk_the_screen_refuses_goes_to_the_constructors(tmp_path,
+                                                             check_calls):
+    p = tmp_path / "t.jsonl"
+    _write_lines(p, [LINE, {**LINE, "token_times_s": [1, 1.5],
+                            "delivery_times_s": [1.25, 1.5]}])
+    records = read_trace(p)
+    assert records[1].token_times == (1.0, 1.5)
+    assert len(check_calls) == _timelines(records)
+
+
+def test_read_trace_is_a_sequence_of_its_records(tmp_path):
+    records = [RequestTrace("a", 0.0, (0.5, 1.0), 4, True),
+               RequestTrace("b", 0.25, (), 2, False),
+               RequestTrace("c", 0.5, (0.75,), 3, True, (1.0,))]
+    p, again = tmp_path / "t.jsonl", tmp_path / "again.jsonl"
+    write_trace(p, records)
+    read = read_trace(p)
+    assert len(read) == 3
+    assert read[-1] == records[2] and read[-3] == records[0]
+    assert list(read) == records and read[1:] == records[1:]
+    first, second, third = read
+    assert (first, second, third) == tuple(records)
+    assert read == records and records == read and read != records[:2]
+    with pytest.raises(IndexError):
+        read[3]
+    assert type(read[0].arrival) is float and type(read[2].completed) is bool
+    write_trace(again, read)
+    assert again.read_bytes() == p.read_bytes()

@@ -128,7 +128,7 @@ LONG_TABLES = [
 @example(["timeline", "tbt_s", "cdf"], LONG_TABLES)
 @example([""], [[[""]], [["a", ""]]])
 def test_write_csv_bytes_match_reference(header, tables):
-    assert_same_bytes(lambda path, t: write_csv(path, header, *t),
+    assert_same_bytes(lambda path, t: write_csv(path, header, t),
                       lambda path, t: oracles.write_csv(path, header, *t),
                       tables)
 
@@ -140,7 +140,7 @@ def test_write_csv_refuses_a_column_of_str_and_numbers(tmp_path, column):
     # Either way round: written, the str would shift the row's fields.
     path = tmp_path / "mixed.csv"
     with pytest.raises(TypeError):
-        write_csv(path, ["x", "y"], [list(range(len(column))), column])
+        write_csv(path, ["x", "y"], [[list(range(len(column))), column]])
     assert not path.exists()
 
 
@@ -148,7 +148,7 @@ def test_write_csv_refuses_a_column_of_str_and_numbers(tmp_path, column):
 def test_write_csv_refuses_columns_of_unequal_lengths(tmp_path, lengths):
     path = tmp_path / "ragged.csv"
     with pytest.raises(ValueError):
-        write_csv(path, ["x", "y"], *[[[0.5] * n for n in lengths]])
+        write_csv(path, ["x", "y"], [[[0.5] * n for n in lengths]])
     assert not path.exists()
 
 
