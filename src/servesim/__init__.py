@@ -47,7 +47,6 @@ from .schedulers import (
     VllmLike,
 )
 from .traces import (
-    IterationRecord,
     RequestTrace,
     SimTrace,
     TokenTimeline,

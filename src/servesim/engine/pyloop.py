@@ -48,9 +48,8 @@ one iteration at a time would advance the clock, and the run's ends are
 built at C level.  Every other batch, and every batch of a custom callable,
 is a run of one iteration.  The iteration log gets one entry per run, its
 first start and its length, with the queue, running and KV state the plan
-saw and the release instant applied to its decode tokens; the
-``IterationLog`` rebuilds the run's starts by the same additions when it is
-read.
+saw and the release instant applied to its decode tokens.  A reader
+rebuilds the run's later starts by the same additions.
 
 Records: the clock check refuses a plan whose end does not exceed its last
 start or is not finite, so every request's token times strictly increase
@@ -428,4 +427,4 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             qstate.decode_ids = published = tuple(decoding_ids)
         clock = end
 
-    return SimTrace(requests=records, iterations=IterationLog(runs))
+    return SimTrace(requests=records, iterations=IterationLog(tuple(runs)))

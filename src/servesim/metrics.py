@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
@@ -62,6 +61,7 @@ from .traces import (
     _flat,
     _number_texts,
     _unchecked,
+    _writing,
     write_csv,
 )
 
@@ -541,20 +541,15 @@ def write_report_json(path, report: MetricsReport) -> None:
                                   "end_s": report.window_end},
                        "aggregates": report.aggregates()},
                       indent=2, allow_nan=False)[:-len("\n}")]
-    with open(path, "w", encoding="utf-8") as f:
-        try:
-            f.write(head)
-            sep = ',\n  "requests": [\n'
-            for i in range(0, len(report.per_request), _CHUNK_ROWS):
-                records = report.per_request[i:i + _CHUNK_ROWS]
-                columns = list(map(_json_texts, _JSON_FIELDS,
-                                   _columns(records, _JSON_FIELDS)))
-                f.write(sep)
-                f.write(",\n".join(map(_JSON_ROW.__mod__, zip(*columns))))
-                sep = ",\n"
-            f.write('\n  ]\n}\n' if report.per_request
-                    else ',\n  "requests": []\n}\n')
-        except Exception:
-            f.close()
-            os.remove(path)
-            raise
+    with _writing(path, "w", encoding="utf-8") as f:
+        f.write(head)
+        sep = ',\n  "requests": [\n'
+        for i in range(0, len(report.per_request), _CHUNK_ROWS):
+            records = report.per_request[i:i + _CHUNK_ROWS]
+            columns = list(map(_json_texts, _JSON_FIELDS,
+                               _columns(records, _JSON_FIELDS)))
+            f.write(sep)
+            f.write(",\n".join(map(_JSON_ROW.__mod__, zip(*columns))))
+            sep = ",\n"
+        f.write('\n  ]\n}\n' if report.per_request
+                else ',\n  "requests": []\n}\n')

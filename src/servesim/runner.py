@@ -76,6 +76,9 @@ def trimmed_window(records: Sequence[RequestTrace], trim_start: float,
     if makespan is None:
         raise ValueError("no request in the trace has a token, so it has no "
                          "makespan to trim a window from")
+    if makespan == 0.0:
+        raise ValueError("every token in the trace is at 0.0 s, so its "
+                         "makespan is zero and has no window to trim")
     start = trim_start * makespan
     end = (1.0 - trim_end) * makespan
     return window_from_traces(records, start, end, use_delivery=use_delivery)

@@ -60,10 +60,11 @@ import math
 import operator
 import os
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import chain, islice, takewhile
 from operator import attrgetter, ge, itemgetter, not_
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 import orjson
@@ -245,86 +246,27 @@ class RequestTrace:
         return _view(self, times, self.completed)
 
 
-class IterationRecord(NamedTuple):
-    """One engine iteration: timing, batch composition and engine state.
-
-    ``queue_depth``, ``running`` and ``kv_reserved`` are the waiting
-    requests, the running requests and the reserved KV tokens as the plan
-    saw them.  ``release_s`` is the instant the plan's decode tokens were
-    released at, or None when they were delivered at generation.  The
-    records of one plan share its ``decode_ids`` tuple.
-    """
-
-    start: float
-    duration: float
-    prefill_tokens: int
-    decode_seqs: int
-    prefill_ids: tuple[str, ...]
-    decode_ids: tuple[str, ...]
-    queue_depth: int
-    running: int
-    kv_reserved: int
-    release_s: float | None
-
-
-def _expand(run: tuple) -> Iterable[IterationRecord]:
-    """The records of one log entry, each start its duration after the one
-    before, added as the engine advances its clock."""
-    for start in accumulate(repeat(run[2], run[1] - 1), initial=run[0]):
-        yield IterationRecord(start, *run[2:])
-
-
-class IterationLog(Sequence):
+@dataclass(frozen=True)
+class IterationLog:
     """The engine's iteration log, one entry per plan run.
 
-    An entry is ``(start, count, duration, prefill_tokens, decode_seqs,
+    ``runs`` holds each entry as a tuple in ``ITERATIONS_CSV_HEADER``
+    order, ``(start, count, duration, prefill_tokens, decode_seqs,
     prefill_ids, decode_ids, queue_depth, running, kv_reserved,
     release_s)``: ``count`` iterations of one plan, the first starting at
     ``start``, each later one ``duration`` after the one before, added
-    sequentially as the engine advances its clock.  The log reads as one
-    :class:`IterationRecord` per iteration.  An int index finds its entry
-    by bisection and builds that entry's records only, while slicing builds
-    the whole log first.  Two logs are equal when their records are.
+    sequentially as the engine advances its clock.  ``queue_depth``,
+    ``running`` and ``kv_reserved`` are the waiting requests, the running
+    requests and the reserved KV tokens as the plan saw them;
+    ``release_s`` is the instant the plan's decode tokens were released at,
+    or None when they were delivered at generation.  ``len()`` counts
+    iterations.
     """
 
-    __slots__ = ("_runs", "_ends", "_len")
-    __hash__ = None
-
-    def __init__(self, runs: list[tuple]):
-        self._runs = runs
-        # The number of iterations up to and including each entry.
-        self._ends = list(accumulate(map(itemgetter(1), runs)))
-        self._len = self._ends[-1] if runs else 0
+    runs: tuple[tuple, ...]
 
     def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        return chain.from_iterable(map(_expand, self._runs))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = operator.index(index)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("IterationLog index out of range")
-        k = bisect.bisect_right(self._ends, i)
-        run = self._runs[k]
-        return next(islice(_expand(run), i - self._ends[k] + run[1], None))
-
-    def __eq__(self, other):
-        if not isinstance(other, IterationLog):
-            return NotImplemented
-        # Equal entries give equal records; one plan run as one entry or as
-        # several gives the same records from different entries.
-        return self._runs == other._runs or (
-            self._len == other._len and list(self) == list(other))
-
-    def __repr__(self) -> str:
-        return (f"IterationLog({self._len} iterations in "
-                f"{len(self._runs)} runs)")
+        return sum(map(itemgetter(1), self.runs))
 
 
 @dataclass
@@ -391,10 +333,23 @@ def _number_texts(values: Sequence, none: str = "") -> list[str]:
     return texts
 
 
+@contextmanager
+def _writing(path, mode: str, **kwargs):
+    """``path`` opened for writing; a write that raises removes it, so a
+    file is either finished or absent."""
+    with open(path, mode, **kwargs) as f:
+        try:
+            yield f
+        except Exception:
+            f.close()
+            os.remove(path)
+            raise
+
+
 def write_trace(path, records: Iterable[RequestTrace]) -> None:
     """One JSON line per record, the bytes ``json.dumps`` writes of its
-    object."""
-    with open(path, "wb") as f:
+    object; a trace that cannot be written leaves no file."""
+    with _writing(path, "wb") as f:
         for rec in records:
             delivery = b"" if rec.delivery_times is None else (
                 b', "delivery_times_s": ' + _times_json(rec.delivery_times))
@@ -699,23 +654,17 @@ def write_csv(path, header: Sequence[str], tables: Iterable[Sequence]) -> None:
     file that cannot be finished is removed.  ``_CHUNK_ROWS`` rows are
     formatted at a time.
     """
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        try:
-            for table in chain([[[name] for name in header]], tables):
-                strs = [bool(c) and isinstance(c[0], str) for c in table]
-                for i in range(0, max(map(len, table), default=0),
-                               _CHUNK_ROWS):
-                    texts = [_csv_texts(c[i:i + _CHUNK_ROWS]) if is_str
-                             else _number_texts(c[i:i + _CHUNK_ROWS])
-                             for c, is_str in zip(table, strs)]
-                    if len(texts) == 1:  # a lone empty field is quoted
-                        texts = [[text or '""' for text in texts[0]]]
-                    rows = map(",".join, zip(*texts, strict=True))
-                    f.write("\r\n".join(rows) + "\r\n")
-        except Exception:
-            f.close()
-            os.remove(path)
-            raise
+    with _writing(path, "w", newline="", encoding="utf-8") as f:
+        for table in chain([[[name] for name in header]], tables):
+            strs = [bool(c) and isinstance(c[0], str) for c in table]
+            for i in range(0, max(map(len, table), default=0), _CHUNK_ROWS):
+                texts = [_csv_texts(c[i:i + _CHUNK_ROWS]) if is_str
+                         else _number_texts(c[i:i + _CHUNK_ROWS])
+                         for c, is_str in zip(table, strs)]
+                if len(texts) == 1:  # a lone empty field is quoted
+                    texts = [[text or '""' for text in texts[0]]]
+                rows = map(",".join, zip(*texts, strict=True))
+                f.write("\r\n".join(rows) + "\r\n")
 
 
 def write_iterations_csv(path, iterations: IterationLog) -> None:
@@ -729,7 +678,7 @@ def write_iterations_csv(path, iterations: IterationLog) -> None:
     ``duration_s``, added sequentially as the engine advanced its clock.
     Written by ``write_csv``, ``_CHUNK_ROWS`` entries at a time.
     """
-    runs = iterations._runs
+    runs = iterations.runs
     write_csv(path, ITERATIONS_CSV_HEADER, (
         [list(map("|".join, column)) if name.endswith("_ids") else column
          for name, column in zip(ITERATIONS_CSV_HEADER,

@@ -28,6 +28,7 @@ from .traces import (
     _field,
     _hold_floats,
     _read_jsonl,
+    _writing,
 )
 
 
@@ -233,7 +234,9 @@ def generate(config: WorkloadConfig) -> list[RequestSpec]:
 
 
 def save_workload(path, specs: Sequence[RequestSpec]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """One JSON line per spec; a workload that cannot be written leaves no
+    file."""
+    with _writing(path, "w", encoding="utf-8") as f:
         for s in specs:
             f.write(json.dumps({
                 "request_id": s.request_id,

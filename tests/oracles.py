@@ -6,11 +6,11 @@ other.  Keep it dumb.
 
 The per-request numpy scorer after ``nearest_rank`` is the bit-exact
 reference for ``build_report``, which scores a whole window at once.
-``iteration_records`` builds the engine's iteration log one record at a
-time, the reference for ``IterationLog``, and ``read_iterations_csv``
-rebuilds those records from a written log.  ``read_trace`` decodes a trace
-with the stdlib ``json`` alone, the reference for the package's reader,
-which decodes with orjson.  The artifact writers at the end
+``iteration_records`` expands the engine's iteration log, one entry per
+plan run, into one record per iteration, which the engine tests walk, and
+``read_iterations_csv`` rebuilds those records from a written log.
+``read_trace`` decodes a trace with the stdlib ``json`` alone, the
+reference for the package's reader, which decodes with orjson.  The artifact writers at the end
 are the reference for the package's: one
 ``json.dumps`` per trace record, one ``csv.writer`` row per plan run, one
 ``np.diff`` per timeline and one ``csv.writer`` row per TBT CDF grid point,
@@ -22,6 +22,7 @@ its ``repr``, and ``write_csv`` is one ``csv.writer`` row per table row.
 import csv
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,8 +187,21 @@ def tbt_percentiles(gaps):
             for label, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))}
 
 
+class Iteration(NamedTuple):
+    start: float
+    duration: float
+    prefill_tokens: int
+    decode_seqs: int
+    prefill_ids: tuple
+    decode_ids: tuple
+    queue_depth: int
+    running: int
+    kv_reserved: int
+    release_s: float | None
+
+
 def iteration_records(runs):
-    """One record tuple per iteration of each ``(start, count, duration,
+    """One ``Iteration`` per iteration of each ``(start, count, duration,
     *rest)`` run, its start one ``duration`` after the one before."""
     out = []
     for start, count, duration, *rest in runs:
@@ -195,7 +209,7 @@ def iteration_records(runs):
         for k in range(count):
             if k > 0:
                 t = t + duration
-            out.append((t, duration, *rest))
+            out.append(Iteration(t, duration, *rest))
     return out
 
 

@@ -8,11 +8,10 @@ PUBLIC = {
     # Configs and records.
     "BatchPlan", "BenefitParams", "ChunkedPrefill", "DeadlinePolicy",
     "DecodePrepone", "DelayConfig", "EndToEnd", "EngineConfig", "EvalWindow",
-    "ExperimentConfig", "IndicatorPenalty", "IterationRecord",
-    "LinearSeconds", "MetricsReport", "QueueState", "ReadingSpeed",
-    "RequestSpec", "RequestTrace", "SchedulerPolicy", "SimTrace",
-    "TokenTimeline", "TokensEquivalent", "TtftTbt", "Variant", "VllmLike",
-    "WorkloadConfig",
+    "ExperimentConfig", "IndicatorPenalty", "LinearSeconds", "MetricsReport",
+    "QueueState", "ReadingSpeed", "RequestSpec", "RequestTrace",
+    "SchedulerPolicy", "SimTrace", "TokenTimeline", "TokensEquivalent",
+    "TtftTbt", "Variant", "VllmLike", "WorkloadConfig",
     # Functions: scoring has one entry per scope, score and build_report.
     "apply_output_delay", "build_report", "capacity_search",
     "concatenate_to_length", "deadlines_for", "delay_trace",

@@ -463,11 +463,21 @@ def test_cli_metrics_writes_strict_json_for_a_window_with_no_token(
     assert [r["ttft_s"] for r in report["requests"]] == [None]
 
 
-@pytest.mark.parametrize("lines", [
-    [], [{"request_id": "a", "arrival_s": 0.0, "token_times_s": [],
-          "prompt_len": 4, "completed": False}]], ids=["empty", "no_tokens"])
+NO_TOKEN = "no request in the trace has a token"
+ZERO_MAKESPAN = "every token in the trace is at 0.0 s"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([], NO_TOKEN),
+    ([{"request_id": "a", "arrival_s": 0.0, "token_times_s": [],
+       "prompt_len": 4, "completed": False}], NO_TOKEN),
+    ([{"request_id": "a", "arrival_s": 0.0, "token_times_s": [0.0, 0.0],
+       "prompt_len": 4, "completed": True},
+      {"request_id": "b", "arrival_s": 0.0, "token_times_s": [],
+       "prompt_len": 4, "completed": False}], ZERO_MAKESPAN),
+], ids=["empty", "no_tokens", "zero_makespan"])
 def test_cli_metrics_names_a_trace_with_no_tokens(fixtures_dir, tmp_path,
-                                                  capsys, lines):
+                                                  capsys, lines, message):
     trace = tmp_path / "empty.jsonl"
     trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
     config_path = os.path.join(fixtures_dir, "experiment.json")
@@ -475,8 +485,7 @@ def test_cli_metrics_names_a_trace_with_no_tokens(fixtures_dir, tmp_path,
                     "--trace", str(trace)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"]["type"] == "ValueError"
-    assert error["error"]["message"].startswith(
-        "no request in the trace has a token")
+    assert error["error"]["message"].startswith(message)
 
 
 def test_cli_capacity(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ every byte of the artifacts to a plain ``json.dumps`` per record, a
 ``csv.writer`` row per CDF point, a strict ``json.dump(indent=2)`` per
 report and a ``csv.writer`` row with each float's ``repr`` per report row,
 summary cell and token.  A written iteration log also reads back as the
-log's records.
+records its entries expand to, and a writer that fails leaves no file.
 """
 
 import dataclasses
@@ -54,6 +54,7 @@ from servesim.traces import (
     write_iterations_csv,
     write_trace,
 )
+from servesim.workload import RequestSpec, save_workload
 
 floats = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf,
                           -math.inf]) | st.floats()
@@ -279,25 +280,25 @@ def iteration_logs(draw, ints=True, ids=ids):
             duration = draw(st.sampled_from(equal))
         start = draw(numbers)
         runs.append((start, draw(st.integers(1, 6)), duration, *rest))
-    return IterationLog(runs)
+    return IterationLog(tuple(runs))
 
 
 def write_log_reference(path, log):
-    oracles.write_iterations_csv(path, log._runs)
+    oracles.write_iterations_csv(path, log.runs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(iteration_logs())
-@example(IterationLog([(0.0, 1, 0.0, 1, 1, (), ("a",), 0, 1, 5, None),
+@example(IterationLog(((0.0, 1, 0.0, 1, 1, (), ("a",), 0, 1, 5, None),
                        (0.5, 2, 0.0, 1, 1, (), ("a",), 0, 1, 5, None),
-                       (1.0, 1, -0.0, 1, 1, (), ("a",), 0, 1, 5, 1.25)]))
-@example(IterationLog([(0.0, 1, 1.0, 0, 2, ("x,y",), ('"q"', "日"), 3, 2,
+                       (1.0, 1, -0.0, 1, 1, (), ("a",), 0, 1, 5, 1.25))))
+@example(IterationLog(((0.0, 1, 1.0, 0, 2, ("x,y",), ('"q"', "日"), 3, 2,
                         9, None),
                        (1.0, 3, 1, 0, 2, ("x,y",), ('"q"', "日"), 3, 2, 9,
-                        None)]))
-@example(IterationLog([(i * 0.25, 1 + i % 3, 1e-7 * (i % 2), i, 1, (),
-                        ("a",), 0, 1, 5, None if i % 5 else i * 0.3)
-                       for i in range(2500)]))
+                        None))))
+@example(IterationLog(tuple((i * 0.25, 1 + i % 3, 1e-7 * (i % 2), i, 1, (),
+                             ("a",), 0, 1, 5, None if i % 5 else i * 0.3)
+                            for i in range(2500))))
 def test_iterations_bytes_match_reference(log):
     assert_same_bytes(write_iterations_csv, write_log_reference, log)
 
@@ -306,16 +307,17 @@ def test_iterations_bytes_match_reference(log):
 # hold the "|" that joins them.
 @settings(max_examples=300, deadline=None)
 @given(iteration_logs(False, ids.filter(lambda i: i and "|" not in i)))
-@example(IterationLog([(0.1, 3, 0.2, 0, 1, (), ("a",), 0, 1, 7, None),
+@example(IterationLog(((0.1, 3, 0.2, 0, 1, (), ("a",), 0, 1, 7, None),
                        (0.7000000000000001, 1, -0.0, 4, 0, ("b",), (), 1, 1,
-                        7, 0.75)]))
+                        7, 0.75))))
 def test_written_iterations_read_back_as_the_log(log):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "iterations.csv")
         write_iterations_csv(path, log)
         got = oracles.read_iterations_csv(path)
     # repr is exact for a float and tells -0.0 from 0.0.
-    assert [repr(r) for r in got] == [repr(tuple(r)) for r in log]
+    assert [repr(r) for r in got] == [
+        repr(tuple(r)) for r in oracles.iteration_records(log.runs)]
 
 
 # Token times as the engine and read_trace give them, floats, and ints,
@@ -462,6 +464,17 @@ def test_report_json_refused_past_its_first_rows_leaves_no_file(tmp_path):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError, match="e2e"):
         write_report_json(path, report)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write, record", [
+    (write_trace, RequestTrace("a", 0.0, (1.0,), 1, True)),
+    (save_workload, RequestSpec("a", 0.0, 1, 1))], ids=["trace", "workload"])
+def test_a_line_writer_that_fails_leaves_no_file(tmp_path, write, record):
+    # The first line is written before the second record fails.
+    path = tmp_path / "lines.jsonl"
+    with pytest.raises(AttributeError):
+        write(path, [record, object()])
     assert not path.exists()
 
 
