@@ -69,6 +69,7 @@ def cmd_metrics(args) -> int:
                     else args.timeline == "delivery")
     window = trimmed_window(records, config.trim_start_frac,
                             config.trim_end_frac, use_delivery)
+    del records  # the window holds its own copies
     report = build_report(window, config.policy, config.benefit)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -30,10 +30,12 @@ float array, the requests end to end; ``starts`` indexes each first token.
 gathers a list of records' in one pass; it selects requests by arrival
 with one mask and clips them at the window end with one pass over the flat
 times.  The runner's TBT CDF takes the report's pool, gap rule and nearest
-rank.  One deadline series covers the window; each per-request value is
-one whole-window numpy operation (a gather at the first and last tokens,
-or a ``np.maximum.reduceat`` over each request's slice), not numpy calls
-per request.  The values are bit for bit those of scoring each request alone
+rank.  Each per-request value is one whole-window numpy operation (a
+gather at the first and last tokens, or a ``np.maximum.reduceat`` over each
+request's slice), not numpy calls per request; the lateness, with its
+deadline series, is taken over blocks of whole timelines of about
+``_BLOCK_TOKENS`` tokens, so that scoring holds one token-length array at
+a time.  The values are bit for bit those of scoring each request alone
 (``tests/oracles.py`` keeps that reference), because the element-wise
 operations keep their order, ``(times - arrival) - deadline``, and the
 aggregates are still taken over the records in window order: ``np.mean``,
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field, fields
 from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -279,25 +281,48 @@ def window_from_traces(records: Sequence[RequestTrace], start: float, end: float
         times[kept]))
 
 
+# The lateness pass starts a block of timelines every this many tokens.
+_BLOCK_TOKENS = 1 << 15
+
+
 def _starts(counts: np.ndarray) -> np.ndarray:
     """The first token's index in the flat layout of each timeline that
     has a token."""
     return (np.cumsum(counts) - counts)[counts > 0]
 
 
-def _gaps(times: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The gaps of flat times but those that span two timelines, ``starts``
-    being :func:`_starts`: the k-th timeline's gaps start at
-    ``starts[k] - k``."""
-    return np.delete(np.diff(times), starts[1:] - 1)
+def _diffs(times: np.ndarray, starts: np.ndarray,
+           spanning: float) -> np.ndarray:
+    """``np.diff`` of flat times, ``starts`` being :func:`_starts`, with
+    each gap that spans two timelines set to ``spanning``.
+
+    The k-th timeline's gaps are ``[starts[k], starts[k] + counts[k] - 1)``;
+    the ``len(times) - len(starts)`` gaps within the timelines are the pool.
+    """
+    gaps = np.diff(times)
+    gaps[starts[1:] - 1] = spanning
+    return gaps
+
+
+def _blocks(starts: np.ndarray, total: int) -> Iterator[tuple[int, int]]:
+    """Ranges ``[lo, hi)`` of consecutive timelines, ``starts`` being
+    :func:`_starts` of ``total`` tokens: a block begins with the first
+    timeline starting at or past each multiple of ``_BLOCK_TOKENS``."""
+    # Sorted as a set: the first call of np.unique costs a process about
+    # 1.3 MiB of resident memory.
+    bounds = sorted({len(starts), *np.searchsorted(
+        starts, np.arange(0, total, _BLOCK_TOKENS)).tolist()})
+    return zip(bounds, bounds[1:])
 
 
 def _sorted_gaps(timelines: Sequence[Sequence[float]]) -> np.ndarray:
     """Every token gap within each timeline, pooled and sorted."""
     counts, times = _flat(timelines)
-    gaps = _gaps(times, _starts(counts))
+    starts = _starts(counts)
+    # The spanning gaps, at +inf, sort last and are sliced off.
+    gaps = _diffs(times, starts, math.inf)
     gaps.sort()
-    return gaps
+    return gaps[:len(times) - len(starts)]
 
 
 def _nearest_ranks(ordered: np.ndarray, qs) -> np.ndarray:
@@ -387,31 +412,40 @@ def _score_window(columns: _Columns, policy: DeadlinePolicy,
     """Every request's record, in order, and the TBT percentiles of them all.
 
     Each per-request value is a whole-window numpy operation on the flat
-    token times, and at most two token-length arrays are made at once.
+    token times, or one per block of requests for the lateness, so that at
+    most one token-length array, the gaps, is made at once.
     """
     ids, arrivals, complete, counts, times = columns
     starts = _starts(counts)
     scored = counts > 0
     n = counts[scored]
+    arrived = arrivals[scored]
     first, last = times[starts], times[starts + n - 1]
-    ttft = (first - arrivals[scored]).tolist()
-    e2e = (last - arrivals[scored]).tolist()
+    ttft = (first - arrived).tolist()
+    e2e = (last - arrived).tolist()
     several = n >= 2
     tpot = ((last - first)[several] / (n[several] - 1)).tolist()
 
-    gaps = _gaps(times, starts)
-    max_tbt = np.maximum.reduceat(
-        gaps, (starts - np.arange(len(starts)))[several]).tolist()
+    # One token-length array at a time: the gaps, a spanning one at -inf
+    # for each maximum and at +inf, sorting last, for the pool.
+    gaps = _diffs(times, starts, -math.inf)
+    max_tbt = np.maximum.reduceat(gaps, starts[several]).tolist()
+    gaps[starts[1:] - 1] = math.inf
     gaps.sort()
-    tbt_percentiles = _percentiles(gaps)
+    tbt_percentiles = _percentiles(gaps[:len(times) - len(starts)])
     del gaps
 
-    # Lateness in place, element-wise (times - arrival) - deadline.
-    rel = np.repeat(arrivals, counts)
-    np.subtract(times, rel, out=rel)
-    np.subtract(rel, deadlines_for(policy, rel, starts), out=rel)
-    lateness = np.maximum.reduceat(rel, starts).tolist()
-    del rel
+    # Lateness in place, element-wise (times - arrival) - deadline, a block
+    # of whole timelines at a time.
+    lateness = np.empty(len(starts))
+    for lo, hi in _blocks(starts, len(times)):
+        begin, end = starts[lo], starts[hi - 1] + n[hi - 1]
+        rel = np.repeat(arrived[lo:hi], n[lo:hi])
+        np.subtract(times[begin:end], rel, out=rel)
+        at = starts[lo:hi] - begin
+        np.subtract(rel, deadlines_for(policy, rel, at), out=rel)
+        lateness[lo:hi] = np.maximum.reduceat(rel, at)
+    lateness = lateness.tolist()
 
     records = []
     per_request = zip(ttft, e2e, lateness)
@@ -442,8 +476,8 @@ def build_report(window: EvalWindow, policy: DeadlinePolicy,
                  params: BenefitParams) -> MetricsReport:
     """Score every request in one pass over the window, then aggregate.
 
-    One deadline series covers the whole window.  Each record holds the
-    values the per-request rule gives, bit for bit: the element-wise order
+    One deadline series covers each block of timelines.  Each record holds
+    the values the per-request rule gives, bit for bit: the element-wise order
     is ``(times - arrival) - deadline``, and a peak or a gap maximum is a
     ``np.maximum.reduceat`` over each request's slice.  Throughput, both
     goodputs, smooth goodput and attainment are read off the records.

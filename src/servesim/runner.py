@@ -81,6 +81,10 @@ def trimmed_window(records: Sequence[RequestTrace], trim_start: float,
                          "makespan is zero and has no window to trim")
     start = trim_start * makespan
     end = (1.0 - trim_end) * makespan
+    if not end > start:
+        raise ValueError(f"the trace's makespan {makespan!r} s is too short "
+                         f"to trim by {trim_start!r} and {trim_end!r}: the "
+                         f"window's start and end round to the same instant")
     return window_from_traces(records, start, end, use_delivery=use_delivery)
 
 

@@ -19,7 +19,9 @@ rule, ``_check_timeline``.  The workload readers only decode JSON for them,
 and ``write_trace`` writes floats only.
 
 ``read_trace`` holds a trace as columns, a :class:`TraceRecords`, and reads
-it ``_CHUNK_ROWS`` lines at a time.  ``_screened`` passes a chunk only when
+it ``_READ_LINES`` lines at a time, so that it holds the columns' parts and
+one chunk's decoded lines; it joins the parts a column at a time, freeing
+each column's parts as it goes.  ``_screened`` passes a chunk only when
 orjson reads every line and each value has the exact type a record stores:
 a str id, float arrival and times, an int ``prompt_len`` and a bool
 ``completed``.  ``_timelines_hold`` then states ``_check_timeline``'s rule
@@ -289,6 +291,9 @@ _REPR_HIGH = 1e16
 
 # The rows an artifact writer formats and holds at once.
 _CHUNK_ROWS = 1024
+# The lines read_trace decodes and holds at once: their decoded objects
+# take several times their bytes.
+_READ_LINES = 128
 
 
 def _times_json(times: tuple[float, ...]) -> bytes:
@@ -525,15 +530,17 @@ def _screened(lines: list[bytes]) -> tuple | None:
 def read_trace(path) -> TraceRecords:
     """The records of a trace file, as columns.
 
-    The file is read ``_CHUNK_ROWS`` lines at a time.  A chunk whose
+    The file is read ``_READ_LINES`` lines at a time.  A chunk whose
     lines but the blank ones :func:`_screened` passes goes to the columns
     as it is; any other goes line by line through the record constructors,
-    which refuse its first bad line by name or convert its values.
+    which refuse its first bad line by name or convert its values.  The
+    chunks' parts are joined a column at a time, each column's parts freed
+    as it is joined.
     """
     parts = []
     with open(path, "rb") as f:
         lineno = 1
-        while chunk := list(islice(f, _CHUNK_ROWS)):
+        while chunk := list(islice(f, _READ_LINES)):
             columns = _screened([line for line in chunk
                                  if not line.isspace()])
             if columns is None:
@@ -542,10 +549,23 @@ def read_trace(path) -> TraceRecords:
                     _parse_trace_record))
             parts.append(columns)
             lineno += len(chunk)
-    return TraceRecords(*(
-        np.concatenate(column) if type(column[0]) is np.ndarray
-        else list(chain.from_iterable(column))
-        for column in zip(*(parts or [_record_columns([])]))))
+    *columns, delivery, has_delivery = map(list, zip(
+        *(parts or [_record_columns([])])))
+    del parts
+    columns = list(map(_joined, columns))
+    has_delivery = _joined(has_delivery)
+    # Without delivery times, the token times stand in for them.
+    return TraceRecords(*columns, _joined(delivery) if has_delivery.any()
+                        else columns[-1], has_delivery)
+
+
+def _joined(parts: list):
+    """One column of a trace from its chunks' ``parts``, which it empties
+    so that each part is freed once joined."""
+    column = (np.concatenate(parts) if type(parts[0]) is np.ndarray
+              else list(chain.from_iterable(parts)))
+    parts.clear()
+    return column
 
 
 _RECORD_FIELDS = attrgetter("request_id", "arrival", "token_times",
@@ -579,8 +599,6 @@ class TraceRecords(Sequence):
                  token_times, delivery_times, has_delivery):
         self.request_ids = tuple(request_ids)
         self.prompt_lens = tuple(prompt_lens)
-        if not has_delivery.any():
-            delivery_times = token_times
         for name, array in (("arrivals", arrivals), ("completed", completed),
                             ("counts", counts), ("token_times", token_times),
                             ("delivery_times", delivery_times),

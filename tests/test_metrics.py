@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from servesim.metrics import (
     IndicatorPenalty,
     LinearSeconds,
     TokensEquivalent,
+    _Columns,
     build_report,
     percentile,
     score,
@@ -323,8 +325,9 @@ def test_report_consistent_with_per_request_records(fixture_records):
 
 def test_report_derives_one_deadline_series_per_request(fixture_records,
                                                        monkeypatch):
-    # One series covers the whole window: one call, one segment per request
-    # with tokens, and none for the request that has no token.
+    # One series covers a window of fewer than _BLOCK_TOKENS tokens: one
+    # call, one segment per request with tokens, and none for the request
+    # that has no token.
     called = []
 
     def counted(policy, rel, starts):
@@ -340,6 +343,31 @@ def test_report_derives_one_deadline_series_per_request(fixture_records,
     build_report(window, TtftTbt(0.5, 0.1), BenefitParams())
     counts = [tl.num_tokens for tl in window.requests if tl.num_tokens]
     assert called == [(sum(counts), [0, counts[0], counts[0] + counts[1]])]
+
+
+@pytest.mark.parametrize("policy", [ReadingSpeed(0.05), EndToEnd(5.0),
+                                    TtftTbt(1.0, 0.1)])
+def test_report_holds_one_token_length_array(policy):
+    # 120 requests of up to 10,000 tokens, some of none or one: beside the
+    # window's own times, scoring holds one array as long as them, the
+    # gaps, and per request its record.
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 10_000, 120)
+    counts[::7], counts[1::7] = 0, 1
+    arrivals = np.sort(rng.uniform(0.0, 10.0, len(counts)))
+    times = np.repeat(arrivals, counts) + np.concatenate(
+        [0.01 + 0.02 * np.arange(k) for k in counts])
+    window = EvalWindow._of(0.0, 10.5, _Columns(
+        [f"r{i}" for i in range(len(counts))], arrivals, counts > 0, counts,
+        times))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_report(window, policy, BenefitParams())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= times.nbytes + 1024 * len(counts)
 
 
 def test_deadline_series_is_a_read_only_array():

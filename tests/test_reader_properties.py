@@ -192,7 +192,7 @@ def test_read_trace_gives_what_the_stdlib_reference_gives(values):
 def test_read_trace_in_chunks_of_two_gives_what_the_reference_gives(values):
     """As above, with the reader's chunks two lines long, so that a bad line
     can follow a good chunk or a line the screen refuses in its own chunk."""
-    with mock.patch.object(traces, "_CHUNK_ROWS", 2):
+    with mock.patch.object(traces, "_READ_LINES", 2):
         assert_read_as_the_reference(values)
 
 
@@ -200,7 +200,7 @@ def test_read_trace_in_chunks_of_two_gives_what_the_reference_gives(values):
 @pytest.mark.parametrize("mutation", TIME_MUTATIONS)
 def test_each_time_mutation_reads_as_the_reference(mutation, chunk_rows):
     # The mutated line alone in its chunk, or after a good line in it.
-    with mock.patch.object(traces, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(traces, "_READ_LINES", chunk_rows):
         assert_read_as_the_reference([VALID, {**VALID, **mutation}, VALID])
 
 

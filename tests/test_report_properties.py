@@ -4,12 +4,14 @@ windows, and bit for bit against the per-request reference scorer."""
 import os
 import tempfile
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from servesim import metrics
 from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt
 from servesim.metrics import (
     BenefitParams,
@@ -203,6 +205,63 @@ def test_a_request_scores_the_same_alone_and_in_a_window(
             assert field_reprs(score(tl, policy, params)) == field_reprs(got)
         assert (repr(report.tbt_percentiles)
                 == repr(oracles.tbt_percentiles(gaps)))
+
+
+@st.composite
+def mixed_windows(draw):
+    """Requests of no, one and several tokens side by side, in any order:
+    the gaps that span two timelines are masked, and lateness blocks end,
+    at each of their boundaries."""
+    requests = []
+    for i in range(draw(st.integers(1, 16))):
+        arrival = draw(st.one_of(arrivals,
+                                 st.floats(START, END, exclude_max=True)))
+        size = draw(st.sampled_from(["none", "one", "several"]))
+        if size == "none":
+            requests.append(TokenTimeline(f"r{i:02d}", arrival, (), False))
+            continue
+        times = [arrival + draw(st.floats(0.0, 1.0))]
+        if size == "several":
+            for gap in draw(st.lists(st.one_of(st.just(0.0),
+                                               st.floats(0.0, 0.5)),
+                                     min_size=1, max_size=8)):
+                times.append(times[-1] + gap)
+        requests.append(TokenTimeline(f"r{i:02d}", arrival, tuple(times),
+                                      draw(st.booleans())))
+    return EvalWindow(START, END, tuple(requests))
+
+
+_MIXED = EvalWindow(START, END, (
+    TokenTimeline("several", 1.0, (1.5, 1.5, 2.0)),
+    TokenTimeline("none", 1.0, (), False),
+    TokenTimeline("one", 1.25, (1.25,)),
+    TokenTimeline("one again", 2.0, (2.1,), False),
+    TokenTimeline("several again", 2.0, (2.5, 3.0)),
+    TokenTimeline("none again", 3.0, (), False)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_windows(), st.sampled_from([1, 2, 3, 5, metrics._BLOCK_TOKENS]),
+       st.tuples(budgets, budgets))
+@example(_MIXED, 1, (0.1, 0.2))
+@example(_MIXED, 2, (0.1, 0.2))
+def test_mixed_token_counts_score_as_each_request_alone(window, block,
+                                                         budget_pair):
+    """Bit for bit the per-request reference, with lateness blocks of
+    ``block`` tokens: a block holds whole timelines, so it may end at any
+    request."""
+    params = BenefitParams(5.0, LinearSeconds(1.0))
+    with mock.patch.object(metrics, "_BLOCK_TOKENS", block):
+        for policy in (ReadingSpeed(*budget_pair),
+                       EndToEnd(budget_pair[0] * 5), TtftTbt(*budget_pair)):
+            report = build_report(window, policy, params)
+            expected, gaps = zip(*[oracles.score_timeline(tl, policy, params)
+                                   for tl in window.requests])
+            for got, want in zip(report.per_request, expected):
+                assert field_reprs(got) == {k: repr(v)
+                                            for k, v in want.items()}
+            assert (repr(report.tbt_percentiles)
+                    == repr(oracles.tbt_percentiles(gaps)))
 
 
 @st.composite

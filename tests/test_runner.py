@@ -24,6 +24,7 @@ from servesim.config import (
 from servesim.runner import (
     capacity_search,
     run_experiment,
+    trimmed_window,
     _write_token_timeline,
 )
 from servesim.schedulers import ChunkedPrefill, VllmLike
@@ -486,6 +487,22 @@ def test_cli_metrics_names_a_trace_with_no_tokens(fixtures_dir, tmp_path,
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"]["type"] == "ValueError"
     assert error["error"]["message"].startswith(message)
+
+
+def test_trimmed_window_names_a_makespan_too_short_to_trim(tmp_path):
+    # Trims that ExperimentConfig accepts round a subnormal makespan's
+    # window start and end to the same instant.
+    p = tmp_path / "tiny.jsonl"
+    p.write_text(json.dumps({"request_id": "a", "arrival_s": 0.0,
+                             "token_times_s": [5e-324], "prompt_len": 4,
+                             "completed": True}) + "\n")
+    trim = (0.25, 0.5)
+    dataclasses.replace(small_config(), trim_start_frac=trim[0],
+                        trim_end_frac=trim[1])
+    for records in (read_trace(p), list(read_trace(p))):
+        with pytest.raises(ValueError,
+                           match=r"makespan 5e-324 s .* by 0\.25 and 0\.5"):
+            trimmed_window(records, *trim, False)
 
 
 def test_cli_capacity(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -360,17 +361,48 @@ def test_a_bad_timeline_is_named_before_a_later_missing_key(tmp_path):
 def test_a_trace_of_several_chunks_reads_as_the_reference(tmp_path):
     # Three chunks: the middle one holds an int time, which the screen
     # leaves to the constructors; the others are read as columns.
-    n = 2 * traces._CHUNK_ROWS + 1
+    n = 2 * traces._READ_LINES + 1
     objs = [{**LINE, "request_id": f"r{i}", "arrival_s": i / 8,
              "token_times_s": [i / 8 + 0.25 * k for k in range(1, i % 4 + 1)],
              "completed": i % 4 != 0 and i % 5 != 0}
             for i in range(n)]
     for obj in objs[::3]:
         obj["delivery_times_s"] = [t + 0.5 for t in obj["token_times_s"]]
-    objs[traces._CHUNK_ROWS + 7]["token_times_s"] = [n, n + 1]
+    objs[traces._READ_LINES + 7].update(token_times_s=[n, n + 1],
+                                        delivery_times_s=[n + 0.5, n + 1])
     p = tmp_path / "long.jsonl"
     _write_lines(p, objs)
     assert read_trace(p) == oracles.read_trace(p)
+
+
+def test_read_trace_holds_its_columns_and_one_chunk(tmp_path):
+    # Sixteen chunks of 100-token lines, two in three with delivery times.
+    # Their columns are held once, the largest once more while its parts
+    # are joined, and a chunk's lines as decoded objects, which take less
+    # than six times their bytes.
+    lines = []
+    for i in range(16 * traces._READ_LINES + 5):
+        times = [i + 0.001 * k for k in range(1, 101)]
+        obj = {**LINE, "request_id": f"r{i:05d}", "arrival_s": float(i),
+               "token_times_s": times}
+        if i % 3:
+            obj["delivery_times_s"] = [t + 0.5 for t in times]
+        lines.append(json.dumps(obj) + "\n")
+    p = tmp_path / "long.jsonl"
+    p.write_text("".join(lines))
+    chunk = max(len("".join(lines[i:i + traces._READ_LINES]))
+                for i in range(0, len(lines), traces._READ_LINES))
+    tracemalloc.start()
+    try:
+        records = read_trace(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = [records.arrivals, records.completed, records.counts,
+               records.token_times, records.delivery_times,
+               records.has_delivery]
+    held = sum(c.nbytes for c in columns) + max(c.nbytes for c in columns)
+    assert peak <= held + 6 * chunk
 
 
 def test_a_chunk_the_screen_refuses_goes_to_the_constructors(tmp_path,
