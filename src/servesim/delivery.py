@@ -13,17 +13,20 @@ first token too (``first_token_delayed=True``) paces it against arrival
 instead.
 
 Because this transform games TBT-style metrics without shortening anyone's
-real wait, it is applied to trace records (``delay_trace``), never inside the
-engine: the same code evaluates simulated and ingested real traces
-identically.
+real wait, it is applied to a trace's delivery column (``delay_trace``),
+never inside the engine: the same code evaluates simulated and ingested
+real traces identically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .traces import RequestTrace, TokenTimeline, _floats, _unchecked
+import numpy as np
+
+from .traces import TokenTimeline, TraceRecords, _as_columns, _floats
 
 
 @dataclass(frozen=True)
@@ -42,39 +45,43 @@ class DelayConfig:
             raise ValueError("hold budget must be positive and finite")
 
 
-def _pace(timeline: TokenTimeline, config: DelayConfig) -> tuple[float, ...]:
-    """The release instants of ``timeline``'s tokens at the hold cadence."""
+def _pace(arrival: float, times, config: DelayConfig) -> list[float]:
+    """The release instants of the tokens at ``times`` at the hold cadence."""
     hold = config.hold_s
     # From -inf the first release is max(t_1, -inf) = t_1: it passes through.
-    prev = timeline.arrival if config.first_token_delayed else -math.inf
+    prev = arrival if config.first_token_delayed else -math.inf
     # prev := max(t, prev + hold), without a call per token.
-    return tuple([prev := (prev + hold if prev + hold > t else t)
-                  for t in timeline.token_times])
+    return [prev := (prev + hold if prev + hold > t else t) for t in times]
 
 
 def apply_output_delay(timeline: TokenTimeline, config: DelayConfig,
                        ) -> TokenTimeline:
     """Delivery timeline produced by pacing ``timeline`` at the hold cadence."""
     return TokenTimeline(timeline.request_id, timeline.arrival,
-                         _pace(timeline, config), timeline.complete)
+                         _pace(timeline.arrival, timeline.token_times, config),
+                         timeline.complete)
 
 
-def delay_trace(records, config: DelayConfig) -> list[RequestTrace]:
+def delay_trace(records, config: DelayConfig) -> TraceRecords:
     """Each record with paced delivery times; generation times are kept.
 
-    The cadence paces the record's delivery timeline (its generation
-    timeline when it has none), so stacking transforms composes.  Paced
-    times never decrease and never precede the checked times they pace, so
-    the records are built unchecked; only an overflow to infinity, which
-    would reach the last release, is refused.
+    The cadence paces each request's delivery times (its token times when
+    it has none), so stacking transforms composes.  Paced times never
+    decrease and never precede the checked times they pace, so they are not
+    checked again; only an overflow to infinity, which would reach a
+    request's last release, is refused.  The result shares every column but
+    the delivery times with ``records``, taken as columns.
     """
-    out = []
-    for rec in records:
-        paced = _pace(rec.delivery_timeline(), config)
-        if paced and not math.isfinite(paced[-1]):
-            raise ValueError(f"{rec.request_id}: times must be finite, "
-                             f"non-decreasing and not precede arrival")
-        out.append(_unchecked(
-            RequestTrace, rec.request_id, rec.arrival, rec.token_times,
-            rec.prompt_len, rec.completed, paced))
-    return out
+    records = _as_columns(records)
+    times = iter(records.delivery_times.tolist())
+    paced: list[float] = []
+    for rid, arrival, k in zip(records.request_ids, records.arrivals.tolist(),
+                               records.counts.tolist()):
+        paced += _pace(arrival, islice(times, k), config)
+        if k and not math.isfinite(paced[-1]):
+            raise ValueError(f"{rid}: times must be finite, non-decreasing "
+                             f"and not precede arrival")
+    return TraceRecords(
+        records.request_ids, records.arrivals, records.prompt_lens,
+        records.completed, records.counts, records.token_times,
+        np.array(paced, float), np.ones(len(records), bool))

@@ -51,11 +51,12 @@ first start and its length, with the queue, running and KV state the plan
 saw and the release instant applied to its decode tokens.  A reader
 rebuilds the run's later starts by the same additions.
 
-Records: the clock check refuses a plan whose end does not exceed its last
-start or is not finite, so every request's token times strictly increase
-from its arrival and its records are built unchecked.  Only a held delivery
-timeline is checked, against its token times; a held release that is not a
-float, a callable's int say, is converted by the records' rule first.
+The trace: the clock check refuses a plan whose end does not exceed its
+last start or is not finite, so every request's token times strictly
+increase from its arrival, and the run gathers them into a ``TraceRecords``
+once, unchecked, at its end.  Only a held delivery timeline is checked,
+against its token times; a held release that is not a float, a callable's
+int say, is converted by the records' rule first.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ from ..schedulers import (
 )
 from ..traces import (
     IterationLog,
-    RequestTrace,
     SimTrace,
+    TraceRecords,
     _check_timeline,
+    _columns,
     _floats,
-    _unchecked,
 )
 from ..workload import RequestSpec
 from .config import EngineConfig, iteration_time
@@ -214,7 +215,9 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     # decode_seqs, prefill_ids, decode_ids, queue_depth, running,
     # kv_reserved, release_s).
     runs: list[tuple] = []
-    records: list[RequestTrace | None] = [None] * len(states)
+    # Each request's token and delivery times, by rank.
+    token_times: list = [None] * len(states)
+    delivery_times: list = [None] * len(states)
     clock = 0.0
     kv_reserved = 0
     arrive_idx = 0
@@ -408,9 +411,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                         raise SchedulerViolation(
                             f"{rid}: a held release reorders its "
                             f"tokens") from exc
-            records[rank[rid]] = _unchecked(
-                RequestTrace, rid, req.spec.arrival, times,
-                req.spec.prompt_len, True, delivery)
+            token_times[rank[rid]] = times
+            delivery_times[rank[rid]] = delivery
         if started:
             if running[-len(started):] == started:
                 # The last admitted, as under every built-in policy: they
@@ -427,4 +429,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             qstate.decode_ids = published = tuple(decoding_ids)
         clock = end
 
-    return SimTrace(requests=records, iterations=IterationLog(tuple(runs)))
+    return SimTrace(TraceRecords(*_columns(
+        [s.spec.request_id for s in states], arrivals[:n], token_times,
+        [s.spec.prompt_len for s in states], [True] * n, delivery_times)),
+        IterationLog(tuple(runs)))

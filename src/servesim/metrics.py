@@ -26,11 +26,11 @@ request short can raise its benefit and smooth goodput (ROADMAP item 1).
 Flat layout: a window holds its requests as columns, per request its id,
 arrival, completeness and token count, and all its token times in one
 float array, the requests end to end; ``starts`` indexes each first token.
-:func:`window_from_traces` takes a read trace's columns as they are, or
-gathers a list of records' in one pass; it selects requests by arrival
-with one mask and clips them at the window end with one pass over the flat
-times.  The runner's TBT CDF takes the report's pool, gap rule and nearest
-rank.  Each per-request value is one whole-window numpy operation (a
+:func:`window_from_traces` takes a trace as the columns of its
+``TraceRecords``; it selects requests by arrival with one mask and clips
+them at the window end with one pass over the flat times.  The runner's TBT
+CDF takes the report's pool, gap rule and nearest rank over the same flat
+times.  Each per-request value is one whole-window numpy operation (a
 gather at the first and last tokens, or a ``np.maximum.reduceat`` over each
 request's slice), not numpy calls per request; the lateness, with its
 deadline series, is taken over blocks of whole timelines of about
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, fields
 from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +58,8 @@ from .deadlines import DeadlinePolicy, deadlines_for
 from .traces import (
     RequestTrace,
     TokenTimeline,
-    TraceRecords,
     _CHUNK_ROWS,
+    _as_columns,
     _flat,
     _number_texts,
     _unchecked,
@@ -175,19 +175,13 @@ class _Columns(NamedTuple):
     times: np.ndarray
 
 
-def _gathered(items: Sequence, complete: Iterable[bool],
-              timelines: Sequence[Sequence[float]]) -> _Columns:
-    """The ids and arrivals of ``items``, records or timelines, with their
-    ``complete`` flags and ``timelines``, in the flat layout."""
-    n = len(items)
-    return _Columns([item.request_id for item in items],
-                    np.fromiter((item.arrival for item in items), float, n),
-                    np.fromiter(complete, bool, n), *_flat(timelines))
-
-
 def _timeline_columns(timelines: Sequence[TokenTimeline]) -> _Columns:
-    return _gathered(timelines, (tl.complete for tl in timelines),
-                     [tl.token_times for tl in timelines])
+    """``timelines`` in the flat layout."""
+    n = len(timelines)
+    return _Columns([tl.request_id for tl in timelines],
+                    np.fromiter((tl.arrival for tl in timelines), float, n),
+                    np.fromiter((tl.complete for tl in timelines), bool, n),
+                    *_flat([tl.token_times for tl in timelines]))
 
 
 class EvalWindow:
@@ -239,33 +233,20 @@ class EvalWindow:
         return self.end - self.start
 
 
-def _trace_columns(records: Sequence[RequestTrace],
-                   use_delivery: bool) -> _Columns:
-    """Each record's generation timeline, or its delivery timeline when it
-    has one and ``use_delivery`` is set, in the flat layout: a read trace's
-    columns as they are, and a list's gathered in one pass."""
-    if isinstance(records, TraceRecords):
-        return _Columns(records.request_ids, records.arrivals,
-                        records.completed, records.counts,
-                        records.delivery_times if use_delivery
-                        else records.token_times)
-    return _gathered(records, (rec.completed for rec in records), [
-        rec.delivery_times if use_delivery and rec.delivery_times is not None
-        else rec.token_times for rec in records])
-
-
 def window_from_traces(records: Sequence[RequestTrace], start: float, end: float,
                        use_delivery: bool = False) -> EvalWindow:
     """Build a window from trace records, clipping timelines at ``end``.
 
     Requests arriving outside [start, end) are dropped; tokens after ``end``
-    are clipped and the timeline marked incomplete.  ``records`` may be a
-    read trace's :class:`~servesim.traces.TraceRecords`, taken as columns.
+    are clipped and the timeline marked incomplete.  ``records`` is taken
+    as columns: a :class:`~servesim.traces.TraceRecords` as it is, a list
+    of records gathered once.
     """
     if not end > start:
         raise ValueError("window end must exceed start")
-    ids, arrivals, completed, counts, times = _trace_columns(records,
-                                                             use_delivery)
+    records = _as_columns(records)
+    arrivals, counts = records.arrivals, records.counts
+    times = records.delivery_times if use_delivery else records.token_times
     picked = (start <= arrivals) & (arrivals < end)
     # Times never decrease, so the tokens past end are a suffix of each
     # timeline; each is counted against the request whose slice holds it.
@@ -275,10 +256,10 @@ def window_from_traces(records: Sequence[RequestTrace], start: float, end: float
         minlength=len(counts))
     kept = np.repeat(picked, counts)
     kept[past] = False
+    complete = records.completed & (kept_counts == counts)
     return EvalWindow._of(start, end, _Columns(
-        list(compress(ids, picked.tolist())), arrivals[picked],
-        (completed & (kept_counts == counts))[picked], kept_counts[picked],
-        times[kept]))
+        list(compress(records.request_ids, picked.tolist())),
+        arrivals[picked], complete[picked], kept_counts[picked], times[kept]))
 
 
 # The lateness pass starts a block of timelines every this many tokens.
@@ -315,9 +296,9 @@ def _blocks(starts: np.ndarray, total: int) -> Iterator[tuple[int, int]]:
     return zip(bounds, bounds[1:])
 
 
-def _sorted_gaps(timelines: Sequence[Sequence[float]]) -> np.ndarray:
-    """Every token gap within each timeline, pooled and sorted."""
-    counts, times = _flat(timelines)
+def _sorted_gaps(counts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Every token gap within each timeline of the flat layout, pooled and
+    sorted."""
     starts = _starts(counts)
     # The spanning gaps, at +inf, sort last and are sliced off.
     gaps = _diffs(times, starts, math.inf)
@@ -516,7 +497,7 @@ REPORT_CSV_HEADER = [key for name, key in _REQUEST_KEYS if name in _CSV_FIELDS]
 _BOOLS = {"complete", "met_slo"}
 
 
-def _columns(records: Sequence[RequestMetrics], names: list[str]) -> list:
+def _fields(records: Sequence[RequestMetrics], names: list[str]) -> list:
     """The ``names`` fields of ``records``, one column each."""
     return list(zip(*map(attrgetter(*names), records)))
 
@@ -534,8 +515,8 @@ def write_report_csv(path, report: MetricsReport) -> None:
             agg[f"{scope}_{label}_s"] = value
     write_csv(path, REPORT_CSV_HEADER, [[
         list(map(int, column)) if name in _BOOLS else column
-        for name, column in zip(_CSV_FIELDS, _columns(report.per_request,
-                                                      _CSV_FIELDS))],
+        for name, column in zip(_CSV_FIELDS, _fields(report.per_request,
+                                                     _CSV_FIELDS))],
         [["#agg"] * len(agg), list(agg), list(agg.values())]])
 
 
@@ -581,7 +562,7 @@ def write_report_json(path, report: MetricsReport) -> None:
         for i in range(0, len(report.per_request), _CHUNK_ROWS):
             records = report.per_request[i:i + _CHUNK_ROWS]
             columns = list(map(_json_texts, _JSON_FIELDS,
-                               _columns(records, _JSON_FIELDS)))
+                               _fields(records, _JSON_FIELDS)))
             f.write(sep)
             f.write(",\n".join(map(_JSON_ROW.__mod__, zip(*columns))))
             sep = ",\n"

@@ -48,6 +48,7 @@ from .traces import (
     RequestTrace,
     SimTrace,
     TraceRecords,
+    _as_columns,
     write_csv,
     write_iterations_csv,
     write_trace,
@@ -64,15 +65,13 @@ def trimmed_window(records: Sequence[RequestTrace], trim_start: float,
     """Evaluation window over the trace with warm-up/drain margins dropped.
 
     The time axis runs from 0 to the generation makespan; the window keeps
-    [trim_start, 1 - trim_end] of it.  ``records`` may be a read trace's
-    :class:`~servesim.traces.TraceRecords`, taken as columns.
+    [trim_start, 1 - trim_end] of it.  ``records`` is taken as columns, as
+    :func:`~servesim.metrics.window_from_traces` takes them.
     """
-    if isinstance(records, TraceRecords):
-        lasts = records.token_times[
-            np.cumsum(records.counts)[records.counts > 0] - 1].tolist()
-    else:
-        lasts = [rec.token_times[-1] for rec in records if rec.token_times]
-    makespan = max(lasts, default=None)
+    records = _as_columns(records)
+    counts = records.counts
+    makespan = max(records.token_times[np.cumsum(counts)[counts > 0] - 1]
+                   .tolist(), default=None)
     if makespan is None:
         raise ValueError("no request in the trace has a token, so it has no "
                          "makespan to trim a window from")
@@ -142,22 +141,21 @@ _CDF_QS = np.arange(TBT_CDF_GRID + 1) / TBT_CDF_GRID
 _CDF_Q_TEXTS = list(map(repr, _CDF_QS.tolist()))
 
 
-def _write_tbt_cdf(path, records: list[RequestTrace]) -> None:
+def _write_tbt_cdf(path, records: Sequence[RequestTrace]) -> None:
     """TBT CDF on a fixed quantile grid, generation and delivery side.
 
     Each timeline with at least one token gap gets TBT_CDF_GRID + 1 rows:
     the nearest-rank quantile of the gap pool at q = k/TBT_CDF_GRID, by the
     pool, gap and rank rules of every TBT number in ``metrics``, so the
     file size does not grow with the tokens.
-    The times are read as floats.  With no records, or none with two
-    tokens, the file holds the header only.  Written by ``write_csv``.
+    The gaps come from the trace's flat times.  With no records, or none
+    with two tokens, the file holds the header only.  Written by
+    ``write_csv``.
     """
-    generation = _sorted_gaps([rec.token_times for rec in records])
-    if all(rec.delivery_times is None for rec in records):
-        delivery = generation
-    else:
-        delivery = _sorted_gaps([rec.token_times if rec.delivery_times is None
-                                 else rec.delivery_times for rec in records])
+    records = _as_columns(records)
+    generation = _sorted_gaps(records.counts, records.token_times)
+    delivery = (_sorted_gaps(records.counts, records.delivery_times)
+                if records.has_delivery.any() else generation)
     write_csv(path, ["timeline", "tbt_s", "cdf"], (
         [[label] * len(_CDF_Q_TEXTS),
          _nearest_ranks(gaps, _CDF_QS).tolist(), _CDF_Q_TEXTS]
@@ -190,7 +188,7 @@ def _write_token_timeline(path, rec: RequestTrace, policy: DeadlinePolicy,
 
 
 def run_cell(trace: SimTrace, config: ExperimentConfig, variant: Variant,
-             ) -> tuple[list[RequestTrace], MetricsReport]:
+             ) -> tuple[TraceRecords, MetricsReport]:
     """Evaluate one variant on the engine's trace of its scheduler."""
     records = trace.requests
     if variant.delivery is not None:
@@ -262,7 +260,7 @@ def run_experiment(config: ExperimentConfig,
                             key=attrgetter("idle_latency"))
                 if worst is not None:
                     rid = worst.request_id
-                    rec = next(r for r in records if r.request_id == rid)
+                    rec = records[records.request_ids.index(rid)]
                     _write_token_timeline(track(os.path.join(
                         out_dir, "plots", f"timeline_{stem}_{rid}.csv")),
                         rec, config.policy, config.use_delivery)

@@ -29,19 +29,19 @@ once more, over the chunk's flat arrays.  Any chunk in doubt goes line by
 line to the constructors, which convert an int time or refuse the first
 bad line with their own message, so the reader accepts what they accept.
 
-A record whose values are good by construction is built with
-``_unchecked`` instead, which skips the checks:
+Values that are good by construction skip the checks: ``_unchecked``
+builds a record of them, and a :class:`TraceRecords` holds them as columns.
 
 * a record's timeline views and their clipped prefixes hold its checked
-  times, and so do a read trace's records and a window's timelines, built
-  from their columns on access;
+  times, and so do the records of a ``TraceRecords`` and a window's
+  timelines, built from their columns on access;
 * the engine builds each request's token times strictly increasing from its
   arrival, and refuses a clock that stops advancing or overflows; only a
   held delivery timeline, which a scheduler's release instants shape, is
   checked, with the token times as its floor;
-* ``delivery.delay_trace`` paces a checked timeline, so its delivery times
-  never decrease nor precede generation; it checks only that the last one is
-  finite.
+* ``delivery.delay_trace`` paces checked times, so its delivery times never
+  decrease nor precede generation; it checks only that each request's last
+  one is finite.
 
 orjson is the JSON-lines codec.  The readers read lines as bytes and decode
 one with the stdlib decoder only when orjson refuses it: the NaN and
@@ -273,13 +273,13 @@ class IterationLog:
 
 @dataclass
 class SimTrace:
-    """Simulator output: per-request traces plus the iteration log."""
+    """Simulator output: the trace, as columns, and the iteration log."""
 
-    requests: list[RequestTrace]
+    requests: TraceRecords
     iterations: IterationLog
 
     def total_tokens(self) -> int:
-        return sum(len(r.token_times) for r in self.requests)
+        return int(self.requests.counts.sum())
 
 
 # orjson's float text is the repr for +-0.0 and for every magnitude in
@@ -576,6 +576,14 @@ def _record_columns(records: list[RequestTrace]) -> tuple:
     """:func:`_columns` of checked records."""
     return _columns(*(zip(*map(_RECORD_FIELDS, records)) if records
                       else [()] * 6))
+
+
+def _as_columns(records: Sequence[RequestTrace]) -> TraceRecords:
+    """``records`` as columns: a :class:`TraceRecords` as it is, and any
+    other sequence of records gathered in one pass."""
+    if isinstance(records, TraceRecords):
+        return records
+    return TraceRecords(*_record_columns(list(records)))
 
 
 class TraceRecords(Sequence):

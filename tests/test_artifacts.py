@@ -96,7 +96,7 @@ def held_records(count):
 
 
 def test_cdf_rows_are_nearest_rank_quantiles_of_each_timeline(tmp_path):
-    records = held_records(24)
+    records = list(held_records(24))
     # One record keeps no delivery times and falls back to generation.
     records[0] = dataclasses.replace(records[0], delivery_times=None)
     path = tmp_path / "cdf.csv"

@@ -1,6 +1,8 @@
 """Engine invariants on random small workloads, re-derived from the trace."""
 
 import dataclasses
+import os
+import tempfile
 from bisect import bisect_left, bisect_right
 from unittest import mock
 
@@ -20,7 +22,8 @@ from servesim.schedulers import (
     VllmLike,
     next_batch,
 )
-from servesim.traces import RequestTrace
+from servesim import traces
+from servesim.traces import RequestTrace, write_trace
 from servesim.workload import RequestSpec
 
 MAX_PROMPT, MAX_OUTPUT = 120, 20
@@ -139,14 +142,26 @@ def test_engine_invariants(case):
 @given(cases(), st.builds(DelayConfig, st.sampled_from([0.01, 0.05, 0.3]),
                           st.booleans()))
 def test_trusted_records_pass_the_public_checks(case, delay):
-    # The engine and delay_trace build their records without the
-    # constructor's checks; each one passes them when rebuilt.
+    # The engine and delay_trace build their columns without the
+    # constructor's checks; each record passes them when rebuilt, the
+    # columns pass the reader's flat rule, and they write the oracle's bytes.
     workload, engine, policy = case
     records = run(workload, engine, policy).requests
-    for rec in [*records, *delay_trace(records, delay)]:
+    delayed = delay_trace(records, delay)
+    for rec in [*records, *delayed]:
         assert RequestTrace(rec.request_id, rec.arrival, rec.token_times,
                             rec.prompt_len, rec.completed,
                             rec.delivery_times) == rec
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = (os.path.join(tmp, name) for name in ("a", "b"))
+        for held in (records, delayed):
+            assert traces._timelines_hold(held.arrivals, held.completed,
+                                          held.counts, held.token_times,
+                                          held.delivery_times)
+            write_trace(ours, held)
+            oracles.write_trace(theirs, list(held))
+            with open(ours, "rb") as a, open(theirs, "rb") as b:
+                assert a.read() == b.read()
 
 
 def assert_same_run(a, b):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from servesim import engine
 from servesim.deadlines import ReadingSpeed, deadlines_for
-from servesim.delivery import DelayConfig
+from servesim.delivery import DelayConfig, delay_trace
 from servesim.engine import EngineConfig
 from servesim.metrics import BenefitParams, TokensEquivalent
 from servesim.config import (
@@ -23,13 +24,20 @@ from servesim.config import (
 )
 from servesim.runner import (
     capacity_search,
+    run_cell,
     run_experiment,
     trimmed_window,
     _write_token_timeline,
 )
 from servesim.schedulers import ChunkedPrefill, VllmLike
-from servesim.traces import read_trace
-from servesim.workload import Constant, Synthetic, UniformInt, WorkloadConfig
+from servesim.traces import RequestTrace, TraceRecords, read_trace
+from servesim.workload import (
+    Constant,
+    Synthetic,
+    UniformInt,
+    WorkloadConfig,
+    generate,
+)
 
 
 def fixture_config(fixtures_dir):
@@ -195,6 +203,29 @@ def test_variants_that_share_a_scheduler_simulate_once(monkeypatch,
     assert [r.token_times for r in plain] == [r.token_times for r in paced]
     assert all(r.delivery_times is None for r in plain)
     assert any(r.delivery_times is not None for r in paced)
+
+
+def _live_request_traces() -> int:
+    gc.collect()
+    return sum(type(obj) is RequestTrace for obj in gc.get_objects())
+
+
+def test_a_delayed_cell_builds_no_record():
+    # The engine and delay_trace return columns, and a cell scores them as
+    # they are: a record is built only when one is read.
+    config = small_config(rates=(3.0,))
+    variant = Variant("held", VllmLike(), DelayConfig(0.05))
+    specs = generate(config.workload.with_rate(3.0))
+    before = _live_request_traces()
+    trace = engine.run(specs, config.engine, variant.scheduler)
+    records, report = run_cell(trace, config, variant)
+    assert _live_request_traces() == before
+    assert type(trace.requests) is TraceRecords
+    assert type(records) is TraceRecords
+    assert type(delay_trace(list(trace.requests), variant.delivery)) \
+        is TraceRecords
+    assert records == delay_trace(list(trace.requests), variant.delivery)
+    assert len(report.per_request) > 0
 
 
 def test_timeline_plot_deadlines_follow_the_scored_timeline(fixtures_dir,
