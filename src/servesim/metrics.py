@@ -38,8 +38,9 @@ deadline series, is taken over blocks of whole timelines of about
 a time.  The values are bit for bit those of scoring each request alone
 (``tests/oracles.py`` keeps that reference), because the element-wise
 operations keep their order, ``(times - arrival) - deadline``, and the
-aggregates are still taken over the records in window order: ``np.mean``,
-the nearest rank, and a left-to-right ``+=`` for the benefit total.
+aggregates are taken over the report's columns, which the writers read as
+they are, in window order: ``np.mean``, the nearest rank, and a
+left-to-right ``+=`` for the benefit total.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -156,7 +157,8 @@ class RequestMetrics:
 def score(timeline: TokenTimeline, policy: DeadlinePolicy,
           params: BenefitParams = BenefitParams()) -> RequestMetrics:
     """One request's record, as :func:`build_report` lists it."""
-    return _score_window(_timeline_columns((timeline,)), policy, params)[0][0]
+    columns, _ = _score_window(_timeline_columns((timeline,)), policy, params)
+    return RequestMetrics(*(column[0] for column in columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +333,21 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 # report.json names every RequestMetrics field, times with an "_s" suffix.
+_FIELDS = [f.name for f in fields(RequestMetrics)]
 _UNITLESS = {"request_id", "n_tokens", "complete", "benefit", "met_slo"}
-_REQUEST_KEYS = [(f.name, f.name if f.name in _UNITLESS else f"{f.name}_s")
-                 for f in fields(RequestMetrics)]
+_KEYS = {name: name if name in _UNITLESS else f"{name}_s" for name in _FIELDS}
+# A no-token request's scores, after its id, arrival, count and completeness.
+_NO_TOKEN_SCORES = tuple(f.default for f in fields(RequestMetrics)[4:])
 
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """A window's aggregates; ``columns`` maps each RequestMetrics field
+    name, in field order, to every request's value in window order."""
+
     window_start: float
     window_end: float
-    per_request: tuple[RequestMetrics, ...]
+    columns: dict[str, list]
     throughput_tokens_per_s: float
     goodput_tokens_per_s: float
     goodput_requests_per_s: float
@@ -368,13 +375,10 @@ class MetricsReport:
             "mean_idle_latency_s": self.mean_idle_latency,
         }
 
-    def to_json_dict(self) -> dict:
-        return {
-            "window": {"start_s": self.window_start, "end_s": self.window_end},
-            "aggregates": self.aggregates(),
-            "requests": [{key: getattr(r, name) for name, key in _REQUEST_KEYS}
-                         for r in self.per_request],
-        }
+    @cached_property
+    def per_request(self) -> tuple[RequestMetrics, ...]:
+        """Every request's record, in window order, built on first access."""
+        return tuple(map(RequestMetrics, *self.columns.values()))
 
 
 PERCENTILE_LABELS = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
@@ -389,8 +393,8 @@ def _percentiles(ordered: np.ndarray) -> dict[str, float]:
 
 def _score_window(columns: _Columns, policy: DeadlinePolicy,
                   params: BenefitParams
-                  ) -> tuple[list[RequestMetrics], dict[str, float]]:
-    """Every request's record, in order, and the TBT percentiles of them all.
+                  ) -> tuple[dict[str, list], dict[str, float]]:
+    """Every request's scores as report columns, and their TBT percentiles.
 
     Each per-request value is a whole-window numpy operation on the flat
     token times, or one per block of requests for the lateness, so that at
@@ -428,29 +432,25 @@ def _score_window(columns: _Columns, policy: DeadlinePolicy,
         lateness[lo:hi] = np.maximum.reduceat(rel, at)
     lateness = lateness.tolist()
 
-    records = []
+    # One row per request, in RequestMetrics field order, transposed once.
+    rows = []
     per_request = zip(ttft, e2e, lateness)
     per_gap = zip(tpot, max_tbt)
     for rid, arrival, done, k in zip(ids, arrivals.tolist(), complete.tolist(),
                                      counts.tolist()):
         if not k:
-            records.append(RequestMetrics(rid, arrival, 0, done))
+            rows.append((rid, arrival, 0, done, *_NO_TOKEN_SCORES))
             continue
         ttft_k, e2e_k, late = next(per_request)
         tpot_k, tbt_k = next(per_gap) if k >= 2 else (None, None)
         idle = max(0.0, late)
-        # Every field is a value of this pass, so the record skips the
-        # frozen __init__.  Its fields: request_id, arrival, n_tokens,
-        # complete, ttft, tpot, e2e, max_tbt, idle_latency, peak_lateness,
-        # benefit and met_slo.
-        records.append(_unchecked(
-            RequestMetrics, rid, arrival, k, done,
-            ttft_k, tpot_k, e2e_k, tbt_k, idle, late,
+        rows.append((
+            rid, arrival, k, done, ttft_k, tpot_k, e2e_k, tbt_k, idle, late,
             k - params.alpha * params.penalty(idle),
             # For finite doubles, "every token at or before its deadline";
             # only a fully delivered request attains its SLO.
             done and late <= 0.0))
-    return records, tbt_percentiles
+    return dict(zip(_FIELDS, map(list, zip(*rows)))), tbt_percentiles
 
 
 def build_report(window: EvalWindow, policy: DeadlinePolicy,
@@ -460,46 +460,43 @@ def build_report(window: EvalWindow, policy: DeadlinePolicy,
     One deadline series covers each block of timelines.  Each record holds
     the values the per-request rule gives, bit for bit: the element-wise order
     is ``(times - arrival) - deadline``, and a peak or a gap maximum is a
-    ``np.maximum.reduceat`` over each request's slice.  Throughput, both
-    goodputs, smooth goodput and attainment are read off the records.
+    ``np.maximum.reduceat`` over each request's slice.  The report holds
+    those values as columns, and throughput, both goodputs, smooth goodput
+    and attainment are read off the columns in window order.
     """
     if not len(window.columns.request_ids):
         raise ValueError("cannot report on an empty window")
-    records, tbt_percentiles = _score_window(window.columns, policy, params)
+    columns, tbt_percentiles = _score_window(window.columns, policy, params)
     # Left to right, as a plain loop: sum() compensates float rounding from
-    # Python 3.12 on.  A no-token record adds an exact 0.0.
+    # Python 3.12 on.  A no-token request adds an exact 0.0.
     total_benefit = 0.0
-    for r in records:
-        total_benefit += r.benefit
-    met = [r.n_tokens for r in records if r.met_slo]
-    ttfts = [r.ttft for r in records if r.ttft is not None]
+    for benefit in columns["benefit"]:
+        total_benefit += benefit
+    n_tokens = columns["n_tokens"]
+    met = list(compress(n_tokens, columns["met_slo"]))
+    ttfts = [t for t in columns["ttft"] if t is not None]
     length = window.length
     return MetricsReport(
         window_start=window.start,
         window_end=window.end,
-        per_request=tuple(records),
-        throughput_tokens_per_s=sum(r.n_tokens for r in records) / length,
+        columns=columns,
+        throughput_tokens_per_s=sum(n_tokens) / length,
         goodput_tokens_per_s=sum(met) / length,
         goodput_requests_per_s=len(met) / length,
         smooth_goodput_per_s=total_benefit / length,
-        slo_attainment=len(met) / len(records),
+        slo_attainment=len(met) / len(n_tokens),
         ttft_percentiles=_percentiles(np.sort(ttfts)),
         tbt_percentiles=tbt_percentiles,
         mean_ttft=float(np.mean(ttfts)) if ttfts else float("nan"),
-        mean_idle_latency=float(np.mean([r.idle_latency for r in records])),
+        mean_idle_latency=float(np.mean(columns["idle_latency"])),
     )
 
 
 # report.csv has every report.json request column but peak lateness.
-_CSV_FIELDS = [name for name, _ in _REQUEST_KEYS if name != "peak_lateness"]
-REPORT_CSV_HEADER = [key for name, key in _REQUEST_KEYS if name in _CSV_FIELDS]
+_CSV_FIELDS = [name for name in _FIELDS if name != "peak_lateness"]
+REPORT_CSV_HEADER = [_KEYS[name] for name in _CSV_FIELDS]
 
 _BOOLS = {"complete", "met_slo"}
-
-
-def _fields(records: Sequence[RequestMetrics], names: list[str]) -> list:
-    """The ``names`` fields of ``records``, one column each."""
-    return list(zip(*map(attrgetter(*names), records)))
 
 
 def write_report_csv(path, report: MetricsReport) -> None:
@@ -513,10 +510,10 @@ def write_report_csv(path, report: MetricsReport) -> None:
     for scope in ("ttft", "tbt"):
         for label, value in agg.pop(f"{scope}_percentiles_s").items():
             agg[f"{scope}_{label}_s"] = value
+    columns = report.columns
     write_csv(path, REPORT_CSV_HEADER, [[
-        list(map(int, column)) if name in _BOOLS else column
-        for name, column in zip(_CSV_FIELDS, _fields(report.per_request,
-                                                     _CSV_FIELDS))],
+        list(map(int, columns[name])) if name in _BOOLS else columns[name]
+        for name in _CSV_FIELDS],
         [["#agg"] * len(agg), list(agg), list(agg.values())]])
 
 
@@ -537,21 +534,21 @@ def _json_texts(name: str, column) -> list:
     return texts
 
 
-_JSON_FIELDS = [name for name, _ in _REQUEST_KEYS]
 # A report.json request row as json.dump(..., indent=2) writes it, one %s
 # per field.
 _JSON_ROW = ("    {\n      " + ",\n      ".join(
-    f'"{key}": %s' for _, key in _REQUEST_KEYS) + "\n    }")
+    f'"{key}": %s' for key in _KEYS.values()) + "\n    }")
 _NOT_JSON = {"nan", "inf", "-inf"}
 
 
 def write_report_json(path, report: MetricsReport) -> None:
-    """``report.to_json_dict()`` as ``json.dump(..., indent=2)`` writes it.
+    """The report as ``json.dump(..., indent=2)`` writes it: the window, the
+    aggregates and one object per request, a time's key with an ``_s`` suffix.
 
     A NaN or an infinity, which strict JSON has no literal for, raises
     ValueError; a report that cannot be written leaves no file.
     """
-    # to_json_dict() up to its requests, which are written a chunk at a time.
+    # Everything up to the requests, which are written a chunk at a time.
     head = json.dumps({"window": {"start_s": report.window_start,
                                   "end_s": report.window_end},
                        "aggregates": report.aggregates()},
@@ -559,12 +556,11 @@ def write_report_json(path, report: MetricsReport) -> None:
     with _writing(path, "w", encoding="utf-8") as f:
         f.write(head)
         sep = ',\n  "requests": [\n'
-        for i in range(0, len(report.per_request), _CHUNK_ROWS):
-            records = report.per_request[i:i + _CHUNK_ROWS]
-            columns = list(map(_json_texts, _JSON_FIELDS,
-                               _fields(records, _JSON_FIELDS)))
+        n = len(report.columns["request_id"])
+        for i in range(0, n, _CHUNK_ROWS):
+            texts = [_json_texts(name, report.columns[name][i:i + _CHUNK_ROWS])
+                     for name in _FIELDS]
             f.write(sep)
-            f.write(",\n".join(map(_JSON_ROW.__mod__, zip(*columns))))
+            f.write(",\n".join(map(_JSON_ROW.__mod__, zip(*texts))))
             sep = ",\n"
-        f.write('\n  ]\n}\n' if report.per_request
-                else ',\n  "requests": []\n}\n')
+        f.write('\n  ]\n}\n' if n else ',\n  "requests": []\n}\n')

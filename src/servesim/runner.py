@@ -20,7 +20,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -113,7 +112,8 @@ def _write_summary(path, cells: list[CellResult]) -> None:
             continue
         agg = cell.report.aggregates()
         agg["p99_tbt_s"] = agg["tbt_percentiles_s"].get("p99")
-        rows.append([cell.variant, cell.rate, "", len(cell.report.per_request),
+        rows.append([cell.variant, cell.rate, "",
+                     len(cell.report.columns["request_id"]),
                      *(agg[name] for name in SUMMARY_HEADER[4:])])
     write_csv(path, SUMMARY_HEADER, [list(zip(*rows))])
 
@@ -255,15 +255,13 @@ def run_experiment(config: ExperimentConfig,
                     track(os.path.join(cell_dir, "report.csv")), report)
                 _write_tbt_cdf(track(os.path.join(
                     out_dir, "plots", f"tbt_cdf_{stem}.csv")), records)
-                # Ties pick the first, as max keeps it.
-                worst = max(report.per_request, default=None,
-                            key=attrgetter("idle_latency"))
-                if worst is not None:
-                    rid = worst.request_id
-                    rec = records[records.request_ids.index(rid)]
-                    _write_token_timeline(track(os.path.join(
-                        out_dir, "plots", f"timeline_{stem}_{rid}.csv")),
-                        rec, config.policy, config.use_delivery)
+                # The largest idle latency; a tie picks the first request.
+                idle = report.columns["idle_latency"]
+                rid = report.columns["request_id"][idle.index(max(idle))]
+                rec = records[records.request_ids.index(rid)]
+                _write_token_timeline(track(os.path.join(
+                    out_dir, "plots", f"timeline_{stem}_{rid}.csv")),
+                    rec, config.policy, config.use_delivery)
             cells.append(cell)
 
     if out_dir:

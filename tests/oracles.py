@@ -20,6 +20,7 @@ its ``repr``, and ``write_csv`` is one ``csv.writer`` row per table row.
 """
 
 import csv
+import dataclasses
 import json
 import math
 from typing import NamedTuple
@@ -331,9 +332,19 @@ def write_tbt_cdf(path, records):
                                  repr(q)])
 
 
+# report.json's request keys: each record field, a time with an "_s" suffix.
+_UNITLESS = {"request_id", "n_tokens", "complete", "benefit", "met_slo"}
+
+
 def write_report_json(path, report):
+    requests = [{f.name if f.name in _UNITLESS else f"{f.name}_s":
+                 getattr(r, f.name) for f in dataclasses.fields(r)}
+                for r in report.per_request]
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_json_dict(), f, indent=2, allow_nan=False)
+        json.dump({"window": {"start_s": report.window_start,
+                              "end_s": report.window_end},
+                   "aggregates": report.aggregates(),
+                   "requests": requests}, f, indent=2, allow_nan=False)
         f.write("\n")
 
 

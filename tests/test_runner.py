@@ -10,10 +10,17 @@ import numpy as np
 import pytest
 
 from servesim import engine
-from servesim.deadlines import ReadingSpeed, deadlines_for
+from servesim.deadlines import EndToEnd, ReadingSpeed, TtftTbt, deadlines_for
 from servesim.delivery import DelayConfig, delay_trace
 from servesim.engine import EngineConfig
-from servesim.metrics import BenefitParams, TokensEquivalent
+from servesim.metrics import (
+    BenefitParams,
+    RequestMetrics,
+    TokensEquivalent,
+    build_report,
+    write_report_csv,
+    write_report_json,
+)
 from servesim.config import (
     ConfigError,
     ExperimentConfig,
@@ -205,9 +212,9 @@ def test_variants_that_share_a_scheduler_simulate_once(monkeypatch,
     assert any(r.delivery_times is not None for r in paced)
 
 
-def _live_request_traces() -> int:
+def _live(cls) -> int:
     gc.collect()
-    return sum(type(obj) is RequestTrace for obj in gc.get_objects())
+    return sum(type(obj) is cls for obj in gc.get_objects())
 
 
 def test_a_delayed_cell_builds_no_record():
@@ -216,16 +223,58 @@ def test_a_delayed_cell_builds_no_record():
     config = small_config(rates=(3.0,))
     variant = Variant("held", VllmLike(), DelayConfig(0.05))
     specs = generate(config.workload.with_rate(3.0))
-    before = _live_request_traces()
+    before = _live(RequestTrace)
     trace = engine.run(specs, config.engine, variant.scheduler)
     records, report = run_cell(trace, config, variant)
-    assert _live_request_traces() == before
+    assert _live(RequestTrace) == before
     assert type(trace.requests) is TraceRecords
     assert type(records) is TraceRecords
     assert type(delay_trace(list(trace.requests), variant.delivery)) \
         is TraceRecords
     assert records == delay_trace(list(trace.requests), variant.delivery)
     assert len(report.per_request) > 0
+
+
+def test_a_report_is_scored_and_written_as_columns(tmp_path):
+    # build_report, both report writers and a sweep hold and read the
+    # report's columns: no RequestMetrics is built until per_request is read.
+    config = small_config(rates=(3.0,))
+    specs = generate(config.workload.with_rate(3.0))
+    trace = engine.run(specs, config.engine, config.variants[0].scheduler)
+    window = trimmed_window(trace.requests, config.trim_start_frac,
+                            config.trim_end_frac, config.use_delivery)
+    before = _live(RequestMetrics)
+    report = build_report(window, config.policy, config.benefit)
+    write_report_json(tmp_path / "report.json", report)
+    write_report_csv(tmp_path / "report.csv", report)
+    result = run_experiment(config, out_dir=str(tmp_path / "out"))
+    assert _live(RequestMetrics) == before
+    for report in [report, *(cell.report for cell in result.cells)]:
+        assert "per_request" not in report.__dict__
+        assert len(report.per_request) == len(report.columns["request_id"])
+    assert _live(RequestMetrics) > before
+
+
+@pytest.mark.parametrize("policy", [TtftTbt(0.01, 0.001), EndToEnd(1e9)],
+                         ids=["some_late", "none_late"])
+def test_timeline_plot_is_of_the_first_request_idle_the_longest(tmp_path,
+                                                               policy):
+    # Under a budget no request misses, every idle latency is 0.0 and the
+    # tie picks the first request of the window.
+    config = dataclasses.replace(small_config(), policy=policy)
+    out = tmp_path / "out"
+    run_experiment(config, out_dir=str(out))
+    expected = set()
+    for rate in config.rates:
+        stem = f"vllm_rate{rate:g}"
+        report = json.loads(
+            (out / "cells" / stem / "report.json").read_text())
+        idle = [r["idle_latency_s"] for r in report["requests"]]
+        assert (max(idle) > 0.0) != isinstance(policy, EndToEnd)
+        worst = report["requests"][idle.index(max(idle))]["request_id"]
+        expected.add(f"timeline_{stem}_{worst}.csv")
+    plotted = {path.name for path in (out / "plots").glob("timeline_*.csv")}
+    assert plotted == expected
 
 
 def test_timeline_plot_deadlines_follow_the_scored_timeline(fixtures_dir,

@@ -364,6 +364,12 @@ def test_tbt_cdf_bytes_match_reference(records):
     assert_same_bytes(_write_tbt_cdf, oracles.write_tbt_cdf, records)
 
 
+def columns_of(rows):
+    """The ``columns`` of a report whose records are ``rows``."""
+    return {f.name: [getattr(r, f.name) for r in rows]
+            for f in dataclasses.fields(RequestMetrics)}
+
+
 def report_strategy(values, mean_ttft):
     """Reports whose floats are drawn from ``values``."""
     optional = st.none() | values
@@ -374,7 +380,7 @@ def report_strategy(values, mean_ttft):
     percentiles = st.dictionaries(st.sampled_from(["p50", "p90", "p99"]),
                                   values)
     return st.builds(MetricsReport, values, values,
-                     st.lists(request_rows, max_size=40).map(tuple),
+                     st.lists(request_rows, max_size=40).map(columns_of),
                      values, values, values, values, values, percentiles,
                      percentiles, mean_ttft, values)
 
@@ -385,20 +391,20 @@ reports = report_strategy(floats, floats)
 finite = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(
     allow_nan=False, allow_infinity=False)
 finite_reports = report_strategy(finite, finite | st.just(math.nan))
-EMPTY_REPORT = MetricsReport(0.0, 1.0, (), 0.0, 0.0, 0.0, 0.0, 0.0, {}, {},
-                             math.nan, 0.0)
+EMPTY_REPORT = MetricsReport(0.0, 1.0, columns_of(()), 0.0, 0.0, 0.0, 0.0,
+                             0.0, {}, {}, math.nan, 0.0)
 
 
 def large_report(big, odd, rows=500):
     """Request rows, some with None fields, ids that csv quotes."""
     return MetricsReport(
         0.0, 100.0,
-        tuple(RequestMetrics(f"r{i},\"é\"", i * 0.5, i, i % 2 == 0,
-                             *([None] * 4 if i % 3 == 0 else [0.1 * i, -0.0,
-                                                              big, 0.2]),
-                             float(i), None if i % 3 == 0 else -0.0,
-                             -1.5 * i, i % 5 == 0)
-              for i in range(rows)),
+        columns_of([RequestMetrics(f"r{i},\"é\"", i * 0.5, i, i % 2 == 0,
+                                   *([None] * 4 if i % 3 == 0
+                                     else [0.1 * i, -0.0, big, 0.2]),
+                                   float(i), None if i % 3 == 0 else -0.0,
+                                   -1.5 * i, i % 5 == 0)
+                    for i in range(rows)]),
         1.0, 2.0, 3.0, -4.0, 0.5, {"p50": 0.1, "p90": 0.2, "p99": 0.3},
         {"p50": odd}, 0.25, 0.125)
 
@@ -412,8 +418,8 @@ NON_STR_IDS = [(5, "r,1", None), ("r,1", 5), ("a", b"b")]
 @pytest.mark.parametrize("request_ids", NON_STR_IDS)
 def test_report_writers_refuse_an_id_that_is_not_a_str(tmp_path, write,
                                                        request_ids):
-    report = dataclasses.replace(EMPTY_REPORT, per_request=tuple(
-        RequestMetrics(rid, 0.5, 1, True) for rid in request_ids))
+    report = dataclasses.replace(EMPTY_REPORT, columns=columns_of([
+        RequestMetrics(rid, 0.5, 1, True) for rid in request_ids]))
     path = tmp_path / "report"
     with pytest.raises(TypeError):
         write(path, report)
@@ -448,7 +454,7 @@ def test_report_json_refuses_a_number_strict_json_cannot_hold(report, bad,
         row = dataclasses.replace(RequestMetrics("r", 0.0, 1, True),
                                   **{where: bad})
         report = dataclasses.replace(
-            report, per_request=(*report.per_request, row))
+            report, columns=columns_of((*report.per_request, row)))
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "report.json")
         with pytest.raises(ValueError):
@@ -460,7 +466,7 @@ def test_report_json_refused_past_its_first_rows_leaves_no_file(tmp_path):
     report = large_report(1.0, 0.4, rows=2500)
     bad = RequestMetrics("late", 0.0, 1, True, e2e=math.inf)
     report = dataclasses.replace(
-        report, per_request=(*report.per_request, bad))
+        report, columns=columns_of((*report.per_request, bad)))
     path = tmp_path / "report.json"
     with pytest.raises(ValueError, match="e2e"):
         write_report_json(path, report)
