@@ -1,8 +1,8 @@
 """Iteration-level continuous-batching engine.
 
-:func:`run` simulates a workload under a batching policy and returns the
-per-request traces and the iteration log; the loop lives in ``pyloop`` and the
-affine cost model in ``config``.
+:func:`run` simulates a workload under a batching policy and returns its
+trace records, gathered as columns from the engine clock, and the iteration
+log; the loop lives in ``pyloop`` and the affine cost model in ``config``.
 """
 
 from __future__ import annotations

@@ -18,25 +18,22 @@ the state's PREFILLING members, in ``running`` order: a request joins them
 at admission and leaves when its prefill completes.
 
 The decode clock: every batch that decodes appends its end to one list of
-decode-step ends, and its delivery instant to a parallel list: the plan's
-``release_s``, which may not precede the end, or else the end.  A decoding
-request keeps its slices of these lists, the runs of steps at which it
-decodes; the last slice stays open while it decodes at every step.  A plan
-decodes the whole set when its ``decode_ids`` is the tuple the engine last
-published; every built-in plan that decodes does.  Such a plan needs no
-member check; any other, an equal copy included, has each member checked.
-A plan that decodes a subset closes the slices of the members it skips,
-and a member's slice reopens when it decodes again.
+decode-step ends, and a ``release_s`` past that end, which it may not
+precede, is kept by its step.  A decoding request keeps its slices of the
+clock, the runs of steps at which it decodes; the last slice stays open
+while it decodes at every step.  A plan decodes the whole set when its
+``decode_ids`` is the tuple the engine last published; every built-in
+plan that decodes does.  Such a plan needs no member check; any other, an
+equal copy included, has each member checked.  A plan that decodes a
+subset closes the slices of the members it skips, and a member's slice
+reopens when it decodes again.
 
 An open slice fixes the step at which its request emits its last token, and
 a heap of these finish indices gives the next finish without a per-member
 scan.  The entry of a slice that has since closed is smaller than its
 request's live one, so it pops first and is dropped: its request has not
-finished.  When a request finishes, its token times are built once: its
-first token followed by its slices of the end list, and its delivery times
-from the same slices of the delivery list, kept only where they differ.
-``RequestState.emitted`` is still exact at every scheduler call, since
-schedulers read it.
+finished.  ``RequestState.emitted`` is still exact at every scheduler
+call, since schedulers read it.
 
 Decode runs: when a built-in policy plans a plain decode batch (no prefill,
 no release instant; a prepone phase in flight always plans one or the
@@ -51,12 +48,16 @@ first start and its length, with the queue, running and KV state the plan
 saw and the release instant applied to its decode tokens.  A reader
 rebuilds the run's later starts by the same additions.
 
-The trace: the clock check refuses a plan whose end does not exceed its
-last start or is not finite, so every request's token times strictly
-increase from its arrival, and the run gathers them into a ``TraceRecords``
-once, unchecked, at its end.  Only a held delivery timeline is checked,
-against its token times; a held release that is not a float, a callable's
-int say, is converted by the records' rule first.
+The trace: no time is copied until the run ends.  Then one index array
+into the step ends followed by the first tokens, by rank, takes each
+request's first token and its slices in workload order: a gather gives the
+token times, and with the held releases in place the delivery times.  The
+clock check refuses an end that does not exceed its start or is not
+finite, so token times strictly increase from each arrival unchecked.  The
+flat timeline rule checks the held delivery times; only if it fails is
+each held request checked, in workload order, to name the first offender
+after the run.  A held release that is not a float, a callable's int say,
+is converted by the records' rule first.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ from __future__ import annotations
 import math
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, compress, repeat, takewhile
 from operator import gt
 from typing import Callable, Sequence
+
+import numpy as np
 
 from ..schedulers import (
     BatchPlan,
@@ -85,8 +88,8 @@ from ..traces import (
     SimTrace,
     TraceRecords,
     _check_timeline,
-    _columns,
     _floats,
+    _timelines_hold,
 )
 from ..workload import RequestSpec
 from .config import EngineConfig, iteration_time
@@ -173,15 +176,6 @@ def _validate_plan(plan: BatchPlan, state: QueueState,
         raise SchedulerViolation("batch exceeds kv_capacity_tokens")
 
 
-def _slices(series: list[float], first: float,
-            spans: Sequence[int]) -> tuple[float, ...]:
-    """``first``, then ``series[a:b]`` for each span ``a, b`` of ``spans``."""
-    times = [first]
-    for i in range(0, len(spans), 2):
-        times += series[spans[i]:spans[i + 1]]
-    return tuple(times)
-
-
 def run(workload: Sequence[RequestSpec], engine: EngineConfig,
         scheduler: SchedulerPolicy | Callable[[QueueState], BatchPlan],
         ) -> SimTrace:
@@ -215,9 +209,6 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     # decode_seqs, prefill_ids, decode_ids, queue_depth, running,
     # kv_reserved, release_s).
     runs: list[tuple] = []
-    # Each request's token and delivery times, by rank.
-    token_times: list = [None] * len(states)
-    delivery_times: list = [None] * len(states)
     clock = 0.0
     kv_reserved = 0
     arrive_idx = 0
@@ -231,14 +222,14 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
     # The decode set's ids as the engine last published them.
     published = qstate.decode_ids
 
-    # The decode clock, one entry per decode step: its end and its delivery
-    # instant; held is set once a release falls after its end.
+    # The decode clock, one end per decode step, and the release of each step
+    # held past its end.  First token times stand apart, by rank: the heap's
+    # finish indices count decode steps only.
     step_ends: list[float] = []
-    step_deliveries: list[float] = []
-    held = False
-    # Per started request: its first token time, and its slices of the clock
-    # as start, stop, start, ...; an odd length leaves the last slice open.
-    first: dict[str, float] = {}
+    releases: dict[int, float] = {}
+    firsts = [0.0] * n
+    # Per request that decodes, its slices of the clock as start, stop,
+    # start, ...; an odd length leaves the last slice open.
     spans: dict[str, list[int]] = {}
     # (finish index, rank) per slice opened: the clock length at which its
     # request emits its last token if it decodes at every step from then on.
@@ -310,7 +301,6 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             end = last + duration
             ends.append(end)
             step_ends += ends
-            step_deliveries += ends
         else:
             m = 1
             last = clock
@@ -326,13 +316,9 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
                     raise SchedulerViolation(
                         f"release at {release} is not finite")
             if ids:
-                step_ends.append(end)
                 if hold:
-                    held = True
-                    released = release
-                    step_deliveries.append(release)
-                else:
-                    step_deliveries.append(end)
+                    releases[len(step_ends)] = released = release
+                step_ends.append(end)
         if not last < end < math.inf:
             # Once an addition leaves a start unchanged, every later start of
             # the run is that start, so the run's last addition is enough;
@@ -370,7 +356,7 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             if req.prefill_done == req.spec.prompt_len:
                 # Prefill produces the request's first output token.
                 prefilling.remove(req)
-                first[rid] = end
+                firsts[rank[rid]] = end
                 req.emitted = 1
                 if req.spec.output_len == 1:
                     done.append(req)
@@ -382,10 +368,8 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
 
         shrank = False
         for req in done:
-            rid = req.spec.request_id
-            sp = spans.pop(rid, ())  # none for a one-token request
             if req.phase == Phase.DECODING:
-                sp.append(now)
+                spans[req.spec.request_id].append(now)
                 i = decoding.index(req)
                 del decoding[i]
                 del decoding_ids[i]
@@ -394,25 +378,6 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             kv_reserved -= req.kv_reservation
             running.remove(req)
             finished += 1
-            # The token and the delivery times are the same slices of the
-            # two clock lists.
-            t0 = first.pop(rid)
-            times = _slices(step_ends, t0, sp)
-            delivery = None
-            if held:
-                delivery = _slices(step_deliveries, t0, sp)
-                if delivery == times:
-                    delivery = None
-                else:
-                    try:
-                        _check_timeline(rid, req.spec.arrival, delivery, True,
-                                        times)
-                    except ValueError as exc:
-                        raise SchedulerViolation(
-                            f"{rid}: a held release reorders its "
-                            f"tokens") from exc
-            token_times[rank[rid]] = times
-            delivery_times[rank[rid]] = delivery
         if started:
             if running[-len(started):] == started:
                 # The last admitted, as under every built-in policy: they
@@ -429,7 +394,41 @@ def run(workload: Sequence[RequestSpec], engine: EngineConfig,
             qstate.decode_ids = published = tuple(decoding_ids)
         clock = end
 
-    return SimTrace(TraceRecords(*_columns(
-        [s.spec.request_id for s in states], arrivals[:n], token_times,
-        [s.spec.prompt_len for s in states], [True] * n, delivery_times)),
-        IterationLog(tuple(runs)))
+    # The gather: per request in workload order, its first token (request
+    # r's at steps + r), then its (start, stop) slices; a token's index is
+    # its slice's start plus its place less the slice's first place.
+    steps = len(step_ends)
+    bounds: list[int] = []
+    for r, rid in enumerate(by_id):
+        bounds += (steps + r, steps + r + 1, *spans.get(rid, ()))
+    bounds = np.array(bounds, np.intp).reshape(-1, 2)
+    lengths = bounds[:, 1] - bounds[:, 0]
+    idx = np.repeat(bounds[:, 0] - (np.cumsum(lengths) - lengths), lengths)
+    np.add(idx, np.arange(len(idx)), out=idx)
+    series = np.array(step_ends + firsts)
+    times = series[idx]
+    counts = np.array([s.spec.output_len for s in states], np.intp)
+    arrivals = np.array(arrivals[:n])
+    completed = np.ones(n, bool)
+    delivery, has_delivery = times, np.zeros(n, bool)
+    if releases:
+        series[list(releases)] = list(releases.values())
+        delivery = series[idx]
+        has_delivery = np.logical_or.reduceat(delivery != times,
+                                              np.cumsum(counts) - counts)
+    del idx, series  # before the check's own transients
+    requests = TraceRecords(tuple(by_id), arrivals,
+                            [s.spec.prompt_len for s in states], completed,
+                            counts, times, delivery, has_delivery)
+    # The flat rule first; only when it fails is each held delivery timeline
+    # checked, in workload order, to name the first offender.
+    if releases and not _timelines_hold(arrivals, completed, counts, times,
+                                        delivery):
+        for rec in compress(requests, has_delivery):
+            try:
+                _check_timeline(rec.request_id, rec.arrival,
+                                rec.delivery_times, True, rec.token_times)
+            except ValueError as exc:
+                raise SchedulerViolation(f"{rec.request_id}: a held release "
+                                         f"reorders its tokens") from exc
+    return SimTrace(requests, IterationLog(tuple(runs)))

@@ -36,9 +36,9 @@ builds a record of them, and a :class:`TraceRecords` holds them as columns.
   times, and so do the records of a ``TraceRecords`` and a window's
   timelines, built from their columns on access;
 * the engine builds each request's token times strictly increasing from its
-  arrival, and refuses a clock that stops advancing or overflows; only a
-  held delivery timeline, which a scheduler's release instants shape, is
-  checked, with the token times as its floor;
+  arrival, and refuses a clock that stops advancing or overflows; only held
+  delivery times, which a scheduler's release instants shape, are checked,
+  by ``_timelines_hold`` over the flat arrays;
 * ``delivery.delay_trace`` paces checked times, so its delivery times never
   decrease nor precede generation; it checks only that each request's last
   one is finite.

@@ -7,8 +7,10 @@ other.  Keep it dumb.
 The per-request numpy scorer after ``nearest_rank`` is the bit-exact
 reference for ``build_report``, which scores a whole window at once.
 ``iteration_records`` expands the engine's iteration log, one entry per
-plan run, into one record per iteration, which the engine tests walk, and
-``read_iterations_csv`` rebuilds those records from a written log.
+plan run, into one record per iteration, which the engine tests walk;
+``requests_from_log`` rebuilds each request's token and delivery times
+from those records, and ``read_iterations_csv`` rebuilds the records from
+a written log.
 ``read_trace`` decodes a trace with the stdlib ``json`` alone, the
 reference for the package's reader, which decodes with orjson.  The artifact writers at the end
 are the reference for the package's: one
@@ -211,6 +213,34 @@ def iteration_records(runs):
             if k > 0:
                 t = t + duration
             out.append(Iteration(t, duration, *rest))
+    return out
+
+
+def requests_from_log(specs, runs):
+    """Each request's ``(request_id, token_times, delivery_times)``, in the
+    order of ``specs``, from the iteration log alone.
+
+    Its first token is at the end of the last iteration that prefills it,
+    and each later one at the end of an iteration that decodes it; a token
+    is delivered at that iteration's ``release_s``, or at its end when that
+    is ``None``.  ``delivery_times`` is ``None`` when it equals the token
+    times.
+    """
+    first, tokens, delivered = {}, {}, {}
+    for it in iteration_records(runs):
+        end = it.start + it.duration
+        for rid in it.prefill_ids:
+            first[rid] = end
+        for rid in it.decode_ids:
+            tokens.setdefault(rid, []).append(end)
+            delivered.setdefault(rid, []).append(
+                end if it.release_s is None else it.release_s)
+    out = []
+    for spec in specs:
+        rid = spec.request_id
+        times = (first[rid], *tokens.get(rid, ()))
+        delivery = (first[rid], *delivered.get(rid, ()))
+        out.append((rid, times, None if delivery == times else delivery))
     return out
 
 

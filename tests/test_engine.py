@@ -252,6 +252,21 @@ def _hold_the_first_decode_past_the_next(state):
     return BatchPlan(decode_ids=state.decode_ids)
 
 
+def _hold_a_and_b_then_finish_b_first(state):
+    # a and b decode twice together, the first decode held past the second,
+    # so both reorder their tokens; then b decodes alone to its last token
+    # and finishes first.  The run names a, the first in workload order.
+    if not state.decoding:
+        return next_batch(VllmLike(), state)
+    emitted = {r.spec.request_id: r.emitted for r in state.decoding}
+    if emitted.get("a") == 1:
+        return BatchPlan(decode_ids=state.decode_ids,
+                         release_s=state.clock + 1.0)
+    if "a" in emitted and "b" in emitted and emitted["a"] > 2:
+        return BatchPlan(decode_ids=("b",))
+    return BatchPlan(decode_ids=state.decode_ids)
+
+
 def _hold_forever(state):
     if not state.decoding:
         return next_batch(VllmLike(), state)
@@ -283,13 +298,15 @@ def _hold_forever(state):
      "a: not decodable"),
     (ENG, _hold_the_first_decode_past_the_next,
      "a: a held release reorders its tokens"),
+    (ENG, _hold_a_and_b_then_finish_b_first,
+     "^a: a held release reorders its tokens"),
     (ENG, _hold_forever, "release at inf is not finite"),
     (ENG, lambda s: None, "scheduler returned NoneType, not a BatchPlan"),
 ], ids=["before_arrival", "not_prefillable", "prefill_span", "not_decodable",
         "batch_tokens", "running_seqs", "kv_capacity", "early_release",
         "finished_decode", "duplicate_decode", "prefill_and_decode",
         "published_ghost", "published_finished", "reordering_release",
-        "infinite_release", "not_a_plan"])
+        "first_reorder_in_workload_order", "infinite_release", "not_a_plan"])
 def test_rogue_plan_diagnostics(engine, rogue, message):
     # Each request alone fits every engine above; only the plan breaks a rule.
     workload = [RequestSpec("a", 0.0, 60, 50), RequestSpec("b", 0.0, 60, 50),

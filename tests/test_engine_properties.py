@@ -135,6 +135,10 @@ def test_engine_invariants(case):
             assert all(d >= g for g, d in zip(times, delivery))
             assert list(delivery) == sorted(delivery)
     check_limits(trace, specs, engine)
+    # The engine's gather against the requests rebuilt from its log.
+    assert oracles.requests_from_log(workload, trace.iterations.runs) == [
+        (rec.request_id, rec.token_times, rec.delivery_times)
+        for rec in trace.requests]
     assert run(workload, engine, policy) == trace
 
 
