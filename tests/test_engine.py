@@ -262,7 +262,7 @@ def _hold_a_and_b_then_finish_b_first(state):
     if emitted.get("a") == 1:
         return BatchPlan(decode_ids=state.decode_ids,
                          release_s=state.clock + 1.0)
-    if "a" in emitted and "b" in emitted and emitted["a"] > 2:
+    if emitted.get("a") == 3 and "b" in emitted:
         return BatchPlan(decode_ids=("b",))
     return BatchPlan(decode_ids=state.decode_ids)
 
